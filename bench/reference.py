@@ -18,6 +18,10 @@ import numpy as np
 # wide margin, so these thresholds separate the cases with room to spare.
 ATOL = 1e-9
 RANK1_RATIO = 1e-8
+ENTANGLED_RATIO = 1e-5
+# Cuts handled per batch: bounds the memory the checks take, which
+# peak_rss_mb would show (a 10-qubit sweep stacked whole takes 8 MB).
+SVD_CHUNK = 64
 
 _LETTERS = "abcdefghijklmnopqrstuvwxy"
 
@@ -135,11 +139,21 @@ def min_cut_ratio(amps: np.ndarray, r: int, s) -> float:
     tensor_view = amps.reshape([2] * r)
     best = np.inf
     for size, cuts in by_size.items():
-        stack = np.stack([tensor_view.transpose(a + b).reshape(1 << size, -1)
-                          for a, b in cuts])
-        sv = np.linalg.svd(stack, compute_uv=False)
-        best = min(best, float(np.min(sv[:, 1] / sv[:, 0])))
+        for i in range(0, len(cuts), SVD_CHUNK):
+            stack = np.stack([tensor_view.transpose(a + b).reshape(1 << size, -1)
+                              for a, b in cuts[i:i + SVD_CHUNK]])
+            sv = np.linalg.svd(stack, compute_uv=False)
+            best = min(best, float(np.min(sv[:, 1] / sv[:, 0])))
     return best
+
+
+def check_cut(flag, amps, r: int, a, b) -> str | None:
+    """separates_at's flag at {A, B}: a rank-1 cut must separate, a cut
+    entangled by a clear margin must not; between, either answer holds."""
+    ratio = cut_ratio(as_complex(amps), r, a, b)
+    if (ratio <= RANK1_RATIO and not flag) or (ratio > ENTANGLED_RATIO and flag):
+        return f"separates_at {sorted(a)}|{sorted(b)} = {flag}, reference ratio {ratio:g}"
+    return None
 
 
 def check_separability(result, amps, r: int, s, product: bool) -> str | None:
@@ -160,7 +174,7 @@ def check_separability(result, amps, r: int, s, product: bool) -> str | None:
             return f"witness cut has singular-value ratio {ratio:g}"
         return None
     ratio = min_cut_ratio(amps, r, s)
-    if not ratio > 1e3 * RANK1_RATIO:
+    if not ratio > ENTANGLED_RATIO:
         return f"reference found a near-rank-1 cut (ratio {ratio:g})"
     if flag:
         return f"entangled state reported separable at {witness}"
@@ -240,6 +254,42 @@ def finest_partition(terms: dict) -> set:
     return {frozenset(variables[i] for i in cls) for cls in classes}
 
 
+def min_split_residual(terms: dict) -> float:
+    """How far the polynomial is from splitting anywhere: over every
+    variable bipartition {A, B}, the distance of the coefficient matrix
+    M (rows indexed by A, columns by B) from the rank-1 matrix C R / M[p]
+    through its largest entry M[p] (C its column, R its row), relative to
+    ||M||_F; the smallest of these.  It is 0 at a split of rank <= 1 and
+    at least sigma_2 / ||M||_F otherwise, and with the largest entry as
+    pivot at most 2 sqrt(mn) sigma_2 / ||M||_F.
+
+    A 12-variable sweep is 2047 matrices of 4096 entries, too many for a
+    check made in every run, but the polynomials have few terms.  With x
+    a monomial's bit mask, ||M - C R / M[p]||^2 is the sum over the terms
+    of |M[x] - C R / M[p]|^2 - |C R / M[p]|^2, plus ||C||^2 ||R||^2 / |M[p]|^2."""
+    variables = sorted({v for mono in terms for v in mono})
+    n = len(variables)
+    dense = dense_coefficients(terms, variables).reshape(-1)
+    support = np.flatnonzero(dense)
+    t = dense[support]
+    weight = np.abs(t) ** 2
+    p = int(support[np.argmax(weight)])
+    pivot = dense[p]
+    # masks of A holding the first variable (the top bit): each split once
+    masks = np.arange(1 << (n - 1), (1 << n) - 1)
+    best = np.inf
+    for i in range(0, len(masks), SVD_CHUNK):
+        a = masks[i:i + SVD_CHUNK, None]
+        b = ~a
+        rank1 = dense[(support & a) | (p & b)] * dense[(support & b) | (p & a)] / pivot
+        on_support = (np.abs(t - rank1) ** 2 - np.abs(rank1) ** 2).sum(axis=1)
+        col_sq = (weight * ((support & b) == (p & b))).sum(axis=1)
+        row_sq = (weight * ((support & a) == (p & a))).sum(axis=1)
+        resid = on_support + col_sq * row_sq / abs(pivot) ** 2
+        best = min(best, float(resid.min()))
+    return float(np.sqrt(max(best, 0.0) / weight.sum()))
+
+
 def check_partition(partition, product_terms: dict, factor_terms: list) -> str | None:
     """variable_partition on a product of variable-disjoint factors must
     give the generator's factor variable sets, each refined only where
@@ -278,6 +328,39 @@ def check_family_root(spec, c: dict, d: dict, alpha, assignment: dict) -> str | 
     dz = dv * t1 - np.where(np.array(zs) == ones_u, corr * x1, 0)
     if not np.min(np.abs(np.concatenate([dx, dz]))) > 1e-9 * scale:
         return "a partial derivative vanishes: the root is not justifying"
+    return None
+
+
+# ---- parity states and reductions ---------------------------------------------------
+
+def check_killer(amps, units, b: int) -> str | None:
+    """A killer state is a unit vector of pure parity b with
+    ``<1..1| U |psi> = 0`` for every unitary U."""
+    psi = as_complex(amps)
+    if not abs(np.linalg.norm(psi) - 1) <= ATOL:
+        return "killer state is not unit norm"
+    residual = max(abs(np.asarray(u, dtype=complex)[-1] @ psi) for u in units)
+    if not residual <= ATOL:
+        return f"killer state misses a constraint by {residual:g}"
+    parity = np.array([bin(i).count("1") % 2 for i in range(len(psi))])
+    off = float(np.linalg.norm(psi[parity != b]))
+    if not off <= ATOL:
+        return f"killer state has {off:g} weight of parity {1 - b}"
+    return None
+
+
+def check_reduction(reduced, circuit) -> str | None:
+    """depth_reduce must drop one multiqubit layer and leave the target's
+    final state unchanged on every classical input (ancillas |0>)."""
+    if reduced.depth != circuit.depth - 1 or reduced.r != circuit.r:
+        return f"depth {circuit.depth} reduced to {reduced.depth}"
+    n, m = circuit.n_inputs, circuit.n_ancillas
+    for bits in itertools.product("01", repeat=n):
+        amps = basis_amps(circuit.r, "0" + "".join(bits) + "0" * m)
+        gap = float(np.max(np.abs(target_density(simulate(circuit, amps))
+                                  - target_density(simulate(reduced, amps)))))
+        if not gap <= ATOL:
+            return f"input {''.join(bits)}: target densities differ by {gap:g}"
     return None
 
 

@@ -7,12 +7,14 @@ workload is a fixed, seeded list of operations; the list is walked in
 whole rounds until S seconds of rounds have been measured (at least
 three rounds), and each operation's time is its fastest round.  Outputs
 are checked against reference.py once per operation, in the first
-round, outside the timed calls.
+round, outside the timed calls; suite instances also have the calls the
+suite made checked (suites.py).
 
 The last line of standard output is one JSON object with ``correct``,
-``attempted``, ``failed`` and ``metrics``: the end-to-end metrics with
-``--trace 0``, the per-layer metrics (spans.py) with ``--trace 1``.
-Run records and span dumps go to bench/out/.
+``attempted`` (the operations in the list), ``failed`` (those that raised
+or were rejected by their check in any round) and ``metrics``: the
+end-to-end metrics with ``--trace 0``, the per-layer metrics (spans.py)
+with ``--trace 1``.  Run records and span dumps go to bench/out/.
 """
 import time
 
@@ -42,14 +44,16 @@ import platform  # noqa: E402
 import resource  # noqa: E402
 import shutil  # noqa: E402
 import statistics  # noqa: E402
-import subprocess  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 BENCH = Path(__file__).resolve().parent
 ROOT = BENCH.parent
 OUT = BENCH / "out"
 MIN_ROUNDS = 3
-SETUP_REPEATS = 5
+# The workload is built this many times, spread over the run, and
+# setup_s takes the median build: single builds within one run differ by
+# up to a factor of two on a machine with slow phases.
+SETUP_SAMPLES = 5
 # Rounds stop early when the next one could push the run past this, so a
 # run ends well inside three minutes even on a slow machine.
 WALL_CAP_S = 150.0
@@ -82,14 +86,17 @@ def header(import_s):
     }
 
 
-def run_rounds(ops, seconds, tracer=None):
+def run_rounds(ops, seconds, rebuild, tracer=None):
     """Walk the op list in whole rounds until ``seconds`` of rounds are
-    measured.  Returns per-op times (None for a round in which the op
-    raised), per-op failure counts, the first problem of each failing op
-    and the round count."""
+    measured.  Between rounds, at even steps of the run, call ``rebuild``
+    until the workload has been built SETUP_SAMPLES times (the first
+    build made ``ops``).  Returns per-op times (None for a round in which
+    the op raised), the first problem of each failing op and the round
+    count."""
+    import workloads
     perf = time.perf_counter
+    builds = 1
     times = [[] for _ in ops]
-    failed = [0] * len(ops)
     problems = {}
     rounds = 0
     measured = 0.0
@@ -102,7 +109,7 @@ def run_rounds(ops, seconds, tracer=None):
                 tracer.op, tracer.round, tracer.active = i, rounds, True
             try:
                 t0 = perf()
-                out = op.call()
+                out = workloads.checked_call(op) if rounds == 0 else op.call()
                 t1 = perf()
             except Exception as exc:  # an op that raises counts as failed
                 t1 = None
@@ -112,7 +119,6 @@ def run_rounds(ops, seconds, tracer=None):
                     tracer.active = False
             if t1 is None:
                 times[i].append(None)
-                failed[i] += 1
                 problems.setdefault(i, f"raised {type(out).__name__}: {out}")
                 continue
             times[i].append(t1 - t0)
@@ -125,35 +131,18 @@ def run_rounds(ops, seconds, tracer=None):
                 check_s += perf() - c0
                 if problem is not None:
                     problems[i] = problem
-            if i in problems:
-                failed[i] += 1
         round_s = perf() - round_start - check_s
         measured += round_s
         rounds += 1
+        if builds < SETUP_SAMPLES and measured >= builds * seconds / SETUP_SAMPLES:
+            rebuild()
+            builds += 1
         if perf() - start + round_s > WALL_CAP_S:
             break
-    return times, failed, problems, rounds
+    return times, problems, rounds
 
 
-def set_up(workload, seed, workdir):
-    """Set the workload up SETUP_REPEATS times.  Each set-up is a fresh
-    interpreter importing qaclab (process start to import done) plus
-    generating the workload's inputs in this process; returns the ops
-    and the (import, generate) seconds of each set-up."""
-    import workloads
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    samples = []
-    for _ in range(SETUP_REPEATS):
-        t0 = time.perf_counter()
-        # no timeout: Popen.wait with one polls in steps of up to 50 ms
-        subprocess.run([sys.executable, "-c", "import qaclab"], env=env, check=True)
-        t1 = time.perf_counter()
-        ops = workloads.build(workload, seed, workdir)
-        samples.append((t1 - t0, time.perf_counter() - t1))
-    return ops, samples
-
-
-def end_to_end(times, setup):
+def end_to_end(times, import_s, build_times):
     import numpy as np
     fastest = [min(t for t in ts if t is not None) for ts in times
                if any(t is not None for t in ts)]
@@ -162,7 +151,7 @@ def end_to_end(times, setup):
         "work_s": {"value": float(sum(fastest)), "unit": "s"},
         "op_p50_ms": {"value": float(np.percentile(ms, 50)), "unit": "ms"},
         "op_p90_ms": {"value": float(np.percentile(ms, 90)), "unit": "ms"},
-        "setup_s": {"value": statistics.median(a + b for a, b in setup), "unit": "s"},
+        "setup_s": {"value": import_s + statistics.median(build_times), "unit": "s"},
         "peak_rss_mb": {"value": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
                         "unit": "MB"},
     }
@@ -189,21 +178,28 @@ def main(argv=None) -> int:
     tag = f"{args.workload}-s{args.seed}-t{args.trace}-{os.getpid()}"
     workdir = OUT / f"work-{tag}"
     try:
-        ops, setup = set_up(args.workload, args.seed, workdir)
+        build_times = []
+
+        def build():
+            t0 = time.perf_counter()
+            ops = workloads.build(args.workload, args.seed, workdir)
+            build_times.append(time.perf_counter() - t0)
+            return ops
+        ops = build()
 
         tracer = None
         if args.trace:
             tracer = spans.Tracer()
             tracer.install(extra_modules=[workloads])
         try:
-            times, failed, problems, rounds = run_rounds(ops, args.seconds, tracer)
+            times, problems, rounds = run_rounds(ops, args.seconds, build, tracer)
         finally:
             if tracer is not None:
                 tracer.uninstall()
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 
-    e2e = end_to_end(times, setup)
+    e2e = end_to_end(times, import_s, build_times)
     correct = all(ops[i].known_fault for i in problems)
     for i, problem in sorted(problems.items()):
         mark = "known fault" if ops[i].known_fault else "FAILED"
@@ -218,13 +214,14 @@ def main(argv=None) -> int:
         metrics = e2e
     record = {
         "workload": args.workload, "seed": args.seed, "seconds": args.seconds,
-        "trace": args.trace, "header": info, "rounds": rounds, "setup": setup,
+        "trace": args.trace, "header": info, "rounds": rounds,
+        "build_s": build_times,
         "end_to_end": e2e, "problems": {ops[i].name: p for i, p in problems.items()},
         "ops": [{"name": op.name, "times": ts} for op, ts in zip(ops, times)],
     }
     (OUT / f"run-{tag}.json").write_text(json.dumps(record))
-    result = {"correct": correct, "attempted": rounds * len(ops),
-              "failed": sum(failed), "metrics": metrics}
+    result = {"correct": correct, "attempted": len(ops),
+              "failed": len(problems), "metrics": metrics}
     print(json.dumps(result))
     return 0
 

@@ -27,6 +27,7 @@ from typing import Any, Callable
 import numpy as np
 
 import reference as ref
+import suites
 from qaclab import bridge, circuit, circuit_io, cli, family, harness
 from qaclab import multilinear as ml
 from qaclab import parity, qstate
@@ -41,6 +42,17 @@ class Op:
     call: Callable[[], Any]
     check: Callable[[Any], str | None]
     known_fault: bool = False  # fails today because of a named program fault
+    record: tuple = ()  # functions whose calls the check reads (suites.RECORDED)
+
+
+def checked_call(op: Op):
+    """Call ``op`` once and return what its check takes: the output, or
+    (output, recorded calls) for an operation that records calls."""
+    if not op.record:
+        return op.call()
+    with suites.recording(op.record) as calls:
+        out = op.call()
+    return out, calls
 
 
 # ---- suite instances ------------------------------------------------------------
@@ -65,15 +77,14 @@ def _pick(suite, seed, key, quotas, candidates):
                        f"{len(candidates)} instances")
 
 
-def _check_report(rep) -> str | None:
-    if rep.instances != 1 or rep.violations:
-        return f"{rep.instances} instances, violations {rep.violations}"
-    return None
-
-
-def _suite_op(cfg, k, check=_check_report) -> Op:
+def _suite_op(cfg, k, extra_check=None) -> Op:
+    def check(result):
+        rep, calls = result
+        return (suites.check(cfg.suite, k, rep, calls)
+                or (extra_check(rep) if extra_check else None))
     return Op(f"{cfg.suite}#{k}",
-              lambda: harness.run_suite(cfg.suite, cfg, only_instance=k), check)
+              lambda: harness.run_suite(cfg.suite, cfg, only_instance=k), check,
+              record=suites.RECORDED[cfg.suite])
 
 
 def _suite_ops(suite, seed, key, quotas, **overrides) -> list[Op]:
@@ -104,9 +115,6 @@ FAMILY_QUOTAS = {
 
 def _root_check(spec, c, d, alpha):
     def check(rep):
-        bad = _check_report(rep)
-        if bad:
-            return bad
         assignment, _, _ = family.two_block_zero_assignment(spec, c, d, alpha)
         return ref.check_family_root(spec, c, d, alpha, assignment)
     return check
@@ -129,9 +137,8 @@ def _family_ops(seed: int, workdir: Path) -> list[Op]:
                 controls.append((f"control:{shape}:v{v}",
                                  family.build_t1(spec, c) * family.build_t2(spec, d)))
             left[v] -= 1
-            check = (_root_check(spec, c, d, alpha)
-                     if shape == "two-block-compact" else _check_report)
-            ops.append(_suite_op(cfg, k, check))
+            ops.append(_suite_op(cfg, k, _root_check(spec, c, d, alpha)
+                                 if shape == "two-block-compact" else None))
             if not any(left.values()):
                 break
         else:
