@@ -1,14 +1,17 @@
-"""qaclab benchmark: fastest-round time per operation.
+"""qaclab benchmark: fastest scaled round per operation.
 
     python3 bench/run.py --workload NAME --seed N --seconds S --trace 0|1
 
 Runs one workload (see workloads.py) in this process and thread.  The
 workload is a fixed, seeded list of operations; the list is walked in
 whole rounds until S seconds of rounds have been measured (at least
-three rounds), and each operation's time is its fastest round.  Outputs
-are checked against reference.py once per operation, in the first
-round, outside the timed calls; suite instances also have the calls the
-suite made checked (suites.py).
+three rounds).  Every operation is preceded by a fixed pure-Python loop
+(``calibrate``) whose time measures the machine's speed at that moment;
+each time is scaled to a machine on which that loop takes CAL_REF_S,
+and an operation's time is its fastest scaled round.  Outputs are
+checked against reference.py once per operation, in the first round,
+outside the timed calls; suite instances also have the calls the suite
+made checked (suites.py).
 
 The last line of standard output is one JSON object with ``correct``,
 ``attempted`` (the operations in the list), ``failed`` (those that raised
@@ -39,6 +42,7 @@ if os.environ.get("PYTHONHASHSEED") != "0":
     os.execv(sys.executable, [sys.executable, *sys.argv])
 
 import argparse  # noqa: E402
+import importlib  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import resource  # noqa: E402
@@ -50,13 +54,38 @@ BENCH = Path(__file__).resolve().parent
 ROOT = BENCH.parent
 OUT = BENCH / "out"
 MIN_ROUNDS = 3
-# The workload is built this many times, spread over the run, and
-# setup_s takes the median build: single builds within one run differ by
-# up to a factor of two on a machine with slow phases.
+# The shared host this benchmark was written on runs at speeds up to
+# 2x apart, in phases that last from a second to over a minute, so a
+# fastest round can be slow in every round of a run.  The calibration
+# loop slows with the operations around it: each operation's time is
+# multiplied by CAL_REF_S over the fastest calibration within CAL_WINDOW
+# operations on either side of it (in the order they ran), and so reads
+# as on a machine on which ``calibrate`` takes CAL_REF_S.
+CAL_WINDOW = 3
+CAL_REF_S = 1.5e-4
+# The set-up (a fresh import of qaclab, then building the workload) is
+# made this many times, spread over the run, and setup_s takes the
+# median, each scaled by the calibrations just before and after it.
 SETUP_SAMPLES = 5
 # Rounds stop early when the next one could push the run past this, so a
 # run ends well inside three minutes even on a slow machine.
 WALL_CAP_S = 150.0
+
+
+def calibrate():
+    """Fixed pure-Python work, about 0.15 ms on a quiet machine."""
+    s = 0
+    d = {}
+    for i in range(1500):
+        s += i * i % 7
+        d[i & 63] = s
+    return s
+
+
+def cal_time():
+    t0 = time.perf_counter()
+    calibrate()
+    return time.perf_counter() - t0
 
 
 def parse_args(argv):
@@ -86,25 +115,50 @@ def header(import_s):
     }
 
 
-def run_rounds(ops, seconds, rebuild, tracer=None):
+def scaled(t, cals):
+    """``t`` seconds at the speed the calibration samples ``cals``,
+    taken around it, show, in seconds at CAL_REF_S per calibration."""
+    return t * CAL_REF_S / min(cals)
+
+
+def fresh_import():
+    """Execute qaclab's modules again, as a new process would, then put
+    back the modules in use.  numpy stays imported."""
+    def ours():
+        return [m for m in sys.modules if m.split(".")[0] == "qaclab"]
+    saved = {m: sys.modules.pop(m) for m in ours()}
+    try:
+        importlib.import_module("qaclab.cli")
+    finally:
+        for m in ours():
+            del sys.modules[m]
+        sys.modules.update(saved)
+
+
+def run_rounds(ops, seconds, set_up, tracer=None):
     """Walk the op list in whole rounds until ``seconds`` of rounds are
-    measured.  Between rounds, at even steps of the run, call ``rebuild``
-    until the workload has been built SETUP_SAMPLES times (the first
-    build made ``ops``).  Returns per-op times (None for a round in which
-    the op raised), the first problem of each failing op and the round
-    count."""
+    measured, timing ``calibrate`` before every op.  Between rounds, at
+    even steps of the run, call ``set_up`` until the set-up has been
+    made SETUP_SAMPLES times (the first made ``ops``).  Returns
+    per-op times and the calibration before each (time None for a round
+    in which the op raised), the first problem of each failing op and
+    the round count."""
     import workloads
     perf = time.perf_counter
-    builds = 1
+    setups = 1
     times = [[] for _ in ops]
+    cals = [[] for _ in ops]
     problems = {}
     rounds = 0
     measured = 0.0
     start = perf()
     while rounds < MIN_ROUNDS or measured < seconds:
         round_start = perf()
-        check_s = 0.0
+        skip_s = 0.0  # calibration and checks
         for i, op in enumerate(ops):
+            c = cal_time()
+            cals[i].append(c)
+            skip_s += c
             if tracer is not None:
                 tracer.op, tracer.round, tracer.active = i, rounds, True
             try:
@@ -128,30 +182,48 @@ def run_rounds(ops, seconds, rebuild, tracer=None):
                     problem = op.check(out)
                 except Exception as exc:  # a check that cannot read the output
                     problem = f"check raised {type(exc).__name__}: {exc}"
-                check_s += perf() - c0
+                skip_s += perf() - c0
                 if problem is not None:
                     problems[i] = problem
-        round_s = perf() - round_start - check_s
+        round_s = perf() - round_start - skip_s
         measured += round_s
         rounds += 1
-        if builds < SETUP_SAMPLES and measured >= builds * seconds / SETUP_SAMPLES:
-            rebuild()
-            builds += 1
+        if setups < SETUP_SAMPLES and measured >= setups * seconds / SETUP_SAMPLES:
+            set_up()
+            setups += 1
         if perf() - start + round_s > WALL_CAP_S:
             break
-    return times, problems, rounds
+    return times, cals, problems, rounds
 
 
-def end_to_end(times, import_s, build_times):
+def fastest_scaled(times, cals):
+    """Each op's fastest round, scaled by the calibrations within
+    CAL_WINDOW ops of it in running order; ops that never ran are left
+    out."""
+    n = len(times)
+    order = [c for r in range(len(cals[0])) for c in (cal[r] for cal in cals)]
+    fastest = []
+    for i, ts in enumerate(times):
+        best = None
+        for r, t in enumerate(ts):
+            if t is None:
+                continue
+            k = r * n + i
+            u = scaled(t, order[max(0, k - CAL_WINDOW):k + CAL_WINDOW + 1])
+            best = u if best is None else min(best, u)
+        if best is not None:
+            fastest.append(best)
+    return fastest
+
+
+def end_to_end(fastest, setup_s):
     import numpy as np
-    fastest = [min(t for t in ts if t is not None) for ts in times
-               if any(t is not None for t in ts)]
     ms = np.array(fastest) * 1e3
     return {
         "work_s": {"value": float(sum(fastest)), "unit": "s"},
         "op_p50_ms": {"value": float(np.percentile(ms, 50)), "unit": "ms"},
         "op_p90_ms": {"value": float(np.percentile(ms, 90)), "unit": "ms"},
-        "setup_s": {"value": import_s + statistics.median(build_times), "unit": "s"},
+        "setup_s": {"value": statistics.median(setup_s), "unit": "s"},
         "peak_rss_mb": {"value": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
                         "unit": "MB"},
     }
@@ -178,28 +250,32 @@ def main(argv=None) -> int:
     tag = f"{args.workload}-s{args.seed}-t{args.trace}-{os.getpid()}"
     workdir = OUT / f"work-{tag}"
     try:
-        build_times = []
+        setup_raw, setup_cal = [], []
 
-        def build():
+        def set_up():
+            before = [cal_time() for _ in range(7)]
             t0 = time.perf_counter()
+            fresh_import()
             ops = workloads.build(args.workload, args.seed, workdir)
-            build_times.append(time.perf_counter() - t0)
+            setup_raw.append(time.perf_counter() - t0)
+            setup_cal.append(before + [cal_time() for _ in range(7)])
             return ops
-        ops = build()
+        ops = set_up()
 
         tracer = None
         if args.trace:
             tracer = spans.Tracer()
             tracer.install(extra_modules=[workloads])
         try:
-            times, problems, rounds = run_rounds(ops, args.seconds, build, tracer)
+            times, cals, problems, rounds = run_rounds(ops, args.seconds, set_up, tracer)
         finally:
             if tracer is not None:
                 tracer.uninstall()
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 
-    e2e = end_to_end(times, import_s, build_times)
+    e2e = end_to_end(fastest_scaled(times, cals),
+                     [scaled(t, c) for t, c in zip(setup_raw, setup_cal)])
     correct = all(ops[i].known_fault for i in problems)
     for i, problem in sorted(problems.items()):
         mark = "known fault" if ops[i].known_fault else "FAILED"
@@ -215,9 +291,10 @@ def main(argv=None) -> int:
     record = {
         "workload": args.workload, "seed": args.seed, "seconds": args.seconds,
         "trace": args.trace, "header": info, "rounds": rounds,
-        "build_s": build_times,
+        "setup_raw_s": setup_raw, "setup_cal": setup_cal,
         "end_to_end": e2e, "problems": {ops[i].name: p for i, p in problems.items()},
-        "ops": [{"name": op.name, "times": ts} for op, ts in zip(ops, times)],
+        "ops": [{"name": op.name, "times": ts, "cals": cs}
+                for op, ts, cs in zip(ops, times, cals)],
     }
     (OUT / f"run-{tag}.json").write_text(json.dumps(record))
     result = {"correct": correct, "attempted": len(ops),
