@@ -20,19 +20,20 @@ otherwise it does not simplify.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
-from .numerics import (
-    DEFAULT_TOL,
-    Exact,
-    Tolerance,
-    is_exact,
-    scalar_is_zero,
-    to_float,
+from .numerics import DEFAULT_TOL, Exact, Tolerance, is_exact, to_float
+from .qstate import (
+    MAX_QUBITS,
+    StateVector,
+    basis_state,
+    bit_index,
+    ones_component_is_zero,
+    tensor,
 )
-from .qstate import MAX_QUBITS, StateVector, basis_state, ones_component_is_zero, tensor
 
 # ---- gates -----------------------------------------------------------------
 
@@ -167,35 +168,23 @@ def apply_1q(psi: StateVector, qubit: int, gate: Gate1q) -> StateVector:
     if qubit < 0 or qubit >= psi.r:
         raise ValueError(f"qubit {qubit} outside register")
     exact = psi.is_exact and gate.is_exact
-    src = psi.amps if exact else psi.to_float().amps
+    src = (psi if exact else psi.to_float()).axes()
     m = gate.mat if exact else gate.float_mat()
-    out = np.empty(1 << psi.r, dtype=object if exact else complex)
-    bit = 1 << (psi.r - 1 - qubit)
-    for i in range(1 << psi.r):
-        if i & bit:
-            continue
-        a0, a1 = src[i], src[i | bit]
-        out[i] = m[0, 0] * a0 + m[0, 1] * a1
-        out[i | bit] = m[1, 0] * a0 + m[1, 1] * a1
-    return StateVector(psi.r, out, psi.normalized)
+    lo, hi = bit_index(psi.r, (qubit,), 0), bit_index(psi.r, (qubit,), 1)
+    a0, a1 = src[lo], src[hi]
+    out = np.empty_like(src)
+    out[lo] = a0 * m[0, 0] + a1 * m[0, 1]
+    out[hi] = a0 * m[1, 0] + a1 * m[1, 1]
+    return StateVector(psi.r, out.reshape(-1), psi.normalized)
 
 
 def apply_multi(psi: StateVector, gate: MultiGate) -> StateVector:
-    for q in gate.qubits:
-        if q < 0 or q >= psi.r:
-            raise ValueError(f"qubit {q} outside register")
+    ones = bit_index(psi.r, gate.qubits, 1)
     eta = gate.eta
     exact = psi.is_exact and is_exact(eta)
-    src = psi.amps if exact else psi.to_float().amps
-    eta_val = eta if exact else to_float(eta)
-    mask = 0
-    for q in gate.qubits:
-        mask |= 1 << (psi.r - 1 - q)
-    out = src.copy()
-    for i in range(1 << psi.r):
-        if (i & mask) == mask:
-            out[i] = eta_val * src[i]
-    return StateVector(psi.r, out, psi.normalized)
+    out = (psi if exact else psi.to_float()).axes().copy()
+    out[ones] = out[ones] * (eta if exact else to_float(eta))
+    return StateVector(psi.r, out.reshape(-1), psi.normalized)
 
 
 def apply_cz(psi: StateVector, qubits) -> StateVector:
@@ -212,14 +201,10 @@ def apply_geta(psi: StateVector, qubits, eta) -> StateVector:
 # Hadamard conjugation of every incident qubit.
 
 def apply_cnot(psi: StateVector, control: int, target: int) -> StateVector:
-    out = psi.amps.copy()
-    cbit = 1 << (psi.r - 1 - control)
-    tbit = 1 << (psi.r - 1 - target)
-    for i in range(1 << psi.r):
-        if (i & cbit) and not (i & tbit):
-            j = i | tbit
-            out[i], out[j] = psi.amps[j], psi.amps[i]
-    return StateVector(psi.r, out, psi.normalized)
+    on = bit_index(psi.r, (control,), 1)
+    out = psi.axes().copy()
+    out[on] = np.flip(psi.axes()[on], axis=target)
+    return StateVector(psi.r, out.reshape(-1), psi.normalized)
 
 
 def apply_fanout(psi: StateVector, control: int, targets) -> StateVector:
@@ -376,15 +361,10 @@ NO_SIMPLIFICATION = SimplificationOutcome("none")
 
 def _pinned_to_one(psi: StateVector, qubit: int, tol: Tolerance) -> bool:
     """True iff every amplitude with a 0 at the qubit vanishes."""
-    bit = 1 << (psi.r - 1 - qubit)
+    zeros = psi.axes()[bit_index(psi.r, (qubit,), 0)]
     if psi.is_exact:
-        return all(psi.amps[i].is_zero
-                   for i in range(1 << psi.r) if not (i & bit))
-    total = 0.0
-    for i in range(1 << psi.r):
-        if not (i & bit):
-            total += abs(psi.amps[i]) ** 2
-    return bool(np.sqrt(total) <= tol.threshold(psi.norm()))
+        return not np.count_nonzero(zeros)
+    return bool(np.linalg.norm(zeros) <= tol.threshold(psi.norm()))
 
 
 def classify_simplification(s, psi: StateVector,
@@ -486,22 +466,18 @@ def computes_parity_on_basis(circuit: Circuit,
         ancilla = basis_state(m, 0) if m else None
     elif ancilla.r != m:
         raise ValueError("ancilla register size mismatch")
-    for xi in range(1 << n):
-        x = format(xi, f"0{n}b") if n else ""
+    for bits in product("01", repeat=n):
+        x = "".join(bits)
         front = basis_state(1 + n, "0" + x)
         initial = front if ancilla is None else tensor(front, ancilla,
                                                        placement=range(1 + n))
         final = simulate(circuit, initial)
-        b = x.count("1") % 2
         # the component with target != parity(x) must vanish
-        bad_bit = 1 << (circuit.r - 1)
+        wrong = final.axes()[bit_index(circuit.r, (0,), 1 - x.count("1") % 2)]
         if final.is_exact:
-            ok = all(final.amps[i].is_zero for i in range(1 << circuit.r)
-                     if ((i & bad_bit) != 0) != (b == 1))
+            ok = not np.count_nonzero(wrong)
         else:
-            mass = sum(abs(final.amps[i]) ** 2 for i in range(1 << circuit.r)
-                       if ((i & bad_bit) != 0) != (b == 1))
-            ok = np.sqrt(mass) <= tol.threshold(1.0)
+            ok = np.linalg.norm(wrong) <= tol.threshold(1.0)
         if not ok:
             return False, x
     return True, None

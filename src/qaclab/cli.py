@@ -12,7 +12,7 @@
                   [--format text|machine] [--instance K]
 
 Exit codes: 0 success / suite pass, 1 check failed / suite violation,
-2 usage or configuration error.
+2 usage or configuration error, missing file, or malformed input file.
 """
 from __future__ import annotations
 
@@ -28,9 +28,11 @@ from .circuit import (
     simulate,
 )
 from .circuit_io import CircuitParseError, parse_circuit, serialize_circuit
-from .numerics import DEFAULT_TOL
+from .multilinear import PolyParseError
 from .parity import (
+    CertificateParseError,
     RefutationError,
+    UnitariesParseError,
     format_certificate,
     kill_parity_state,
     parse_certificate,
@@ -39,7 +41,12 @@ from .parity import (
     refute_depth2_structural,
     verify_certificate,
 )
-from .qstate import basis_state, format_state, parse_state
+from .qstate import StateParseError, basis_state, format_state, parse_state
+
+#: Errors that mean the input is malformed (exit 2), not that a check failed.
+_BAD_INPUT = (CircuitParseError, StateParseError, PolyParseError,
+              UnitariesParseError, CertificateParseError,
+              harness.SuiteConfigError, FileNotFoundError)
 
 
 def _read(path: str) -> str:
@@ -234,10 +241,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (CircuitParseError, harness.SuiteConfigError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except _BAD_INPUT as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, RefutationError) as exc:

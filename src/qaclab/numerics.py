@@ -67,6 +67,9 @@ class Exact:
     def is_zero(self) -> bool:
         return not (self.a or self.b or self.c or self.d)
 
+    def __bool__(self) -> bool:
+        return not self.is_zero
+
     @property
     def is_real(self) -> bool:
         return not (self.c or self.d)
@@ -204,15 +207,7 @@ def is_exact(s) -> bool:
 
 def to_float(s) -> complex:
     """Map any scalar onto the floating backend."""
-    if isinstance(s, Exact):
-        return complex(s)
     return complex(s)
-
-
-def conj_scalar(s):
-    if isinstance(s, Exact):
-        return s.conjugate()
-    return complex(s).conjugate()
 
 
 def abs2_scalar(s):

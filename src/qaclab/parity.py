@@ -28,12 +28,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import Circuit, classify_simplification, simulate
-from .numerics import DEFAULT_TOL, Tolerance, kron_all, to_float
+from .numerics import DEFAULT_TOL, Tolerance, kron_all
 from .qstate import (
+    MAX_QUBITS,
     StateVector,
     basis_state,
     ones_projection_norm,
-    parse_state,
+    product_amplitudes,
     target_density,
 )
 
@@ -49,15 +50,12 @@ def parity_basis(r: int, b: int) -> list[str]:
 def subset_parity_mass(psi: StateVector, qubits, b: int) -> float:
     """Probability mass of basis components whose bits at ``qubits`` have
     parity b."""
-    f = psi.to_float()
-    mask = 0
-    for q in qubits:
-        mask |= 1 << (psi.r - 1 - q)
-    total = 0.0
-    for i in range(1 << psi.r):
-        if bin(i & mask).count("1") % 2 == b:
-            total += abs(f.amps[i]) ** 2
-    return total
+    r = psi.r
+    parity = np.zeros([1] * r, dtype=int)
+    for q in set(qubits):
+        parity = parity ^ np.arange(2).reshape([2 if p == q else 1 for p in range(r)])
+    probs = np.abs(psi.to_float().axes()) ** 2
+    return float(np.sum(probs, where=parity == b))
 
 
 def has_pure_parity(psi: StateVector, b: int, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -191,10 +189,21 @@ def verify_certificate(cert: RefutationCertificate, circuit: Circuit,
         return False, "certificate needs exactly two states"
     inputs = list(circuit.input_qubits())
     thr = tol.threshold(1.0)
+    for psi in cert.states:
+        if psi.r != circuit.r:
+            return False, f"state has {psi.r} qubits, circuit has {circuit.r}"
+        amps = psi.to_float().amps
+        if not np.all(np.isfinite(amps)):
+            return False, "state has a non-finite amplitude"
+        if abs(np.linalg.norm(amps) - 1.0) > thr:
+            return False, "state is not unit norm"
+        # a parity circuit acts on target |0>; from |1> it ends flipped
+        if ones_projection_norm(psi, {0}) > thr:
+            return False, "target qubit is not |0>"
 
     if cert.kind == "parity-mismatch":
-        if cert.parities is None or cert.parities[0] == cert.parities[1]:
-            return False, "parities must be present and distinct"
+        if cert.parities is None or sorted(cert.parities) != [0, 1]:
+            return False, "parities must be 0 and 1"
         for psi, b in zip(cert.states, cert.parities):
             off = subset_parity_mass(psi, inputs, 1 - b)
             if np.sqrt(off) > thr:
@@ -257,18 +266,7 @@ def product_initial(circuit: Circuit, committed: dict,
     if taken != set(range(r)):
         raise ValueError("pieces do not cover the register")
 
-    exact = all(st.is_exact for _, st in pieces)
-    amps = np.empty(1 << r, dtype=object if exact else complex)
-    for i in range(1 << r):
-        val = None
-        for qs, st in pieces:
-            sub = 0
-            for q in qs:
-                sub = (sub << 1) | ((i >> (r - 1 - q)) & 1)
-            a = st.amps[sub] if exact else to_float(st.amps[sub])
-            val = a if val is None else val * a
-        amps[i] = val
-    return StateVector(r, amps)
+    return StateVector(r, product_amplitudes(pieces))
 
 
 def _dressing_unitary(circuit: Circuit, layer_index: int, qubits) -> np.ndarray:
@@ -555,6 +553,8 @@ def parse_certificate(text: str) -> RefutationCertificate:
                 note = " ".join(parts[1:])
             elif key == "qubits":
                 r = int(parts[1])
+                if not 1 <= r <= MAX_QUBITS:
+                    raise ValueError(f"qubits must be within 1..{MAX_QUBITS}")
             elif key == "parities":
                 parities = (int(parts[1]), int(parts[2]))
             elif key == "flip-qubit":
@@ -562,8 +562,12 @@ def parse_certificate(text: str) -> RefutationCertificate:
             elif key == "state":
                 idx = int(parts[1])
                 bits = parts[2]
+                if r is None:
+                    raise ValueError("state line before the qubits line")
+                if len(bits) != r or set(bits) - {"0", "1"}:
+                    raise ValueError(f"bad {r}-qubit bitstring {bits!r}")
                 amp = complex(float(parts[3]), float(parts[4]))
-                state_amps.setdefault(idx, {})[bits] = amp
+                state_amps.setdefault(idx, {})[int(bits, 2)] = amp
             elif key == "target":
                 idx = int(parts[1])
                 nums = [float(v) for v in parts[2:]]
@@ -581,8 +585,8 @@ def parse_certificate(text: str) -> RefutationCertificate:
     states = []
     for idx in sorted(state_amps):
         amps = np.zeros(1 << r, dtype=complex)
-        for bits, a in state_amps[idx].items():
-            amps[int(bits, 2)] = a
+        for i, a in state_amps[idx].items():
+            amps[i] = a
         states.append(StateVector(r, amps))
     final_targets = [targets.get(i) for i in range(len(states))]
     return RefutationCertificate(kind=kind, states=states,

@@ -1,10 +1,13 @@
 """Statevectors over labeled qubits, separability analysis, projections.
 
 Qubit 0 is the most significant position of a basis-state index, so the
-amplitude of |q0 q1 ... q_{r-1}> sits at index int(bits, 2).  Amplitude
+amplitude of |q0 q1 ... q_{r-1}> sits at index int(bits, 2).  Equivalently,
+qubit q is axis q of ``amps.reshape([2] * r)`` (``StateVector.axes``):
+gates, projections and tensor products are slices, outer products and
+axis moves on that view, never loops over the 2^r indices.  Amplitude
 arrays come in two flavours: complex128 (floating backend) and object
-arrays of ``Exact`` scalars, on which every operation here is performed
-without rounding.
+arrays of ``Exact`` scalars; the same array code serves both, and on the
+latter every operation is performed without rounding.
 
 Separation of a state at a bipartition {A, B} is decided through the
 Schmidt rank of the amplitude matrix reshaped along the cut: rank one
@@ -23,7 +26,6 @@ from .numerics import (
     Exact,
     Tolerance,
     abs2_scalar,
-    scalar_is_zero,
     to_float,
 )
 
@@ -57,11 +59,14 @@ class StateVector:
     def is_exact(self) -> bool:
         return self.amps.dtype == object
 
+    def axes(self) -> np.ndarray:
+        """The amplitudes as a [2]*r array in which qubit q is axis q."""
+        return self.amps.reshape([2] * self.r)
+
     def to_float(self) -> "StateVector":
         if not self.is_exact:
             return self
-        flat = np.array([to_float(a) for a in self.amps], dtype=complex)
-        return StateVector(self.r, flat, self.normalized)
+        return StateVector(self.r, self.amps.astype(complex), self.normalized)
 
     def norm_sq(self):
         if self.is_exact:
@@ -80,9 +85,8 @@ class StateVector:
         return self.amps[int(bits, 2)]
 
     def nonzero_items(self):
-        for i in range(1 << self.r):
-            if not scalar_is_zero(self.amps[i]):
-                yield format(i, f"0{self.r}b"), self.amps[i]
+        for i in np.flatnonzero(self.amps):
+            yield format(i, f"0{self.r}b"), self.amps[i]
 
     def approx_equal(self, other: "StateVector", tol: Tolerance = DEFAULT_TOL,
                      up_to_phase: bool = False) -> bool:
@@ -117,16 +121,33 @@ def basis_state(r: int, bits, exact: bool = True) -> StateVector:
     return sv if exact else sv.to_float()
 
 
-def zero_state(r: int, exact: bool = True) -> StateVector:
-    return basis_state(r, 0, exact)
+def bit_index(r: int, qubits, bit: int) -> tuple:
+    """Index into a [2]*r view holding ``bit`` on every qubit of ``qubits``.
+
+    Pinned axes keep length 1, so indexing yields an array with r axes
+    (a view, which assignment writes through), never a scalar."""
+    idx = [slice(None)] * r
+    for q in qubits:
+        if q < 0 or q >= r:
+            raise ValueError(f"qubit {q} outside register")
+        idx[q] = slice(bit, bit + 1)
+    return tuple(idx)
 
 
-def state_from_amplitudes(amps, normalized: bool = True) -> StateVector:
-    amps = np.asarray(amps)
-    r = int(np.log2(len(amps)))
-    if 1 << r != len(amps):
-        raise ValueError("amplitude count is not a power of two")
-    return StateVector(r, amps, normalized)
+def product_amplitudes(pieces) -> np.ndarray:
+    """Flat amplitudes of the tensor product of ``(labels, state)`` pieces.
+
+    Each state's qubits go, in its own order, to the listed labels; the
+    labels of all pieces together must be 0..r-1, each once.  The result
+    is exact when every piece is, else complex.
+    """
+    exact = all(st.is_exact for _, st in pieces)
+    prod = None
+    for _, st in pieces:
+        amps = (st if exact else st.to_float()).axes()
+        prod = amps if prod is None else np.multiply.outer(prod, amps)
+    labels = [q for qs, _ in pieces for q in qs]
+    return np.moveaxis(prod, range(len(labels)), labels).reshape(-1)
 
 
 # ---- tensor structure ---------------------------------------------------
@@ -148,20 +169,8 @@ def tensor(u: StateVector, v: StateVector, placement=None) -> StateVector:
     if len(set(placement)) != u.r:
         raise ValueError("placement labels must be distinct")
     others = [q for q in range(r) if q not in set(placement)]
-
-    exact = u.is_exact and v.is_exact
-    out = np.empty(1 << r, dtype=object if exact else complex)
-    ua = u.amps if exact else u.to_float().amps
-    va = v.amps if exact else v.to_float().amps
-    for i in range(1 << r):
-        iu = 0
-        for p in placement:
-            iu = (iu << 1) | ((i >> (r - 1 - p)) & 1)
-        iv = 0
-        for p in others:
-            iv = (iv << 1) | ((i >> (r - 1 - p)) & 1)
-        out[i] = ua[iu] * va[iv]
-    return StateVector(r, out, u.normalized and v.normalized)
+    return StateVector(r, product_amplitudes([(placement, u), (others, v)]),
+                       u.normalized and v.normalized)
 
 
 def validate_bipartition(r: int, a, b) -> tuple[frozenset, frozenset]:
@@ -174,8 +183,7 @@ def validate_bipartition(r: int, a, b) -> tuple[frozenset, frozenset]:
 def _cut_matrix(psi: StateVector, a: frozenset, b: frozenset) -> np.ndarray:
     """Amplitudes reshaped to 2^|A| x 2^|B| along the cut."""
     perm = sorted(a) + sorted(b)
-    tensor_view = psi.amps.reshape([2] * psi.r)
-    return tensor_view.transpose(perm).reshape(1 << len(a), 1 << len(b))
+    return psi.axes().transpose(perm).reshape(1 << len(a), 1 << len(b))
 
 
 def _rank_le_1_exact_matrix(mat) -> bool:
@@ -211,8 +219,7 @@ def separates_at(psi: StateVector, a, b, tol: Tolerance = DEFAULT_TOL):
     if psi.is_exact:
         if not _rank_le_1_exact_matrix(mat):
             return False, None
-        fmat = np.array([[to_float(x) for x in row] for row in mat], dtype=complex)
-        u, s, vh = np.linalg.svd(fmat)
+        u, s, vh = np.linalg.svd(mat.astype(complex))
         return True, (StateVector(len(a), u[:, 0]), StateVector(len(b), vh[0, :]))
     u, s, vh = np.linalg.svd(mat.astype(complex))
     if len(s) > 1 and s[1] > tol.threshold(s[0]):
@@ -263,42 +270,24 @@ def is_S_separable(psi: StateVector, s, tol: Tolerance = DEFAULT_TOL):
 
 # ---- projections ---------------------------------------------------------
 
-def _ones_mask(r: int, s) -> int:
-    mask = 0
-    for q in s:
-        if q < 0 or q >= r:
-            raise ValueError(f"qubit {q} outside register")
-        mask |= 1 << (r - 1 - q)
-    return mask
-
-
 def ones_projection_norm(psi: StateVector, s) -> float:
     """l2 norm of the projection onto basis states with 1s throughout S."""
-    mask = _ones_mask(psi.r, s)
-    total = 0.0
-    for i in range(1 << psi.r):
-        if (i & mask) == mask:
-            total += to_float(abs2_scalar(psi.amps[i])).real
-    return float(np.sqrt(total))
+    ones = psi.axes()[bit_index(psi.r, s, 1)]
+    return float(np.linalg.norm(ones.astype(complex)))
 
 
 def ones_component_is_zero(psi: StateVector, s, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Exact states: every S-ones amplitude is exactly zero; float states:
     projection norm below threshold scaled by the state norm."""
-    mask = _ones_mask(psi.r, s)
     if psi.is_exact:
-        return all(psi.amps[i].is_zero
-                   for i in range(1 << psi.r) if (i & mask) == mask)
+        return not np.count_nonzero(psi.axes()[bit_index(psi.r, s, 1)])
     return ones_projection_norm(psi, s) <= tol.threshold(psi.norm())
 
 
 def remove_ones_component(psi: StateVector, s) -> StateVector:
     """Project out the S-ones component and renormalize (floating backend)."""
     out = psi.to_float().amps.copy()
-    mask = _ones_mask(psi.r, s)
-    for i in range(1 << psi.r):
-        if (i & mask) == mask:
-            out[i] = 0
+    out.reshape([2] * psi.r)[bit_index(psi.r, s, 1)] = 0
     n = np.linalg.norm(out)
     if n < 1e-12:
         raise ValueError("state is entirely supported on the S-ones subspace")

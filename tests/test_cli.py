@@ -193,3 +193,22 @@ def test_console_script_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "PASS" in proc.stdout
+
+
+@pytest.mark.parametrize("bits", ["00x0", "000"])
+def test_verify_cert_malformed_bitstring_is_bad_input(capsys, tmp_path, bits):
+    cert = tmp_path / "cert.txt"
+    cert.write_text("kind parity-mismatch\nqubits 4\nparities 0 1\n"
+                    f"state 0 {bits} 1.0 0.0\nstate 1 0001 1.0 0.0\n")
+    code, out, err = run_cli(capsys, "verify-cert", "-c", str(PARITY3),
+                             "--cert", str(cert))
+    assert code == 2
+    assert "line 4" in err and "certificate:" not in out
+
+
+def test_kill_parity_malformed_unitaries_is_bad_input(capsys, tmp_path):
+    upath = tmp_path / "units.txt"
+    upath.write_text("qubits 1\nunitary\n1 0 0 0\n")
+    code, _, err = run_cli(capsys, "kill-parity", "--unitaries", str(upath),
+                           "--parity", "0", "-o", str(tmp_path / "out.txt"))
+    assert code == 2 and "truncated" in err

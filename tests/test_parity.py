@@ -12,6 +12,7 @@ from qaclab.circuit import (
 )
 from qaclab.numerics import Tolerance, make_rng, random_unitary
 from qaclab.parity import (
+    CertificateParseError,
     CertificateVerificationError,
     KillParityError,
     RefutationCertificate,
@@ -302,3 +303,65 @@ def test_unitaries_parse_errors():
         parse_unitaries("unitary\n1 0 0 0\n")
     with pytest.raises(UnitariesParseError):
         parse_unitaries("qubits 1\nunitary\n1 0 0 0\n2 0 0 0\n")  # not unitary
+
+
+# ---- forged certificates ------------------------------------------------------
+# None of these refutes parity3_circuit, which computes parity; each must be
+# rejected, for the stated reason, without raising.
+
+def _sv4(amps):
+    return StateVector(4, np.asarray(amps, dtype=complex))
+
+
+_TARGET_PLUS = np.kron(np.array([1, 1]) / np.sqrt(2), np.eye(8)[0])
+_TARGET_PLUS_FLIPPED = np.kron(np.array([1, 1]) / np.sqrt(2), np.eye(8)[4])
+
+FORGED = {
+    "all-nan": (RefutationCertificate(
+        "parity-mismatch", [_sv4(np.full(16, np.nan))] * 2, [None, None],
+        parities=(0, 1)), "non-finite"),
+    "all-zero": (RefutationCertificate(
+        "parity-mismatch", [_sv4(np.zeros(16))] * 2, [None, None],
+        parities=(0, 1)), "unit norm"),
+    "target-starts-in-one": (RefutationCertificate(
+        "parity-mismatch", [basis_state(4, "0000"), basis_state(4, "1001")],
+        [None, None], parities=(0, 1)), "target qubit"),
+    "target-in-plus": (RefutationCertificate(
+        "target-independence", [_sv4(_TARGET_PLUS), _sv4(_TARGET_PLUS_FLIPPED)],
+        [None, None], flip_qubit=1), "target qubit"),
+    "parities-not-binary": (RefutationCertificate(
+        "parity-mismatch", [basis_state(4, "0000")] * 2, [None, None],
+        parities=(0, 2)), "parities"),
+    "wrong-register": (refute_depth1(all_h_depth1(2)), "qubits"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FORGED))
+def test_forged_certificates_rejected(name):
+    cert, reason = FORGED[name]
+    ok, detail = verify_certificate(cert, parity3_circuit())
+    assert not ok
+    assert reason in detail
+
+
+def _cert_text(bits_line, qubits=4):
+    return ("kind parity-mismatch\n"
+            f"qubits {qubits}\n"
+            "parities 0 1\n"
+            f"state 0 {bits_line} 1.0 0.0\n"
+            "state 1 0001 1.0 0.0\n")
+
+
+@pytest.mark.parametrize("text,line", [
+    (_cert_text("00x0"), 4),
+    (_cert_text("000"), 4),
+    (_cert_text("00000"), 4),
+    (_cert_text("000", qubits=3), 5),
+    (_cert_text("0000", qubits=0), 2),
+    (_cert_text("0000", qubits=-1), 2),
+    (_cert_text("0000", qubits=99), 2),
+    ("kind parity-mismatch\nstate 0 0000 1.0 0.0\nqubits 4\n", 2),
+])
+def test_certificate_parse_errors(text, line):
+    with pytest.raises(CertificateParseError, match=f"line {line}:"):
+        parse_certificate(text)
