@@ -195,30 +195,14 @@ def apply_geta(psi: StateVector, qubits, eta) -> StateVector:
     return apply_multi(psi, MultiGate(frozenset(qubits), "geta", eta))
 
 
-# Classical reversible gates, provided as test fixtures only (they are
-# not circuit primitives here): fanout copies a control into targets,
-# the parity gate xors controls into a target, and they are related by
-# Hadamard conjugation of every incident qubit.
+# The classical CNOT, a reference fixture only (not a circuit primitive
+# here): it flips the target on the control's |1> half.
 
 def apply_cnot(psi: StateVector, control: int, target: int) -> StateVector:
     on = bit_index(psi.r, (control,), 1)
     out = psi.axes().copy()
     out[on] = np.flip(psi.axes()[on], axis=target)
     return StateVector(psi.r, out.reshape(-1), psi.normalized)
-
-
-def apply_fanout(psi: StateVector, control: int, targets) -> StateVector:
-    out = psi
-    for t in targets:
-        out = apply_cnot(out, control, t)
-    return out
-
-
-def apply_parity_gate(psi: StateVector, target: int, controls) -> StateVector:
-    out = psi
-    for c in controls:
-        out = apply_cnot(out, c, target)
-    return out
 
 
 # ---- circuits --------------------------------------------------------------
@@ -384,17 +368,6 @@ def classify_simplification(s, psi: StateVector,
     if pinned:
         return SimplificationOutcome("simplifies", s - pinned)
     return NO_SIMPLIFICATION
-
-
-def replacement_state(outcome: SimplificationOutcome, psi: StateVector,
-                      gate: MultiGate) -> StateVector:
-    """Apply the classified replacement (identity / smaller gate / whole
-    gate) to psi; used to check classification soundness."""
-    if outcome.disappears:
-        return psi
-    if outcome.simplifies:
-        return apply_multi(psi, MultiGate(outcome.t, gate.kind, gate.eta_value))
-    return apply_multi(psi, gate)
 
 
 # ---- target structure ------------------------------------------------------

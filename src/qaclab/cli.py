@@ -22,6 +22,7 @@ from pathlib import Path
 
 from . import harness
 from .circuit import (
+    CircuitValidationError,
     classify_simplification,
     computes_parity_on_basis,
     depth_reduce,
@@ -29,6 +30,7 @@ from .circuit import (
 )
 from .circuit_io import CircuitParseError, parse_circuit, serialize_circuit
 from .multilinear import PolyParseError
+from .numerics import DEFAULT_TOL
 from .parity import (
     CertificateParseError,
     RefutationError,
@@ -44,8 +46,8 @@ from .parity import (
 from .qstate import StateParseError, basis_state, format_state, parse_state
 
 #: Errors that mean the input is malformed (exit 2), not that a check failed.
-_BAD_INPUT = (CircuitParseError, StateParseError, PolyParseError,
-              UnitariesParseError, CertificateParseError,
+_BAD_INPUT = (CircuitParseError, CircuitValidationError, StateParseError,
+              PolyParseError, UnitariesParseError, CertificateParseError,
               harness.SuiteConfigError, FileNotFoundError)
 
 
@@ -57,10 +59,16 @@ def _load_circuit(path: str):
     return parse_circuit(_read(path))
 
 
-def _load_ancilla(args, circuit):
-    if getattr(args, "ancilla", None):
-        return parse_state(_read(args.ancilla))
-    return None
+def _load_ancilla(args):
+    """The --ancilla state, held to the unit-norm bound the certificate
+    verifier applies."""
+    if not getattr(args, "ancilla", None):
+        return None
+    ancilla = parse_state(_read(args.ancilla))
+    norm = ancilla.norm()
+    if abs(norm - 1.0) > DEFAULT_TOL.threshold(1.0):
+        raise StateParseError(f"ancilla norm {norm:.6g} is not 1")
+    return ancilla
 
 
 def _cmd_simulate(args) -> int:
@@ -83,7 +91,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_check_parity(args) -> int:
     circuit = _load_circuit(args.circuit)
-    ancilla = _load_ancilla(args, circuit)
+    ancilla = _load_ancilla(args)
     ok, counterexample = computes_parity_on_basis(circuit, ancilla)
     if ok:
         print("computes-parity: yes")
@@ -129,7 +137,7 @@ def _cmd_kill_parity(args) -> int:
 
 def _cmd_refute(args) -> int:
     circuit = _load_circuit(args.circuit)
-    ancilla = _load_ancilla(args, circuit)
+    ancilla = _load_ancilla(args)
     if circuit.depth == 1:
         cert = refute_depth1(circuit, ancilla)
     elif circuit.depth == 2:

@@ -18,6 +18,7 @@ They are used to cross-check each other in the verification suites.
 """
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -26,10 +27,10 @@ from .numerics import (
     DEFAULT_TOL,
     Exact,
     Tolerance,
-    abs2_scalar,
     approx_eq,
     is_exact,
     random_scalar,
+    rank_le_1,
     scalar_is_zero,
     to_float,
 )
@@ -88,10 +89,6 @@ class MultilinearPoly:
         self.terms = pruned
 
     # ---- constructors -------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "MultilinearPoly":
-        return cls()
 
     @classmethod
     def constant(cls, c) -> "MultilinearPoly":
@@ -226,18 +223,6 @@ def restrict(f: MultilinearPoly, subset: Iterable[VarId], a: Assignment) -> Mult
         rest = m - subset
         out[rest] = out[rest] + val if rest in out else val
     return MultilinearPoly(out)
-
-
-def depends_on(f: MultilinearPoly, v: VarId, probes: Iterable[Assignment]) -> bool:
-    """Brute-force dependence test: two evaluations differing only at v."""
-    for a in probes:
-        lo = dict(a)
-        hi = dict(a)
-        lo[v] = 0
-        hi[v] = 1
-        if not approx_eq(evaluate(f, lo), evaluate(f, hi)):
-            return True
-    return False
 
 
 # ---- justifying assignments -------------------------------------------
@@ -386,21 +371,6 @@ def _coefficient_matrix(f: MultilinearPoly, subset: frozenset):
         rows.setdefault(r, {})[col] = c
     return rows
 
-def _rank_le_1_exact(rows) -> bool:
-    # stored entries are all nonzero, so every row of a rank-1 matrix has
-    # the same column support and vanishing 2x2 minors against the pivot row
-    it = iter(rows.values())
-    pivot = next(it)
-    pivot_cols = set(pivot)
-    for other in it:
-        if set(other) != pivot_cols:
-            return False
-        c0 = next(iter(pivot_cols))
-        for col in pivot_cols:
-            if not other[col] * pivot[c0] == other[c0] * pivot[col]:
-                return False
-    return True
-
 
 def _rank_le_1_float(rows, tol: Tolerance) -> bool:
     row_keys = sorted(rows, key=_mono_key)
@@ -427,10 +397,8 @@ def bipartition_rank_oracle(f: MultilinearPoly,
     ``s_i <= rel_eps * s_1 + abs_eps``.
     """
     rows = _coefficient_matrix(f, frozenset(subset))
-    if len(rows) <= 1:
-        return True
     if all(is_exact(c) for r in rows.values() for c in r.values()):
-        return _rank_le_1_exact(rows)
+        return rank_le_1(rows)
     return _rank_le_1_float(rows, tol)
 
 
@@ -438,9 +406,14 @@ def indecomposable_at_every_split(f: MultilinearPoly,
                                   tol: Tolerance = DEFAULT_TOL) -> bool:
     """Exhaustive sweep: no nontrivial variable bipartition has rank <= 1.
 
-    Same semantics as calling ``bipartition_rank_oracle`` on every
-    nonempty proper subset, with monomials packed into bitmasks so the
-    sweep stays fast for the family suites.
+    Every nonempty proper subset is tested with ``rank_le_1`` on its
+    coefficient matrix, with monomials packed into bitmasks so the sweep
+    stays fast for the family suites.  Exact coefficients are decided
+    exactly, as ``bipartition_rank_oracle`` does.  Otherwise every
+    coefficient is converted to float and each 2x2 minor against the
+    pivot is compared with ``tol.close``; the oracle instead compares
+    singular values, ``s_2 <= rel_eps * s_1 + abs_eps``, so the two can
+    disagree on nearly rank-1 float splits.
     """
     fvars = sorted(f.variables())
     v = len(fvars)
@@ -457,7 +430,8 @@ def indecomposable_at_every_split(f: MultilinearPoly,
             bits |= 1 << pos[x]
         masks.append(bits)
         coeffs.append(c)
-    exact = all(is_exact(c) for c in coeffs)
+    if not all(is_exact(c) for c in coeffs):
+        coeffs = [to_float(c) for c in coeffs]
     n_terms = len(masks)
     full = (1 << v) - 1
     # Subsets containing variable 0 enumerate each unordered bipartition once.
@@ -469,34 +443,8 @@ def indecomposable_at_every_split(f: MultilinearPoly,
         for i in range(n_terms):
             r = masks[i] & subset_mask
             rows.setdefault(r, {})[masks[i] & ~subset_mask] = coeffs[i]
-        if len(rows) <= 1:
+        if rank_le_1(rows, tol):
             return False
-        if exact:
-            if _rank_le_1_exact(rows):
-                return False
-        else:
-            if _rank_le_1_masked_float(rows, tol):
-                return False
-    return True
-
-
-def _rank_le_1_masked_float(rows, tol: Tolerance) -> bool:
-    it = iter(rows.values())
-    pivot = next(it)
-    pivot_cols = set(pivot)
-    for other in it:
-        if set(other) != pivot_cols:
-            # a column present in one row and absent in the other is a
-            # nonzero 2x2 minor against any shared nonzero column
-            return False
-        c0 = next(iter(pivot_cols))
-        p0 = to_float(pivot[c0])
-        o0 = to_float(other[c0])
-        for col in pivot_cols:
-            lhs = to_float(other[col]) * p0
-            rhs = o0 * to_float(pivot[col])
-            if abs(lhs - rhs) > tol.threshold(max(abs(lhs), abs(rhs))):
-                return False
     return True
 
 
@@ -548,7 +496,7 @@ def decompose(f: MultilinearPoly,
         # smallest subset containing the anchor whose split has rank <= 1
         for size in range(0, len(others)):
             found = None
-            for combo in _combinations(others, size):
+            for combo in combinations(others, size):
                 subset = frozenset((anchor, *combo))
                 if bipartition_rank_oracle(g, subset, tol):
                     found = subset
@@ -577,11 +525,6 @@ def _invert_scalar(s):
     if is_exact(s):
         return Exact.ONE / s
     return 1.0 / to_float(s)
-
-
-def _combinations(items, size):
-    from itertools import combinations
-    return combinations(items, size)
 
 
 def variable_partition(f: MultilinearPoly,

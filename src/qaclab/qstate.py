@@ -17,7 +17,8 @@ by vanishing 2x2 minors, with no tolerance involved.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import cmath
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .numerics import (
     Exact,
     Tolerance,
     abs2_scalar,
+    rank_le_1,
     to_float,
 )
 
@@ -186,27 +188,6 @@ def _cut_matrix(psi: StateVector, a: frozenset, b: frozenset) -> np.ndarray:
     return psi.axes().transpose(perm).reshape(1 << len(a), 1 << len(b))
 
 
-def _rank_le_1_exact_matrix(mat) -> bool:
-    pivot_pos = None
-    for i in range(mat.shape[0]):
-        for j in range(mat.shape[1]):
-            if not mat[i, j].is_zero:
-                pivot_pos = (i, j)
-                break
-        if pivot_pos:
-            break
-    if pivot_pos is None:
-        return True
-    p, q = pivot_pos
-    pivot = mat[p, q]
-    # rank <= 1 iff every 2x2 minor against the pivot entry vanishes
-    for i in range(mat.shape[0]):
-        for j in range(mat.shape[1]):
-            if not (mat[i, j] * pivot == mat[i, q] * mat[p, j]):
-                return False
-    return True
-
-
 def separates_at(psi: StateVector, a, b, tol: Tolerance = DEFAULT_TOL):
     """Schmidt-rank-1 test across {A, B}; factors returned on success.
 
@@ -217,7 +198,10 @@ def separates_at(psi: StateVector, a, b, tol: Tolerance = DEFAULT_TOL):
     a, b = validate_bipartition(psi.r, a, b)
     mat = _cut_matrix(psi, a, b)
     if psi.is_exact:
-        if not _rank_le_1_exact_matrix(mat):
+        rows = {}
+        for i, j in zip(*np.nonzero(mat)):
+            rows.setdefault(i, {})[j] = mat[i, j]
+        if not rank_le_1(rows):
             return False, None
         u, s, vh = np.linalg.svd(mat.astype(complex))
         return True, (StateVector(len(a), u[:, 0]), StateVector(len(b), vh[0, :]))
@@ -378,6 +362,8 @@ def parse_state(text: str) -> StateVector:
             entries[bits] = complex(float(parts[1]), float(parts[2]))
         except ValueError:
             raise StateParseError("bad amplitude", ln) from None
+        if not cmath.isfinite(entries[bits]):
+            raise StateParseError("non-finite amplitude", ln)
     if r is None:
         raise StateParseError("empty state dump")
     amps = np.zeros(1 << r, dtype=complex)

@@ -14,10 +14,8 @@ from qaclab.circuit import (
     apply_1q,
     apply_cnot,
     apply_cz,
-    apply_fanout,
     apply_geta,
     apply_multi,
-    apply_parity_gate,
     classify_simplification,
     computes_parity_on_basis,
     cz,
@@ -26,7 +24,6 @@ from qaclab.circuit import (
     is_semiclassical,
     parity3_circuit,
     parity3_cnot_reference,
-    replacement_state,
     simulate,
     target_is_pass_through,
 )
@@ -43,6 +40,30 @@ from qaclab.qstate import (
 
 def plus():
     return apply_1q(basis_state(1, 0), 0, GATE_H)
+
+
+def apply_fanout(psi, control, targets):
+    """Fanout: copy a classical control into every target."""
+    for t in targets:
+        psi = apply_cnot(psi, control, t)
+    return psi
+
+
+def apply_parity_gate(psi, target, controls):
+    """Parity gate: xor every control into the target."""
+    for c in controls:
+        psi = apply_cnot(psi, c, target)
+    return psi
+
+
+def replacement_state(outcome, psi, gate):
+    """Apply the classified replacement: identity, the smaller gate, or
+    the whole gate."""
+    if outcome.disappears:
+        return psi
+    if outcome.simplifies:
+        return apply_multi(psi, MultiGate(outcome.t, gate.kind, gate.eta_value))
+    return apply_multi(psi, gate)
 
 
 def test_cz_flips_all_ones():

@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -5,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import qaclab
 from qaclab.cli import main
 from qaclab.circuit import GATE_H, Circuit, cz, parity3_circuit
 from qaclab.circuit_io import parse_circuit, serialize_circuit
@@ -188,9 +190,12 @@ def test_missing_file_exit_code(capsys):
 
 
 def test_console_script_entry_point():
+    # the child imports the same qaclab as this test, installed or not
+    src = str(Path(qaclab.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "qaclab.cli", "verify", "tight-parity3"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert "PASS" in proc.stdout
 
@@ -212,3 +217,46 @@ def test_kill_parity_malformed_unitaries_is_bad_input(capsys, tmp_path):
     code, _, err = run_cli(capsys, "kill-parity", "--unitaries", str(upath),
                            "--parity", "0", "-o", str(tmp_path / "out.txt"))
     assert code == 2 and "truncated" in err
+
+
+def test_overlapping_gates_in_a_layer_is_bad_input(capsys, tmp_path):
+    path = tmp_path / "overlap.qac"
+    path.write_text("qubits 3\ninputs 2\nancillas 0\nlayer 1\ncz 0 1\ncz 1 2\n")
+    code, _, err = run_cli(capsys, "simulate", "-c", str(path), "-i", "000")
+    assert code == 2 and "disjoint" in err
+
+
+def _ancilla_circuit(tmp_path):
+    c = Circuit(4, 2, 1,
+                single_layers=[{q: GATE_H for q in range(4)},
+                               {q: GATE_H for q in range(4)}],
+                multi_layers=[[cz(0, 1, 2, 3)]])
+    path = tmp_path / "anc.qac"
+    path.write_text(serialize_circuit(c))
+    return path
+
+
+@pytest.mark.parametrize("command", ["refute", "check-parity"])
+@pytest.mark.parametrize("amplitude, message", [
+    ("nan 0.0", "line 2: non-finite amplitude"),
+    ("inf 0.0", "line 2: non-finite amplitude"),
+    ("5.0 0.0", "ancilla norm 5 is not 1"),
+    ("1.001 0.0", "ancilla norm 1.001 is not 1"),
+])
+def test_bad_ancilla_is_bad_input(capsys, tmp_path, command, amplitude, message):
+    apath = tmp_path / "ancilla.state"
+    apath.write_text(f"# one ancilla qubit\n0 {amplitude}\n")
+    code, out, err = run_cli(capsys, command, "-c", str(_ancilla_circuit(tmp_path)),
+                             "--ancilla", str(apath))
+    assert code == 2 and message in err and not out
+
+
+def test_unit_ancilla_is_accepted(capsys, tmp_path):
+    apath = tmp_path / "ancilla.state"
+    apath.write_text("0 0.6 0.0\n1 0.0 0.8\n")
+    cpath = _ancilla_circuit(tmp_path)
+    code, out, _ = run_cli(capsys, "refute", "-c", str(cpath), "--ancilla", str(apath))
+    assert code == 0 and "kind" in out
+    code, out, _ = run_cli(capsys, "check-parity", "-c", str(cpath),
+                           "--ancilla", str(apath))
+    assert code == 1 and "computes-parity: no" in out

@@ -8,7 +8,6 @@ from qaclab.multilinear import (
     NotJustifyingError,
     bipartition_rank_oracle,
     decompose,
-    depends_on,
     evaluate,
     find_justifying_assignment,
     find_zero_justifying_assignment,
@@ -26,7 +25,7 @@ from qaclab.multilinear import (
     variable_partition,
     variables_of,
 )
-from qaclab.numerics import Exact, make_rng, to_float
+from qaclab.numerics import Exact, approx_eq, make_rng, to_float
 
 X0, X1, X2 = var("x", "0"), var("x", "1"), var("x", "10")
 Z0, Z1 = var("z", "0"), var("z", "1")
@@ -34,6 +33,18 @@ Z0, Z1 = var("z", "0"), var("z", "1")
 
 def poly(entries):
     return MultilinearPoly({frozenset(m): c for m, c in entries.items()})
+
+
+def depends_on(f, v, probes):
+    """Brute-force dependence test: two evaluations differing only at v."""
+    for a in probes:
+        lo = dict(a)
+        hi = dict(a)
+        lo[v] = 0
+        hi[v] = 1
+        if not approx_eq(evaluate(f, lo), evaluate(f, hi)):
+            return True
+    return False
 
 
 def brute_force_sum(f, a):
@@ -284,8 +295,15 @@ def test_decompose_budget():
 def test_indecomposable_at_every_split_matches_oracle():
     rng = make_rng(15)
     from itertools import combinations
-    for _ in range(40):
-        f = random_multilinear_poly(rng, int(rng.integers(2, 7)), 7)
+    # 40 exact polynomials, then 40 with Gaussian float coefficients, then
+    # 20 products of variable-disjoint Gaussian factors
+    for k in range(100):
+        if k < 80:
+            f = random_multilinear_poly(rng, int(rng.integers(2, 7)), 7,
+                                        exact=k < 40)
+        else:
+            f, _ = random_disjoint_product(rng, int(rng.integers(2, 4)),
+                                           int(rng.integers(1, 3)), exact=False)
         fvars = sorted(f.variables())
         if len(fvars) < 2:
             continue

@@ -12,6 +12,7 @@ from qaclab.numerics import (
     make_rng,
     random_scalar,
     random_unitary,
+    rank_le_1,
     to_float,
 )
 
@@ -123,3 +124,44 @@ def test_random_unitary_is_unitary():
     for dim in (2, 4, 8):
         u = random_unitary(dim, rng)
         assert np.max(np.abs(u @ u.conj().T - np.eye(dim))) < 1e-10
+
+
+# ---- rank <= 1 on sparse rows --------------------------------------------------
+
+entries = st.integers(min_value=-3, max_value=3)
+vectors = st.integers(min_value=1, max_value=4).flatmap(
+    lambda n: st.lists(entries, min_size=n, max_size=n))
+dense = st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(
+    lambda shape: st.lists(st.lists(entries, min_size=shape[1], max_size=shape[1]),
+                           min_size=shape[0], max_size=shape[0]))
+# outer products give rank <= 1 often enough to test both answers
+outer = st.tuples(vectors, vectors).map(lambda uv: np.outer(*uv).tolist())
+
+
+def sparse_rows(mat, order, scalar):
+    """{row: {col: entry}} of the nonzero entries, rows in ``order``."""
+    return {i: {j: scalar(int(x)) for j, x in enumerate(mat[i]) if x}
+            for i in order if any(mat[i])}
+
+
+@given(st.one_of(dense, outer), st.data())
+@settings(max_examples=400, deadline=None)
+def test_rank_le_1_matches_matrix_rank(mat, data):
+    want = np.linalg.matrix_rank(np.array(mat, dtype=float)) <= 1
+    order = data.draw(st.permutations(range(len(mat))))
+    assert rank_le_1(sparse_rows(mat, order, Exact)) == want
+    assert rank_le_1(sparse_rows(mat, order, complex)) == want
+
+
+def test_rank_le_1_examples():
+    assert rank_le_1({})
+    assert rank_le_1({0: {1: Exact(2)}})
+    assert rank_le_1({0: {0: Exact(1), 1: Exact(2)}, 1: {0: Exact(3), 1: Exact(6)}})
+    # same support, nonvanishing minor
+    assert not rank_le_1({0: {0: Exact(1), 1: Exact(2)}, 1: {0: Exact(3), 1: Exact(5)}})
+    # a column present in one row only
+    assert not rank_le_1({0: {0: Exact(1)}, 1: {0: Exact(1), 1: Exact(1)}})
+    # an exact minor far below any float tolerance still counts
+    tiny = Exact(1, Fraction(1, 10**12))
+    assert not rank_le_1({0: {0: Exact(1), 1: Exact(1)}, 1: {0: Exact(1), 1: tiny}})
+    assert rank_le_1({0: {0: 1.0, 1: 1.0}, 1: {0: 1.0, 1: complex(tiny)}})

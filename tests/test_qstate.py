@@ -149,6 +149,41 @@ def test_exact_separability_decisions():
     assert separates_at(prod, {0}, {1})[0]
 
 
+def sparse_exact_state(r, rng):
+    """Exact state with Gaussian-integer amplitudes, most of them zero."""
+    amps = random_exact_state(r, rng).amps
+    amps[rng.random(1 << r) < 0.7] = Exact.ZERO
+    return StateVector(r, amps, normalized=False)
+
+
+def test_exact_separability_with_zero_rows_and_columns():
+    # |000> + |011> = |0> (|00> + |11>): the cut matrices have zero rows
+    amps = np.array([Exact.ZERO] * 8, dtype=object)
+    amps[0b000] = amps[0b011] = Exact.ONE
+    psi = StateVector(3, amps, normalized=False)
+    assert separates_at(psi, {0}, {1, 2})[0]
+    assert not separates_at(psi, {0, 1}, {2})[0]
+    assert not separates_at(psi, {1}, {0, 2})[0]
+
+    # sparse states and products of sparse factors against the float rank
+    rng = make_rng(48)
+    for k in range(60):
+        r = int(rng.integers(2, 6))
+        if k % 2:
+            a = frozenset(int(q) for q in rng.choice(r, int(rng.integers(1, r)),
+                                                     replace=False))
+            psi = tensor(sparse_exact_state(len(a), rng),
+                         sparse_exact_state(r - len(a), rng), placement=a)
+            assert separates_at(psi, a, frozenset(range(r)) - a)[0]
+        else:
+            psi = sparse_exact_state(r, rng)
+        for a, b in bipartitions(r):
+            mat = psi.axes().transpose(sorted(a) + sorted(b))
+            mat = mat.reshape(1 << len(a), 1 << len(b)).astype(complex)
+            want = np.linalg.matrix_rank(mat) <= 1
+            assert separates_at(psi, a, b)[0] == want
+
+
 def test_ones_projection_examples():
     assert ones_projection_norm(basis_state(2, "11"), {0, 1}) == 1.0
     assert ones_projection_norm(basis_state(2, "01"), {0, 1}) == 0.0
@@ -223,3 +258,6 @@ def test_dump_parse_errors():
         parse_state("0a 1 0\n")
     with pytest.raises(StateParseError):
         parse_state("")
+    for bad in ("nan 0", "0 inf", "-inf 0", "1 -nan"):
+        with pytest.raises(StateParseError, match="line 2: non-finite"):
+            parse_state(f"0 1 0\n1 {bad}\n")
