@@ -59,12 +59,15 @@ def _load_circuit(path: str):
     return parse_circuit(_read(path))
 
 
-def _load_ancilla(args):
-    """The --ancilla state, held to the unit-norm bound the certificate
-    verifier applies."""
+def _load_ancilla(args, circuit):
+    """The --ancilla state, held to the circuit's ancilla register size
+    and to the unit-norm bound the certificate verifier applies."""
     if not getattr(args, "ancilla", None):
         return None
     ancilla = parse_state(_read(args.ancilla))
+    if ancilla.r != circuit.n_ancillas:
+        raise StateParseError(f"ancilla register size mismatch: {ancilla.r} "
+                              f"qubits, circuit has {circuit.n_ancillas}")
     norm = ancilla.norm()
     if abs(norm - 1.0) > DEFAULT_TOL.threshold(1.0):
         raise StateParseError(f"ancilla norm {norm:.6g} is not 1")
@@ -91,7 +94,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_check_parity(args) -> int:
     circuit = _load_circuit(args.circuit)
-    ancilla = _load_ancilla(args)
+    ancilla = _load_ancilla(args, circuit)
     ok, counterexample = computes_parity_on_basis(circuit, ancilla)
     if ok:
         print("computes-parity: yes")
@@ -137,7 +140,7 @@ def _cmd_kill_parity(args) -> int:
 
 def _cmd_refute(args) -> int:
     circuit = _load_circuit(args.circuit)
-    ancilla = _load_ancilla(args)
+    ancilla = _load_ancilla(args, circuit)
     if circuit.depth == 1:
         cert = refute_depth1(circuit, ancilla)
     elif circuit.depth == 2:

@@ -14,11 +14,30 @@ Schmidt rank of the amplitude matrix reshaped along the cut: rank one
 means the state is a tensor product across it.  On the floating backend
 the rank is read off singular values; on the exact backend it is decided
 by vanishing 2x2 minors, with no tolerance involved.
+
+Which cuts can separate at all is read off pairs of qubits.  Read the
+amplitudes as a multilinear polynomial f with qubit q as variable x_q
+and write f = x_i x_j A + x_i B + x_j C + D: qubits i and j lie in one
+tensor factor iff AD - BC != 0 (the pair criterion of Shpilka and
+Volkovich).  Summing the amplitude tensor over every other axis
+evaluates [[D, C], [B, A]] at the all-ones point, so a nonzero
+determinant there links i and j; union-find closes the links into
+classes (``linked_classes``) and only a cut that is a union of classes
+can separate.  A point can miss a link but never invent one, so the
+classes are at worst too fine and every separable cut stays a
+candidate; ``is_S_separable`` confirms candidates with the rank test
+above.  On exact states a determinant links when it is exactly
+nonzero, and a candidate that fails its confirmation proves a missed
+link across it, so the links are drawn again at a seeded random
+integer point.  On floats a determinant links when it exceeds
+``tol.threshold(|M00 M11| + |M01 M10|)``.
 """
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from functools import reduce
+from itertools import combinations
 
 import numpy as np
 
@@ -33,6 +52,14 @@ from .numerics import (
 
 #: Desk-scale register cap; larger registers are out of scope.
 MAX_QUBITS = 12
+
+#: Seed of the integer points at which ``is_S_separable`` redraws pair
+#: links on exact states; fixed, so every verdict and witness repeats.
+_LINK_SEED = 0
+
+#: Below this norm, what is left after projecting out the S-ones
+#: component is rounding noise, and renormalizing would magnify it.
+_EMPTY_NORM = 1e-12
 
 
 class RegisterSizeError(ValueError):
@@ -218,37 +245,100 @@ def bipartitions(r: int, require_split=None):
     ``require_split`` restricts to bipartitions where both sides meet the
     given qubit set.
     """
-    from itertools import combinations
-    qubits = list(range(r))
-    seen = set()
-    for size in range(1, r):
-        for combo in combinations(qubits, size):
-            a = frozenset(combo)
-            b = frozenset(qubits) - a
-            key = frozenset((a, b))
-            if key in seen:
+    everyone = frozenset(range(r))
+    s = None if require_split is None else frozenset(require_split)
+    for size in range(1, r // 2 + 1):
+        for combo in combinations(range(r), size):
+            # an equal-sized pair is listed once, by the side holding qubit 0
+            if 2 * size == r and combo[0] != 0:
                 continue
-            seen.add(key)
-            if require_split is not None:
-                s = frozenset(require_split)
-                if not (a & s) or not (b & s):
-                    continue
+            a = frozenset(combo)
+            b = everyone - a
+            if s is not None and (not (a & s) or not (b & s)):
+                continue
             yield a, b
+
+
+def linked_classes(t: np.ndarray, tol: Tolerance = DEFAULT_TOL, classes=()):
+    """Classes of the axes of a [2]*v array joined by pair links.
+
+    Axes i and j are linked when the 2x2 matrix M left after summing
+    ``t`` over every other axis has det M != 0: exactly nonzero for
+    exact entries, above ``tol.threshold(|M00 M11| + |M01 M10|)`` for
+    floats.  Linked axes lie in one tensor factor of ``t``, so the
+    classes returned, sorted by least axis, are never coarser than its
+    finest factorization.  Union-find starts from ``classes`` (links
+    already proven), and a pair already joined is not tested.
+    """
+    v = t.ndim
+    parent = list(range(v))
+
+    def find(q):
+        while parent[q] != q:
+            parent[q] = parent[parent[q]]
+            q = parent[q]
+        return q
+
+    for c in classes:
+        first, *rest = sorted(c)
+        for q in rest:
+            parent[find(q)] = find(first)
+    for i, j in combinations(range(v), 2):
+        if find(i) == find(j):
+            continue
+        m = t.sum(axis=tuple(q for q in range(v) if q != i and q != j))
+        diag, anti = m[0, 0] * m[1, 1], m[0, 1] * m[1, 0]
+        det = diag - anti
+        if isinstance(det, Exact):
+            linked = det != 0
+        else:
+            linked = abs(det) > tol.threshold(abs(diag) + abs(anti))
+        if linked:
+            parent[find(j)] = find(i)
+    joined = {}
+    for q in range(v):
+        joined.setdefault(find(q), []).append(q)
+    return [frozenset(c) for c in joined.values()]
 
 
 def is_S_separable(psi: StateVector, s, tol: Tolerance = DEFAULT_TOL):
     """Search for a bipartition splitting S at which psi separates.
 
-    Returns (True, (A, B)) with the first witness in enumeration order,
-    or (False, None) meaning psi is S-entangled.
+    Returns (True, (A, B)) with the first witness in ``bipartitions``
+    order, or (False, None) meaning psi is S-entangled.
+
+    Pair links at the all-ones point (``linked_classes``) come first: if
+    S lies inside one class, no cut splitting S can separate.  Otherwise
+    only the cuts that are unions of classes are confirmed, in order,
+    with ``separates_at``; a missed link only makes the classes finer,
+    so the first confirmed cut is the first separating one.  On exact
+    states a failed confirmation proves a link across that cut was
+    missed, so the links are drawn again at a point from a fixed-seed
+    integer generator, keeping those already proven.  Floats take the
+    all-ones links alone.
     """
     s = frozenset(s)
     if len(s) < 2:
         raise ValueError("S must contain at least two qubits")
+    t = psi.axes()
+    classes = linked_classes(t, tol)
+    rng = None
     for a, b in bipartitions(psi.r, require_split=s):
-        ok, _ = separates_at(psi, a, b, tol)
-        if ok:
+        if any(s <= c for c in classes):
+            break
+        if not all(c <= a or c.isdisjoint(a) for c in classes):
+            continue
+        if separates_at(psi, a, b, tol)[0]:
             return True, (a, b)
+        if psi.is_exact:
+            if rng is None:
+                rng = np.random.default_rng(_LINK_SEED)
+            # summing t weighted by prod_q p_q^(bit q) contracts with
+            # (1, p_q); it scales M's rows and columns by nonzero p_i, p_j
+            point = [int(p) for p in rng.integers(1, 1 << 16, size=psi.r)]
+            weights = reduce(np.multiply.outer,
+                             [np.array([1, p], dtype=object) for p in point])
+            classes = linked_classes(t * weights, tol, classes)
     return False, None
 
 
@@ -273,7 +363,7 @@ def remove_ones_component(psi: StateVector, s) -> StateVector:
     out = psi.to_float().amps.copy()
     out.reshape([2] * psi.r)[bit_index(psi.r, s, 1)] = 0
     n = np.linalg.norm(out)
-    if n < 1e-12:
+    if n < _EMPTY_NORM:
         raise ValueError("state is entirely supported on the S-ones subspace")
     return StateVector(psi.r, out / n)
 

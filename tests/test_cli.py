@@ -251,6 +251,15 @@ def test_bad_ancilla_is_bad_input(capsys, tmp_path, command, amplitude, message)
     assert code == 2 and message in err and not out
 
 
+@pytest.mark.parametrize("command", ["refute", "check-parity"])
+def test_ancilla_register_size_mismatch_is_bad_input(capsys, tmp_path, command):
+    apath = tmp_path / "ancilla.state"
+    apath.write_text("00 1.0 0.0\n")
+    code, out, err = run_cli(capsys, command, "-c", str(_ancilla_circuit(tmp_path)),
+                             "--ancilla", str(apath))
+    assert code == 2 and "ancilla register size mismatch" in err and not out
+
+
 def test_unit_ancilla_is_accepted(capsys, tmp_path):
     apath = tmp_path / "ancilla.state"
     apath.write_text("0 0.6 0.0\n1 0.0 0.8\n")

@@ -1,8 +1,13 @@
+from fractions import Fraction
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qaclab import qstate
 from qaclab.circuit import GATE_H, apply_1q
-from qaclab.numerics import Exact, Tolerance, make_rng, to_float
+from qaclab.numerics import DEFAULT_TOL, Exact, Tolerance, make_rng, to_float
 from qaclab.qstate import (
     RegisterSizeError,
     StateVector,
@@ -10,8 +15,10 @@ from qaclab.qstate import (
     bipartitions,
     format_state,
     is_S_separable,
+    linked_classes,
     ones_projection_norm,
     parse_state,
+    product_amplitudes,
     random_exact_state,
     random_product_state,
     random_state,
@@ -132,6 +139,149 @@ def test_is_S_separable_examples():
     ok, (a, b) = is_S_separable(psi, {0, 2})
     assert ok
     assert (a, b) == (frozenset({2}), frozenset({0, 1}))
+
+
+def sweep_bipartitions(r, require_split=None):
+    """Reference enumeration: every subset by size, each pair kept once."""
+    qubits = frozenset(range(r))
+    seen = set()
+    for size in range(1, r):
+        for combo in combinations(range(r), size):
+            a = frozenset(combo)
+            key = frozenset((a, qubits - a))
+            if key in seen:
+                continue
+            seen.add(key)
+            if require_split is None or (a & require_split
+                                         and (qubits - a) & require_split):
+                yield a, qubits - a
+
+
+def sweep_is_S_separable(psi, s, tol=DEFAULT_TOL):
+    """Reference: the rank test at every cut splitting S, in order."""
+    for a, b in sweep_bipartitions(psi.r, frozenset(s)):
+        if separates_at(psi, a, b, tol)[0]:
+            return True, (a, b)
+    return False, None
+
+
+def test_bipartitions_order():
+    for r in range(2, 11):
+        assert list(bipartitions(r)) == list(sweep_bipartitions(r))
+        s = frozenset({0, r - 1})
+        assert list(bipartitions(r, s)) == list(sweep_bipartitions(r, s))
+
+
+@st.composite
+def separability_cases(draw):
+    """Products of 1-3 random factors on shuffled qubits (one factor is a
+    Haar or dense exact state), with a random S of two or more qubits."""
+    r = draw(st.integers(2, 7))
+    exact = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_factors = draw(st.integers(1, min(3, r)))
+    cuts = sorted(rng.choice(np.arange(1, r), n_factors - 1, replace=False))
+    labels = [int(q) for q in rng.permutation(r)]
+    pieces = []
+    for lo, hi in zip([0, *cuts], [*cuts, r]):
+        size = int(hi - lo)
+        if not exact:
+            factor = random_state(size, rng)
+        elif draw(st.booleans()):
+            factor = sparse_exact_state(size, rng)
+        else:
+            factor = random_exact_state(size, rng)
+        pieces.append((labels[lo:hi], factor))
+    psi = StateVector(r, product_amplitudes(pieces), normalized=False)
+    s = frozenset(int(q) for q in rng.choice(r, draw(st.integers(2, r)),
+                                             replace=False))
+    return psi, s, [frozenset(qs) for qs, _ in pieces]
+
+
+@settings(deadline=None, max_examples=200)
+@given(separability_cases())
+def test_is_S_separable_matches_sweep(case):
+    psi, s, factors = case
+    assert is_S_separable(psi, s) == sweep_is_S_separable(psi, s)
+    classes = linked_classes(psi.axes())
+    assert all(any(c <= f for f in factors) for c in classes)
+    if not psi.is_exact:  # Haar factors are entangled and linked throughout
+        assert sorted(classes, key=min) == sorted(factors, key=min)
+
+
+def test_linked_classes_threshold():
+    # amplitudes [[1, 1], [1, 1 + d]]: det d, against |M00 M11| + |M01 M10| ~ 2
+    for d, linked in ((1e-6, True), (1e-12, False)):
+        psi = StateVector(2, np.array([1, 1, 1, 1 + d]), normalized=False)
+        assert (len(linked_classes(psi.axes())) == 1) == linked
+    tiny = Exact(Fraction(1, 10**12))
+    psi = StateVector(2, np.array([Exact.ONE, Exact.ONE, Exact.ONE,
+                                   Exact.ONE + tiny], dtype=object))
+    assert linked_classes(psi.axes()) == [frozenset({0, 1})]
+    # links handed in stay joined, tested or not
+    prod = basis_state(3, "000").axes()
+    assert linked_classes(prod) == [frozenset({q}) for q in range(3)]
+    assert linked_classes(prod, classes=[{0, 2}]) == [frozenset({0, 2}),
+                                                      frozenset({1})]
+
+
+def record_calls(monkeypatch, name):
+    calls = []
+    fn = getattr(qstate, name)
+
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(qstate, name, recorded)
+    return calls
+
+
+def test_missed_link_is_redrawn_on_exact_states(monkeypatch):
+    # |-> on qubit 2 sums to zero, so every pair matrix at the all-ones
+    # point vanishes and even the Bell pair on {0, 1} is not linked
+    bell = StateVector(2, np.array([Exact.INV_SQRT2, Exact.ZERO, Exact.ZERO,
+                                    Exact.INV_SQRT2], dtype=object))
+    minus = apply_1q(basis_state(1, 1), 0, GATE_H)
+    psi = tensor(bell, minus)
+    assert linked_classes(psi.axes()) == [frozenset({q}) for q in range(3)]
+
+    rounds = record_calls(monkeypatch, "linked_classes")
+    assert is_S_separable(psi, {0, 1}) == (False, None)
+    assert len(rounds) == 2  # {0} | {1, 2} fails, the redraw links 0 and 1
+
+    rounds.clear()
+    assert is_S_separable(psi.to_float(), {0, 1}) == (False, None)
+    assert len(rounds) == 1  # floats take the all-ones links alone
+
+    witness = (frozenset({2}), frozenset({0, 1}))
+    assert is_S_separable(psi, {0, 2}) == (True, witness)
+    assert is_S_separable(psi.to_float(), {0, 2}) == (True, witness)
+
+    # |00> - |11> on {0, 1} sums to zero: the all-ones point links 0 and 1
+    # but not the Bell pair on {2, 3}, and the redraw keeps the first link
+    anti = StateVector(2, np.array([Exact.ONE, Exact.ZERO, Exact.ZERO,
+                                    Exact.MINUS_ONE], dtype=object))
+    psi = tensor(anti, bell)
+    rounds.clear()
+    assert is_S_separable(psi, {2, 3}) == (False, None)
+    first = [frozenset({0, 1}), frozenset({2}), frozenset({3})]
+    assert len(rounds) == 2 and rounds[1][2] == first
+
+
+def test_is_S_separable_twelve_qubits(monkeypatch):
+    rng = make_rng(49)
+    confirmed = record_calls(monkeypatch, "separates_at")
+    assert is_S_separable(random_state(12, rng), {0, 1}) == (False, None)
+    assert not confirmed  # S lies in one class: no cut is confirmed
+
+    a = frozenset({0, 3, 4, 7, 9})
+    b = frozenset(range(12)) - a
+    psi = random_product_state(a, b, rng)
+    ok, witness = is_S_separable(psi, {0, 11})
+    assert ok and witness == (a, b)
+    assert len(confirmed) == 1  # the one union of classes splitting S
+    assert separates_at(psi, *witness)[0]
 
 
 def test_is_S_separable_requires_two_qubits():
