@@ -20,23 +20,22 @@ amplitudes as a multilinear polynomial f with qubit q as variable x_q
 and write f = x_i x_j A + x_i B + x_j C + D: qubits i and j lie in one
 tensor factor iff AD - BC != 0 (the pair criterion of Shpilka and
 Volkovich).  Summing the amplitude tensor over every other axis
-evaluates [[D, C], [B, A]] at the all-ones point, so a nonzero
-determinant there links i and j; union-find closes the links into
-classes (``linked_classes``) and only a cut that is a union of classes
-can separate.  A point can miss a link but never invent one, so the
-classes are at worst too fine and every separable cut stays a
-candidate; ``is_S_separable`` confirms candidates with the rank test
-above.  On exact states a determinant links when it is exactly
-nonzero, and a candidate that fails its confirmation proves a missed
-link across it, so the links are drawn again at a seeded random
-integer point.  On floats a determinant links when it exceeds
-``tol.threshold(|M00 M11| + |M01 M10|)``.
+evaluates [[D, C], [B, A]] at the all-ones point, so a determinant
+there that no separable cut between i and j could produce links them;
+union-find closes the links into classes (``linked_classes``) and only
+a cut that is a union of classes can separate.  The point can miss a
+link (a factor whose amplitudes sum to zero zeroes every determinant)
+but not invent one, so the classes are at worst too fine and every
+separable cut stays a candidate; ``is_S_separable`` confirms candidates
+with the rank test above.  On exact states a determinant links when it
+is exactly nonzero.  On floats it links only when it is larger than
+any cut that passes the singular-value rule could make it; see
+``linked_classes``.
 """
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from functools import reduce
 from itertools import combinations
 
 import numpy as np
@@ -52,10 +51,6 @@ from .numerics import (
 
 #: Desk-scale register cap; larger registers are out of scope.
 MAX_QUBITS = 12
-
-#: Seed of the integer points at which ``is_S_separable`` redraws pair
-#: links on exact states; fixed, so every verdict and witness repeats.
-_LINK_SEED = 0
 
 #: Below this norm, what is left after projecting out the S-ones
 #: component is rounding noise, and renormalizing would magnify it.
@@ -259,16 +254,21 @@ def bipartitions(r: int, require_split=None):
             yield a, b
 
 
-def linked_classes(t: np.ndarray, tol: Tolerance = DEFAULT_TOL, classes=()):
+def linked_classes(t: np.ndarray, tol: Tolerance = DEFAULT_TOL):
     """Classes of the axes of a [2]*v array joined by pair links.
 
     Axes i and j are linked when the 2x2 matrix M left after summing
-    ``t`` over every other axis has det M != 0: exactly nonzero for
-    exact entries, above ``tol.threshold(|M00 M11| + |M01 M10|)`` for
-    floats.  Linked axes lie in one tensor factor of ``t``, so the
-    classes returned, sorted by least axis, are never coarser than its
-    finest factorization.  Union-find starts from ``classes`` (links
-    already proven), and a pair already joined is not tested.
+    ``t`` over every other axis has det M != 0.  Exact entries link when
+    det M is exactly nonzero.  Float entries link only when |det M|
+    exceeds 2 k tau (|M|_F + k tau), with tau = tol.threshold(|t|_F) and
+    k = 2^((v-2)/2): a cut between i and j that passes the singular-value
+    rule of ``separates_at`` leaves t within tau of a product in the
+    spectral norm, the two summing maps have norm k together, and a 2x2
+    matrix within k tau of a rank-1 one has |det| at most
+    k tau (|M|_F + 2 k tau); the doubled first term is slack for
+    rounding.  Linked axes therefore lie in one tensor factor, and on one
+    side of every cut that the rule lets separate, so the classes
+    returned, sorted by least axis, are never coarser than either.
     """
     v = t.ndim
     parent = list(range(v))
@@ -279,20 +279,19 @@ def linked_classes(t: np.ndarray, tol: Tolerance = DEFAULT_TOL, classes=()):
             q = parent[q]
         return q
 
-    for c in classes:
-        first, *rest = sorted(c)
-        for q in rest:
-            parent[find(q)] = find(first)
+    exact = t.dtype == object
+    if not exact:
+        k = 2.0 ** ((v - 2) / 2)
+        k_tau = k * tol.threshold(float(np.linalg.norm(t)))
     for i, j in combinations(range(v), 2):
         if find(i) == find(j):
             continue
         m = t.sum(axis=tuple(q for q in range(v) if q != i and q != j))
-        diag, anti = m[0, 0] * m[1, 1], m[0, 1] * m[1, 0]
-        det = diag - anti
-        if isinstance(det, Exact):
+        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+        if exact:
             linked = det != 0
         else:
-            linked = abs(det) > tol.threshold(abs(diag) + abs(anti))
+            linked = abs(det) > 2 * k_tau * (np.linalg.norm(m) + k_tau)
         if linked:
             parent[find(j)] = find(i)
     joined = {}
@@ -311,34 +310,19 @@ def is_S_separable(psi: StateVector, s, tol: Tolerance = DEFAULT_TOL):
     S lies inside one class, no cut splitting S can separate.  Otherwise
     only the cuts that are unions of classes are confirmed, in order,
     with ``separates_at``; a missed link only makes the classes finer,
-    so the first confirmed cut is the first separating one.  On exact
-    states a failed confirmation proves a link across that cut was
-    missed, so the links are drawn again at a point from a fixed-seed
-    integer generator, keeping those already proven.  Floats take the
-    all-ones links alone.
+    so the first confirmed cut is the first separating one, on exact
+    states and under the float singular-value rule alike.
     """
     s = frozenset(s)
     if len(s) < 2:
         raise ValueError("S must contain at least two qubits")
-    t = psi.axes()
-    classes = linked_classes(t, tol)
-    rng = None
+    classes = linked_classes(psi.axes(), tol)
+    if any(s <= c for c in classes):
+        return False, None
     for a, b in bipartitions(psi.r, require_split=s):
-        if any(s <= c for c in classes):
-            break
-        if not all(c <= a or c.isdisjoint(a) for c in classes):
-            continue
-        if separates_at(psi, a, b, tol)[0]:
+        if (all(c <= a or c.isdisjoint(a) for c in classes)
+                and separates_at(psi, a, b, tol)[0]):
             return True, (a, b)
-        if psi.is_exact:
-            if rng is None:
-                rng = np.random.default_rng(_LINK_SEED)
-            # summing t weighted by prod_q p_q^(bit q) contracts with
-            # (1, p_q); it scales M's rows and columns by nonzero p_i, p_j
-            point = [int(p) for p in rng.integers(1, 1 << 16, size=psi.r)]
-            weights = reduce(np.multiply.outer,
-                             [np.array([1, p], dtype=object) for p in point])
-            classes = linked_classes(t * weights, tol, classes)
     return False, None
 
 
