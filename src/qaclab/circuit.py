@@ -37,6 +37,17 @@ from .qstate import (
 
 # ---- gates -----------------------------------------------------------------
 
+#: A geta phase needs |eta| within this of 1, and eta farther than
+#: ``_ETA_TRIVIAL`` from 1 (closer, the gate is the identity).
+_ETA_MODULUS = 1e-9
+_ETA_TRIVIAL = 1e-12
+
+
+class CircuitValidationError(ValueError):
+    def __init__(self, message, kind="invalid"):
+        self.kind = kind
+        super().__init__(message)
+
 
 def _exact_mat(entries) -> np.ndarray:
     m = np.empty((2, 2), dtype=object)
@@ -66,14 +77,14 @@ class Gate1q:
     @classmethod
     def named(cls, name: str) -> "Gate1q":
         if name not in _NAMED_1Q:
-            raise ValueError(f"unknown gate name {name!r}")
+            raise CircuitValidationError(f"unknown gate {name!r}", "unknown-gate-name")
         return cls(_NAMED_1Q[name], name)
 
     @classmethod
     def from_matrix(cls, entries, tol: Tolerance = DEFAULT_TOL) -> "Gate1q":
         m = np.asarray(entries, dtype=complex).reshape(2, 2)
         if not unitary_close(m, tol):
-            raise ValueError("matrix is not unitary within tolerance")
+            raise CircuitValidationError("matrix is not unitary", "non-unitary")
         return cls(m)
 
     @property
@@ -138,10 +149,12 @@ class MultiGate:
             if self.eta_value is None:
                 raise ValueError("geta needs a phase")
             e = to_float(self.eta_value)
-            if abs(abs(e) - 1.0) > 1e-9:
-                raise ValueError("geta phase must have modulus 1")
-            if abs(e - 1.0) <= 1e-12:
-                raise ValueError("geta phase must differ from 1")
+            if not abs(abs(e) - 1.0) <= _ETA_MODULUS:  # NaN fails too
+                raise CircuitValidationError("geta phase must have modulus 1",
+                                             "geta-modulus")
+            if abs(e - 1.0) <= _ETA_TRIVIAL:
+                raise CircuitValidationError("geta phase must differ from 1",
+                                             "geta-trivial")
 
     @property
     def eta(self):
@@ -206,12 +219,6 @@ def apply_cnot(psi: StateVector, control: int, target: int) -> StateVector:
 
 
 # ---- circuits --------------------------------------------------------------
-
-class CircuitValidationError(ValueError):
-    def __init__(self, message, kind="invalid"):
-        self.kind = kind
-        super().__init__(message)
-
 
 @dataclass
 class Circuit:

@@ -25,8 +25,9 @@ comment.  The serializer emits a canonical form (sorted entries, empty
 layers omitted) that parses back to an equal circuit; canonical files
 round-trip byte for byte.
 
-Parse failures raise ``CircuitParseError`` whose ``kind`` names the
-error class:
+Every parse failure is a ``CircuitParseError`` (a ``ParseError``, see
+``qaclab.textio``) printed as ``line N: message [kind]``; ``kind`` names
+the error class:
 
     bad-header          missing/duplicate/ill-formed header, count mismatch
     bad-layer-index     label not a multiple of 0.5, out of order, duplicate
@@ -43,61 +44,47 @@ error class:
     geta-trivial        geta phase equal to 1
     register-too-large  more qubits than the 12-qubit cap
 
+Numbers must be finite: ``nan`` or ``inf`` in a matrix or a geta phase
+is malformed (``bad-matrix``, ``bad-eta``).  The gate checks (gate
+name, unitarity, geta phase) live in ``Gate1q`` and ``MultiGate``; the
+parser reports their kind with the line number.
+
 Validation failures of an assembled circuit (overlapping gates in one
 layer, layout mismatch) surface as ``CircuitValidationError`` with the
-invariant named in ``kind``.
+invariant named in ``kind``.  The CLI exits 2 on either error.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-
-import numpy as np
 
 from .circuit import (
     Circuit,
     CircuitValidationError,
     Gate1q,
     MultiGate,
-    unitary_close,
 )
 from .numerics import DEFAULT_TOL, Tolerance, to_float
+from .qstate import MAX_QUBITS
+from .textio import (
+    ParseError,
+    content_lines,
+    format_complexes,
+    parse_complexes,
+    parse_int,
+)
 
 
-class CircuitParseError(ValueError):
-    def __init__(self, message, line_no=None, kind="syntax"):
-        self.line_no = line_no
-        self.kind = kind
-        prefix = f"line {line_no}: " if line_no is not None else ""
-        super().__init__(f"{prefix}{message} [{kind}]")
-
-
-def _parse_int(tok, ln, what="integer"):
-    try:
-        return int(tok)
-    except ValueError:
-        raise CircuitParseError(f"expected {what}, got {tok!r}", ln,
-                                "bad-qubit" if what == "qubit" else "bad-header") from None
-
-
-def _parse_float(tok, ln, kind):
-    try:
-        return float(tok)
-    except ValueError:
-        raise CircuitParseError(f"expected a number, got {tok!r}", ln, kind) from None
+class CircuitParseError(ParseError):
+    pass
 
 
 def parse_circuit(text: str, tol: Tolerance = DEFAULT_TOL) -> Circuit:
     header = {}
     current_layer = None  # label as Fraction
-    seen_layers = []
     singles = {}  # half label -> dict qubit -> Gate1q
     multis = {}   # int label -> list[MultiGate]
 
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for ln, parts in content_lines(text):
         word = parts[0]
 
         if word in ("qubits", "inputs", "ancillas"):
@@ -107,10 +94,9 @@ def parse_circuit(text: str, tol: Tolerance = DEFAULT_TOL) -> Circuit:
                 raise CircuitParseError(f"duplicate header {word!r}", ln, "bad-header")
             if len(parts) != 2:
                 raise CircuitParseError(f"{word} needs one number", ln, "bad-header")
-            value = _parse_int(parts[1], ln)
-            if value < 0 or (word == "qubits" and value < 1):
-                raise CircuitParseError(f"bad {word} count", ln, "bad-header")
-            header[word] = value
+            header[word] = parse_int(parts[1], ln, CircuitParseError,
+                                     lo=1 if word == "qubits" else 0,
+                                     what=f"{word} count", kind="bad-header")
             continue
 
         if word == "layer":
@@ -126,10 +112,9 @@ def parse_circuit(text: str, tol: Tolerance = DEFAULT_TOL) -> Circuit:
             if label * 2 != int(label * 2) or label < Fraction(1, 2):
                 raise CircuitParseError("layer label must be a positive multiple "
                                         "of 0.5", ln, "bad-layer-index")
-            if seen_layers and label <= seen_layers[-1]:
+            if current_layer is not None and label <= current_layer:
                 raise CircuitParseError("layer labels must increase", ln,
                                         "bad-layer-index")
-            seen_layers.append(label)
             current_layer = label
             continue
 
@@ -137,19 +122,18 @@ def parse_circuit(text: str, tol: Tolerance = DEFAULT_TOL) -> Circuit:
             if current_layer is None:
                 raise CircuitParseError("gate entry before any layer", ln,
                                         "entry-outside-layer")
-            half_layer = current_layer.denominator == 2
-            if word == "u":
-                if not half_layer:
-                    raise CircuitParseError("1-qubit gate on an integer layer",
-                                            ln, "layer-kind-mismatch")
-                _parse_u(parts, ln, singles.setdefault(current_layer, {}),
-                         header["qubits"], tol)
-            else:
-                if half_layer:
-                    raise CircuitParseError("multiqubit gate on a half layer",
-                                            ln, "layer-kind-mismatch")
-                multis.setdefault(current_layer, []).append(
-                    _parse_multi(word, parts, ln, header["qubits"]))
+            if (word == "u") != (current_layer.denominator == 2):
+                raise CircuitParseError("u needs a half layer, cz and geta an "
+                                        "integer one", ln, "layer-kind-mismatch")
+            try:  # gate checks (named gate, unitarity, geta phase) live in circuit
+                if word == "u":
+                    _parse_u(parts, ln, singles.setdefault(current_layer, {}),
+                             header["qubits"], tol)
+                else:
+                    multis.setdefault(current_layer, []).append(
+                        _parse_multi(word, parts, ln, header["qubits"]))
+            except CircuitValidationError as exc:
+                raise CircuitParseError(str(exc), ln, exc.kind) from None
             continue
 
         raise CircuitParseError(f"unknown directive {word!r}", ln,
@@ -159,87 +143,60 @@ def parse_circuit(text: str, tol: Tolerance = DEFAULT_TOL) -> Circuit:
         if key not in header:
             raise CircuitParseError(f"missing header {key!r}", None, "bad-header")
     r = header["qubits"]
-    if r > 12:
-        raise CircuitParseError("more than 12 qubits", None, "register-too-large")
+    if r > MAX_QUBITS:
+        raise CircuitParseError(f"more than {MAX_QUBITS} qubits", None,
+                                "register-too-large")
     if r != 1 + header["inputs"] + header["ancillas"]:
         raise CircuitParseError("qubits must equal 1 + inputs + ancillas",
                                 None, "bad-header")
 
-    depth = 0
-    for label, gates in multis.items():
-        if gates:
-            depth = max(depth, int(label))
-    for label in singles:
-        depth = max(depth, int(label - Fraction(1, 2)))
-
-    single_layers = [dict(singles.get(Fraction(2 * i + 1, 2), {}))
-                     for i in range(depth + 1)]
-    multi_layers = [list(multis.get(Fraction(i + 1), []))
-                    for i in range(depth)]
+    # layer d + 0.5 is the last 1-qubit layer of a depth-d circuit
+    depth = max(map(int, [*singles, *multis]), default=0)
     return Circuit(r, header["inputs"], header["ancillas"],
-                   single_layers, multi_layers)
+                   [singles.get(Fraction(2 * i + 1, 2), {}) for i in range(depth + 1)],
+                   [multis.get(Fraction(i + 1), []) for i in range(depth)])
+
+
+def _parse_qubit(tok, ln, r) -> int:
+    return parse_int(tok, ln, CircuitParseError, lo=0, hi=r - 1,
+                     what="qubit", kind="bad-qubit")
 
 
 def _parse_u(parts, ln, layer, r, tol):
     if len(parts) < 3:
         raise CircuitParseError("u needs a qubit and a gate", ln, "bad-matrix")
-    q = _parse_int(parts[1], ln, "qubit")
-    if q < 0 or q >= r:
-        raise CircuitParseError(f"qubit {q} out of range", ln, "bad-qubit")
+    q = _parse_qubit(parts[1], ln, r)
     if q in layer:
         raise CircuitParseError(f"two gates on qubit {q} in one layer", ln,
                                 "duplicate-qubit")
     if parts[2] == "matrix":
-        nums = parts[3:]
-        if len(nums) != 8:
-            raise CircuitParseError("matrix needs 8 numbers", ln, "bad-matrix")
-        vals = [_parse_float(t, ln, "bad-matrix") for t in nums]
-        entries = np.array([complex(vals[2 * i], vals[2 * i + 1])
-                            for i in range(4)]).reshape(2, 2)
-        if not unitary_close(entries, tol):
-            raise CircuitParseError("matrix is not unitary", ln, "non-unitary")
-        layer[q] = Gate1q(entries)
+        layer[q] = Gate1q.from_matrix(parse_complexes(
+            parts[3:], 4, ln, CircuitParseError, what="matrix entry",
+            kind="bad-matrix"), tol)
+    elif len(parts) != 3:
+        raise CircuitParseError("named gate takes no extra arguments", ln,
+                                "bad-matrix")
     else:
-        if len(parts) != 3:
-            raise CircuitParseError("named gate takes no extra arguments", ln,
-                                    "bad-matrix")
-        name = parts[2]
-        try:
-            layer[q] = Gate1q.named(name)
-        except ValueError:
-            raise CircuitParseError(f"unknown gate name {name!r}", ln,
-                                    "unknown-gate-name") from None
+        layer[q] = Gate1q.named(parts[2])
 
 
 def _parse_multi(word, parts, ln, r) -> MultiGate:
-    if word == "cz":
-        qubit_toks = parts[1:]
-        eta = None
-    else:
+    eta = None
+    qubit_toks = parts[1:]
+    if word == "geta":
         if len(parts) < 3:
             raise CircuitParseError("geta needs a phase and qubits", ln, "bad-eta")
-        re = _parse_float(parts[1], ln, "bad-eta")
-        im = _parse_float(parts[2], ln, "bad-eta")
-        eta = complex(re, im)
+        eta, = parse_complexes(parts[1:3], 1, ln, CircuitParseError,
+                               what="phase", kind="bad-eta")
         qubit_toks = parts[3:]
     qubits = []
     for tok in qubit_toks:
-        q = _parse_int(tok, ln, "qubit")
-        if q < 0 or q >= r:
-            raise CircuitParseError(f"qubit {q} out of range", ln, "bad-qubit")
+        q = _parse_qubit(tok, ln, r)
         if q in qubits:
             raise CircuitParseError(f"qubit {q} repeated in gate", ln,
                                     "duplicate-qubit")
         qubits.append(q)
-    if word == "cz":
-        return MultiGate(frozenset(qubits), "cz")
-    if abs(abs(eta) - 1.0) > 1e-9:
-        raise CircuitParseError("geta phase must have modulus 1", ln,
-                                "geta-modulus")
-    if abs(eta - 1.0) <= 1e-12:
-        raise CircuitParseError("geta phase must differ from 1", ln,
-                                "geta-trivial")
-    return MultiGate(frozenset(qubits), "geta", eta)
+    return MultiGate(frozenset(qubits), word, eta)
 
 
 def _format_label(label: float) -> str:
@@ -262,9 +219,7 @@ def serialize_circuit(circuit: Circuit) -> str:
                 if g.name is not None:
                     lines.append(f"u {q} {g.name}")
                 else:
-                    m = g.float_mat()
-                    nums = " ".join(f"{float(v)!r}" for e in m.reshape(-1)
-                                    for v in (e.real, e.imag))
+                    nums = format_complexes(g.float_mat().reshape(-1))
                     lines.append(f"u {q} matrix {nums}")
         if i < circuit.depth and circuit.multi_layers[i]:
             lines.append(f"layer {i + 1}")
@@ -274,6 +229,6 @@ def serialize_circuit(circuit: Circuit) -> str:
                 if g.kind == "cz":
                     lines.append(f"cz {qs}".rstrip())
                 else:
-                    e = to_float(g.eta)
-                    lines.append(f"geta {e.real!r} {e.imag!r} {qs}".rstrip())
+                    eta = format_complexes([to_float(g.eta)])
+                    lines.append(f"geta {eta} {qs}".rstrip())
     return "\n".join(lines) + "\n"

@@ -28,13 +28,10 @@ from .circuit import (
     depth_reduce,
     simulate,
 )
-from .circuit_io import CircuitParseError, parse_circuit, serialize_circuit
-from .multilinear import PolyParseError
+from .circuit_io import parse_circuit, serialize_circuit
 from .numerics import DEFAULT_TOL
 from .parity import (
-    CertificateParseError,
     RefutationError,
-    UnitariesParseError,
     format_certificate,
     kill_parity_state,
     parse_certificate,
@@ -44,11 +41,11 @@ from .parity import (
     verify_certificate,
 )
 from .qstate import StateParseError, basis_state, format_state, parse_state
+from .textio import ParseError, parse_bits
 
 #: Errors that mean the input is malformed (exit 2), not that a check failed.
-_BAD_INPUT = (CircuitParseError, CircuitValidationError, StateParseError,
-              PolyParseError, UnitariesParseError, CertificateParseError,
-              harness.SuiteConfigError, FileNotFoundError)
+_BAD_INPUT = (ParseError, CircuitValidationError, harness.SuiteConfigError,
+              FileNotFoundError)
 
 
 def _read(path: str) -> str:
@@ -67,19 +64,19 @@ def _load_ancilla(args, circuit):
     ancilla = parse_state(_read(args.ancilla))
     if ancilla.r != circuit.n_ancillas:
         raise StateParseError(f"ancilla register size mismatch: {ancilla.r} "
-                              f"qubits, circuit has {circuit.n_ancillas}")
+                              f"qubits, circuit has {circuit.n_ancillas}",
+                              None, "register-mismatch")
     norm = ancilla.norm()
     if abs(norm - 1.0) > DEFAULT_TOL.threshold(1.0):
-        raise StateParseError(f"ancilla norm {norm:.6g} is not 1")
+        raise StateParseError(f"ancilla norm {norm:.6g} is not 1", None,
+                              "bad-norm")
     return ancilla
 
 
 def _cmd_simulate(args) -> int:
     circuit = _load_circuit(args.circuit)
     bits = args.input
-    if len(bits) != circuit.r or set(bits) - {"0", "1"}:
-        print(f"error: input must be a {circuit.r}-bit string", file=sys.stderr)
-        return 2
+    parse_bits(bits, circuit.r, None)  # a malformed input exits 2
     if args.trace:
         final, steps = simulate(circuit, basis_state(circuit.r, bits), trace=True)
         for label, state in steps:

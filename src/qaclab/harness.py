@@ -57,6 +57,7 @@ from .qstate import (
     target_density,
     tensor,
 )
+from .textio import ParseError
 
 SUITES = (
     "tight-parity3",
@@ -715,11 +716,12 @@ def emit_report(report: SuiteReport, fmt: str = "text") -> str:
     return "\n".join(lines) + "\n"
 
 
-class ReportParseError(ValueError):
+class ReportParseError(ParseError):
     pass
 
 
 def parse_machine_report(text: str) -> SuiteReport:
+    # '#' is data in a report, so the shared comment-stripping reader is not used
     fields = {}
     violations = []
     for ln, raw in enumerate(text.splitlines(), start=1):
@@ -727,7 +729,7 @@ def parse_machine_report(text: str) -> SuiteReport:
         if not line:
             continue
         if "=" not in line:
-            raise ReportParseError(f"line {ln}: expected key=value")
+            raise ReportParseError("expected key=value", ln)
         key, value = line.split("=", 1)
         if key.startswith("violation_"):
             violations.append(value)
@@ -741,8 +743,10 @@ def parse_machine_report(text: str) -> SuiteReport:
             abs_eps=float(fields["abs_eps"]), rel_eps=float(fields["rel_eps"]),
             backend=fields["backend"], instances=int(fields["instances"]),
             violations=violations)
-    except KeyError as exc:
-        raise ReportParseError(f"missing field {exc}") from None
+    except (KeyError, ValueError) as exc:
+        raise ReportParseError(f"missing or bad field: {exc}", None,
+                               "bad-field") from None
     if declared != len(violations):
-        raise ReportParseError("violation count mismatch")
+        raise ReportParseError("violation count mismatch", None,
+                               "count-mismatch")
     return report

@@ -18,6 +18,7 @@ They are used to cross-check each other in the verification suites.
 """
 from __future__ import annotations
 
+import re
 from itertools import combinations
 from typing import Iterable, NamedTuple
 
@@ -34,6 +35,7 @@ from .numerics import (
     scalar_is_zero,
     to_float,
 )
+from .textio import ParseError, content_lines, format_complexes, parse_complexes
 
 
 class VarId(NamedTuple):
@@ -587,50 +589,32 @@ def random_disjoint_product(rng: np.random.Generator,
 
 # ---- text format --------------------------------------------------------
 
-class PolyParseError(ValueError):
-    def __init__(self, message, line_no=None):
-        self.line_no = line_no
-        super().__init__(message if line_no is None
-                         else f"line {line_no}: {message}")
+class PolyParseError(ParseError):
+    pass
 
 
 def format_poly(f: MultilinearPoly) -> str:
     """One term per line: ``coeff_re coeff_im : var[,var...]``."""
     lines = []
     for m in sorted(f.terms, key=_mono_key):
-        c = to_float(f.terms[m])
         vs = ",".join(str(v) for v in sorted(m))
-        lines.append(f"{c.real!r} {c.imag!r} : {vs}")
+        lines.append(f"{format_complexes([to_float(f.terms[m])])} : {vs}")
     return "\n".join(lines) + "\n"
 
 
 def parse_poly(text: str) -> MultilinearPoly:
+    """Read one term per line; repeated monomials are summed."""
     terms = {}
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if ":" not in line:
+    for ln, parts in content_lines(text):
+        head, colon, tail = " ".join(parts).partition(":")
+        if not colon:
             raise PolyParseError("expected 'coeff_re coeff_im : vars'", ln)
-        head, tail = line.split(":", 1)
-        parts = head.split()
-        if len(parts) != 2:
-            raise PolyParseError("coefficient needs exactly two numbers", ln)
-        try:
-            c = complex(float(parts[0]), float(parts[1]))
-        except ValueError:
-            raise PolyParseError("bad coefficient", ln) from None
-        vs = set()
-        tail = tail.strip()
-        if tail:
-            for tok in tail.split(","):
-                tok = tok.strip()
-                if len(tok) < 4 or tok[1] != "[" or not tok.endswith("]"):
-                    raise PolyParseError(f"bad variable {tok!r}", ln)
-                block, index = tok[0], tok[2:-1]
-                if block not in "xyzw" or not index or set(index) - {"0", "1"}:
-                    raise PolyParseError(f"bad variable {tok!r}", ln)
-                vs.add(VarId(block, index))
-        m = frozenset(vs)
+        c, = parse_complexes(head.split(), 1, ln, PolyParseError,
+                             what="coefficient")
+        toks = [tok.strip() for tok in tail.split(",")] if tail.strip() else []
+        for tok in toks:
+            if not re.fullmatch(r"[xyzw]\[[01]+\]", tok):
+                raise PolyParseError(f"bad variable {tok!r}", ln, "bad-variable")
+        m = frozenset(VarId(tok[0], tok[2:-1]) for tok in toks)
         terms[m] = terms[m] + c if m in terms else c
     return MultilinearPoly(terms)

@@ -62,10 +62,6 @@ class Exact:
     def __bool__(self) -> bool:
         return not self.is_zero
 
-    @property
-    def is_real(self) -> bool:
-        return not (self.c or self.d)
-
     # ---- conversions ------------------------------------------------
 
     def __complex__(self) -> complex:

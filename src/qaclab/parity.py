@@ -33,9 +33,18 @@ from .qstate import (
     MAX_QUBITS,
     StateVector,
     basis_state,
+    format_state,
     ones_projection_norm,
     product_amplitudes,
     target_density,
+)
+from .textio import (
+    ParseError,
+    content_lines,
+    format_complexes,
+    parse_bits,
+    parse_complexes,
+    parse_int,
 )
 
 
@@ -450,11 +459,12 @@ def refute_depth2_structural(circuit: Circuit,
 # ---- text formats -------------------------------------------------------------
 
 
-class UnitariesParseError(ValueError):
-    def __init__(self, message, line_no=None):
-        self.line_no = line_no
-        super().__init__(message if line_no is None
-                         else f"line {line_no}: {message}")
+class UnitariesParseError(ParseError):
+    pass
+
+
+#: Largest entry of U U^dagger - I that a parsed unitary may show.
+_UNITARITY = 1e-6
 
 
 def format_unitaries(unitaries) -> str:
@@ -463,54 +473,43 @@ def format_unitaries(unitaries) -> str:
     lines = [f"qubits {r}"]
     for u in mats:
         lines.append("unitary")
-        for row in u:
-            lines.append(" ".join(f"{float(v)!r}" for e in row
-                                  for v in (e.real, e.imag)))
+        lines.extend(format_complexes(row) for row in u)
     return "\n".join(lines) + "\n"
 
 
-def parse_unitaries(text: str, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
-    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-    lines = [(i + 1, ln) for i, ln in enumerate(lines) if ln]
-    if not lines or not lines[0][1].startswith("qubits"):
-        raise UnitariesParseError("first line must be 'qubits <r>'")
-    try:
-        r = int(lines[0][1].split()[1])
-    except (IndexError, ValueError):
-        raise UnitariesParseError("bad qubits header", lines[0][0]) from None
+def parse_unitaries(text: str) -> list[np.ndarray]:
+    lines = list(content_lines(text))
+    ln, parts = lines[0] if lines else (None, [])
+    if len(parts) != 2 or parts[0] != "qubits":
+        raise UnitariesParseError("first line must be 'qubits <r>'", ln, "bad-header")
+    r = parse_int(parts[1], ln, UnitariesParseError, lo=1, hi=MAX_QUBITS,
+                  what="qubits count", kind="bad-header")
     dim = 1 << r
     out = []
-    idx = 1
-    while idx < len(lines):
-        ln, content = lines[idx]
-        if content != "unitary":
+    for start in range(1, len(lines), 1 + dim):
+        ln, parts = lines[start]
+        if parts != ["unitary"]:
             raise UnitariesParseError("expected 'unitary'", ln)
-        rows = []
-        for j in range(dim):
-            if idx + 1 + j >= len(lines):
-                raise UnitariesParseError("truncated unitary block", ln)
-            row_ln, row_text = lines[idx + 1 + j]
-            vals = row_text.split()
-            if len(vals) != 2 * dim:
-                raise UnitariesParseError(f"row needs {2 * dim} numbers", row_ln)
-            try:
-                nums = [float(v) for v in vals]
-            except ValueError:
-                raise UnitariesParseError("bad number", row_ln) from None
-            rows.append([complex(nums[2 * i], nums[2 * i + 1])
-                         for i in range(dim)])
-        u = np.array(rows)
-        if np.max(np.abs(u @ u.conj().T - np.eye(dim))) > 1e-6:
-            raise UnitariesParseError("matrix is not unitary", ln)
+        block = lines[start + 1:start + 1 + dim]
+        if len(block) < dim:
+            raise UnitariesParseError("truncated unitary block", ln, "truncated")
+        u = np.array([parse_complexes(row, dim, row_ln, UnitariesParseError,
+                                      what="entry") for row_ln, row in block])
+        if np.max(np.abs(u @ u.conj().T - np.eye(dim))) > _UNITARITY:
+            raise UnitariesParseError("matrix is not unitary", ln, "non-unitary")
         out.append(u)
-        idx += 1 + dim
     if not out:
-        raise UnitariesParseError("no unitary blocks")
+        raise UnitariesParseError("no unitary blocks", None, "empty")
     return out
 
 
-class CertificateParseError(ValueError):
+class CertificateParseError(ParseError):
     pass
+
+
+#: Field count after each certificate key (``note`` takes any).
+_CERT_FIELDS = {"kind": 1, "note": None, "qubits": 1, "parities": 2,
+                "flip-qubit": 1, "state": 4, "target": 9}
 
 
 def format_certificate(cert: RefutationCertificate) -> str:
@@ -521,75 +520,66 @@ def format_certificate(cert: RefutationCertificate) -> str:
     if cert.flip_qubit is not None:
         lines.append(f"flip-qubit {cert.flip_qubit}")
     for idx, psi in enumerate(cert.states):
-        f = psi.to_float()
-        for bits, a in f.nonzero_items():
-            a = complex(a)
-            lines.append(f"state {idx} {bits} {a.real!r} {a.imag!r}")
+        lines.extend(f"state {idx} {line}" for line in format_state(psi).splitlines()
+                     if line)
     for idx, rho in enumerate(cert.final_targets):
-        nums = " ".join(f"{float(v)!r}" for e in np.asarray(rho).reshape(-1)
-                        for v in (e.real, e.imag))
-        lines.append(f"target {idx} {nums}")
+        if rho is not None:  # a parsed certificate may lack target lines
+            lines.append(f"target {idx} {format_complexes(np.asarray(rho).reshape(-1))}")
     return "\n".join(lines) + "\n"
 
 
 def parse_certificate(text: str) -> RefutationCertificate:
-    kind = None
-    note = ""
-    r = None
-    parities = None
-    flip_qubit = None
+    """Read a certificate; header keys, ``state <idx> <bits>`` pairs and
+    ``target <idx>`` lines may each appear once."""
+    err = CertificateParseError
+    header = {}
     state_amps = {}
     targets = {}
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        key = parts[0]
-        try:
-            if key == "kind":
-                kind = parts[1]
-            elif key == "note":
-                note = " ".join(parts[1:])
-            elif key == "qubits":
-                r = int(parts[1])
-                if not 1 <= r <= MAX_QUBITS:
-                    raise ValueError(f"qubits must be within 1..{MAX_QUBITS}")
-            elif key == "parities":
-                parities = (int(parts[1]), int(parts[2]))
-            elif key == "flip-qubit":
-                flip_qubit = int(parts[1])
-            elif key == "state":
-                idx = int(parts[1])
-                bits = parts[2]
-                if r is None:
-                    raise ValueError("state line before the qubits line")
-                if len(bits) != r or set(bits) - {"0", "1"}:
-                    raise ValueError(f"bad {r}-qubit bitstring {bits!r}")
-                amp = complex(float(parts[3]), float(parts[4]))
-                state_amps.setdefault(idx, {})[int(bits, 2)] = amp
-            elif key == "target":
-                idx = int(parts[1])
-                nums = [float(v) for v in parts[2:]]
-                if len(nums) != 8:
-                    raise ValueError("target needs 8 numbers")
-                targets[idx] = np.array(
-                    [complex(nums[2 * i], nums[2 * i + 1]) for i in range(4)]
-                ).reshape(2, 2)
-            else:
-                raise ValueError(f"unknown key {key!r}")
-        except (IndexError, ValueError) as exc:
-            raise CertificateParseError(f"line {ln}: {exc}") from None
-    if kind is None or r is None or not state_amps:
-        raise CertificateParseError("certificate is missing kind/qubits/states")
+    for ln, parts in content_lines(text):
+        key, args = parts[0], parts[1:]
+        if key in header:
+            raise err(f"repeated {key!r} line", ln, "duplicate-entry")
+        if key not in _CERT_FIELDS:
+            raise err(f"unknown key {key!r}", ln, "unknown-directive")
+        if _CERT_FIELDS[key] not in (None, len(args)):
+            raise err(f"{key} needs {_CERT_FIELDS[key]} fields", ln)
+        if key == "note":
+            header[key] = " ".join(args)
+        elif key == "kind":
+            header[key] = args[0]
+        elif key == "qubits":
+            header[key] = parse_int(args[0], ln, err, lo=1, hi=MAX_QUBITS,
+                                    what="qubits count", kind="bad-header")
+        elif key == "parities":
+            header[key] = tuple(parse_int(a, ln, err, what="parity") for a in args)
+        elif key == "flip-qubit":
+            header[key] = parse_int(args[0], ln, err, what="flip qubit")
+        elif key == "state":
+            if "qubits" not in header:
+                raise err("state line before the qubits line", ln, "bad-header")
+            idx = parse_int(args[0], ln, err, what="state index")
+            i = parse_bits(args[1], header["qubits"], ln, err)
+            amps = state_amps.setdefault(idx, {})
+            if i in amps:
+                raise err(f"repeated amplitude of state {idx} {args[1]}", ln,
+                          "duplicate-entry")
+            amps[i], = parse_complexes(args[2:], 1, ln, err, what="amplitude")
+        else:
+            idx = parse_int(args[0], ln, err, what="target index")
+            if idx in targets:
+                raise err(f"repeated target {idx}", ln, "duplicate-entry")
+            targets[idx] = np.array(parse_complexes(
+                args[1:], 4, ln, err, what="target entry")).reshape(2, 2)
+    if not {"kind", "qubits"} <= header.keys() or not state_amps:
+        raise err("certificate is missing kind/qubits/states", None, "incomplete")
     states = []
     for idx in sorted(state_amps):
-        amps = np.zeros(1 << r, dtype=complex)
-        for i, a in state_amps[idx].items():
-            amps[i] = a
-        states.append(StateVector(r, amps))
+        amps = np.zeros(1 << header["qubits"], dtype=complex)
+        amps[list(state_amps[idx])] = list(state_amps[idx].values())
+        states.append(StateVector(header["qubits"], amps))
     final_targets = [targets.get(i) for i in range(len(states))]
-    return RefutationCertificate(kind=kind, states=states,
+    return RefutationCertificate(kind=header["kind"], states=states,
                                  final_targets=final_targets,
-                                 parities=parities, flip_qubit=flip_qubit,
-                                 note=note)
+                                 parities=header.get("parities"),
+                                 flip_qubit=header.get("flip-qubit"),
+                                 note=header.get("note", ""))

@@ -34,7 +34,6 @@ any cut that passes the singular-value rule could make it; see
 """
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -48,6 +47,13 @@ from .numerics import (
     rank_le_1,
     to_float,
 )
+from .textio import (
+    ParseError,
+    content_lines,
+    format_complexes,
+    parse_bits,
+    parse_complexes,
+)
 
 #: Desk-scale register cap; larger registers are out of scope.
 MAX_QUBITS = 12
@@ -55,6 +61,9 @@ MAX_QUBITS = 12
 #: Below this norm, what is left after projecting out the S-ones
 #: component is rounding noise, and renormalizing would magnify it.
 _EMPTY_NORM = 1e-12
+
+#: A parsed state dump whose norm is within this of 1 counts as normalized.
+_NORMALIZED = 1e-6
 
 
 class RegisterSizeError(ValueError):
@@ -398,50 +407,37 @@ def random_exact_state(r: int, rng: np.random.Generator,
 
 # ---- dump format ----------------------------------------------------------
 
-class StateParseError(ValueError):
-    def __init__(self, message, line_no=None):
-        self.line_no = line_no
-        super().__init__(message if line_no is None
-                         else f"line {line_no}: {message}")
+class StateParseError(ParseError):
+    pass
 
 
 def format_state(psi: StateVector) -> str:
-    """One line per nonzero amplitude: ``bitstring re im``, sorted."""
-    lines = []
-    f = psi.to_float()
-    for bits, a in f.nonzero_items():
-        a = complex(a)
-        lines.append(f"{bits} {a.real!r} {a.imag!r}")
-    return "\n".join(lines) + "\n"
+    """One line per nonzero amplitude: ``bitstring re im``, sorted; a
+    single newline for the zero vector."""
+    return "".join(f"{bits} {format_complexes([a])}\n"
+                   for bits, a in psi.to_float().nonzero_items()) or "\n"
 
 
 def parse_state(text: str) -> StateVector:
+    """Read a state dump; a bitstring may appear on one line only."""
     entries = {}
     r = None
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for ln, parts in content_lines(text):
         if len(parts) != 3:
             raise StateParseError("expected 'bitstring re im'", ln)
-        bits = parts[0]
-        if set(bits) - {"0", "1"}:
-            raise StateParseError(f"bad bitstring {bits!r}", ln)
-        if r is None:
-            r = len(bits)
-        elif len(bits) != r:
-            raise StateParseError("inconsistent bitstring lengths", ln)
-        try:
-            entries[bits] = complex(float(parts[1]), float(parts[2]))
-        except ValueError:
-            raise StateParseError("bad amplitude", ln) from None
-        if not cmath.isfinite(entries[bits]):
-            raise StateParseError("non-finite amplitude", ln)
+        r = len(parts[0]) if r is None else r
+        if r > MAX_QUBITS:
+            raise StateParseError(f"more than {MAX_QUBITS} qubits", ln,
+                                  "register-too-large")
+        i = parse_bits(parts[0], r, ln, StateParseError)
+        if i in entries:
+            raise StateParseError(f"repeated bitstring {parts[0]}", ln,
+                                  "duplicate-entry")
+        entries[i], = parse_complexes(parts[1:], 1, ln, StateParseError,
+                                      what="amplitude")
     if r is None:
-        raise StateParseError("empty state dump")
+        raise StateParseError("empty state dump", None, "empty")
     amps = np.zeros(1 << r, dtype=complex)
-    for bits, a in entries.items():
-        amps[int(bits, 2)] = a
+    amps[list(entries)] = list(entries.values())
     n = np.linalg.norm(amps)
-    return StateVector(r, amps, normalized=bool(abs(n - 1.0) <= 1e-6))
+    return StateVector(r, amps, normalized=bool(abs(n - 1.0) <= _NORMALIZED))

@@ -8,6 +8,7 @@ from qaclab.circuit import (
     GATE_Y,
     GATE_Z,
     Circuit,
+    CircuitValidationError,
     DepthReduceError,
     Gate1q,
     MultiGate,
@@ -94,6 +95,16 @@ def test_geta_validation():
     g = geta(1j, 0, 1)
     out = apply_multi(basis_state(2, "11").to_float(), g)
     assert out.amps[3] == 1j
+
+
+@pytest.mark.parametrize("eta,kind", [
+    (0.5, "geta-modulus"), (float("nan"), "geta-modulus"),
+    (complex(float("nan"), 1.0), "geta-modulus"), (float("inf"), "geta-modulus"),
+    (1.0, "geta-trivial")])
+def test_geta_phase_checks_name_their_kind(eta, kind):
+    with pytest.raises(CircuitValidationError) as err:
+        geta(eta, 0, 1)
+    assert err.value.kind == kind
 
 
 def test_single_qubit_gate_unitarity_check():

@@ -78,6 +78,7 @@ MALFORMED = [
      "u 0 matrix 1 0 0 0 0 0 2 0\n", "non-unitary"),
     ("geta-bad-modulus", "qubits 2\ninputs 1\nancillas 0\nlayer 1\ngeta 0.5 0 0 1\n", "geta-modulus"),
     ("geta-trivial-phase", "qubits 2\ninputs 1\nancillas 0\nlayer 1\ngeta 1 0 0 1\n", "geta-trivial"),
+    ("geta-nan-phase", "qubits 2\ninputs 1\nancillas 0\nlayer 1\ngeta nan 0 0 1\n", "bad-eta"),
 ]
 
 
@@ -109,6 +110,24 @@ def test_parse_error_reports_line():
     with pytest.raises(CircuitParseError) as err:
         parse_circuit("qubits 2\ninputs 1\nancillas 0\nlayer 0.5\nu 9 H\n")
     assert err.value.line_no == 5
+
+
+@pytest.mark.parametrize("phase,kind", [
+    ("nan 0", "bad-eta"), ("0 inf", "bad-eta"), ("0.5 0", "geta-modulus"),
+    ("1 0", "geta-trivial")])
+def test_geta_phase_errors_carry_the_line(phase, kind):
+    with pytest.raises(CircuitParseError) as err:
+        parse_circuit(f"qubits 2\ninputs 1\nancillas 0\nlayer 1\ngeta {phase} 0 1\n")
+    assert (err.value.kind, err.value.line_no) == (kind, 5)
+    assert str(err.value).startswith("line 5: ")
+
+
+def test_matrix_entries_must_be_finite():
+    text = "qubits 2\ninputs 1\nancillas 0\nlayer 0.5\nu 0 matrix 1 0 0 0 0 0 {} 0\n"
+    for tok in ("nan", "inf"):
+        with pytest.raises(CircuitParseError) as err:
+            parse_circuit(text.format(tok))
+        assert err.value.kind == "bad-matrix"
 
 
 def test_canonical_form_drops_empty_layers():

@@ -219,6 +219,32 @@ def test_kill_parity_malformed_unitaries_is_bad_input(capsys, tmp_path):
     assert code == 2 and "truncated" in err
 
 
+@pytest.mark.parametrize("phase", ["nan 0", "0 inf"])
+def test_simulate_non_finite_geta_phase_is_bad_input(capsys, tmp_path, phase):
+    path = tmp_path / "nan.qac"
+    path.write_text(f"qubits 2\ninputs 1\nancillas 0\nlayer 1\ngeta {phase} 0 1\n")
+    code, out, err = run_cli(capsys, "simulate", "-c", str(path), "-i", "11")
+    assert code == 2 and "line 5: non-finite phase" in err and "[bad-eta]" in err
+    assert not out
+
+
+@pytest.mark.parametrize("units", [
+    "qubits 2\nunitary\n" + "nan 0 0 0 0 0 0 0\n" + "0 0 1 0 0 0 0 0\n"
+    "0 0 0 0 1 0 0 0\n0 0 0 0 0 0 1 0\n",
+    "qubits 1\nunitary\n1 0 0 0\n0 0 inf 0\n",
+    "qubits -1\nunitary\n1 0\n",
+    "qubits 0\nunitary\n1 0\n",
+])
+def test_kill_parity_bad_unitaries_is_bad_input(capsys, tmp_path, units):
+    upath = tmp_path / "units.txt"
+    upath.write_text(units)
+    opath = tmp_path / "out.txt"
+    code, out, err = run_cli(capsys, "kill-parity", "--unitaries", str(upath),
+                             "--parity", "0", "-o", str(opath))
+    assert code == 2 and err.startswith("error: line ")
+    assert not out and not opath.exists()
+
+
 def test_overlapping_gates_in_a_layer_is_bad_input(capsys, tmp_path):
     path = tmp_path / "overlap.qac"
     path.write_text("qubits 3\ninputs 2\nancillas 0\nlayer 1\ncz 0 1\ncz 1 2\n")

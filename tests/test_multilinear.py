@@ -338,3 +338,11 @@ def test_poly_parse_errors():
         parse_poly("1 : x[0]")  # one coefficient number
     with pytest.raises(PolyParseError):
         parse_poly("1 0 : q[0]")  # unknown block letter
+
+
+@pytest.mark.parametrize("coeff", ["nan 0", "0 nan", "inf 0", "1 -inf"])
+def test_poly_coefficients_must_be_finite(coeff):
+    from qaclab.multilinear import PolyParseError
+    with pytest.raises(PolyParseError, match="line 2: non-finite coefficient") as err:
+        parse_poly(f"1 0 : x[1]\n{coeff} : x[0]\n")
+    assert err.value.kind == "bad-number"

@@ -253,6 +253,14 @@ def test_certificate_round_trip():
     assert ok, detail
 
 
+def test_certificate_text_round_trips_with_and_without_targets():
+    full = format_certificate(refute_depth1(all_h_depth1(2)))
+    bare = "".join(line + "\n" for line in full.splitlines()
+                   if not line.startswith("target"))
+    for text in (full, bare):
+        assert format_certificate(parse_certificate(text)) == text
+
+
 def test_certificate_tampering_detected():
     c = all_h_depth1(2)
     cert = refute_depth1(c)
@@ -303,6 +311,22 @@ def test_unitaries_parse_errors():
         parse_unitaries("unitary\n1 0 0 0\n")
     with pytest.raises(UnitariesParseError):
         parse_unitaries("qubits 1\nunitary\n1 0 0 0\n2 0 0 0\n")  # not unitary
+
+
+@pytest.mark.parametrize("row", ["nan 0 0 0", "1 0 inf 0", "1 0 -inf 0"])
+def test_unitaries_entries_must_be_finite(row):
+    from qaclab.parity import UnitariesParseError
+    with pytest.raises(UnitariesParseError, match="line 4: non-finite entry") as err:
+        parse_unitaries(f"qubits 1\nunitary\n1 0 0 0\n{row}\n")
+    assert err.value.kind == "bad-number"
+
+
+@pytest.mark.parametrize("qubits", ["-1", "0", "13", "99999"])
+def test_unitaries_register_is_bounded(qubits):
+    from qaclab.parity import UnitariesParseError
+    with pytest.raises(UnitariesParseError, match="line 1: qubits count") as err:
+        parse_unitaries(f"qubits {qubits}\nunitary\n1 0\n")
+    assert err.value.kind == "bad-header"
 
 
 # ---- forged certificates ------------------------------------------------------
@@ -361,7 +385,24 @@ def _cert_text(bits_line, qubits=4):
     (_cert_text("0000", qubits=-1), 2),
     (_cert_text("0000", qubits=99), 2),
     ("kind parity-mismatch\nstate 0 0000 1.0 0.0\nqubits 4\n", 2),
+    (_cert_text("0000").replace("1.0 0.0", "nan 0.0", 1), 4),
+    (_cert_text("0000").replace("1.0 0.0", "1.0 inf", 1), 4),
+    (_cert_text("0000") + "target 0 1 0 0 0 0 0 0 nan\n", 6),
 ])
 def test_certificate_parse_errors(text, line):
     with pytest.raises(CertificateParseError, match=f"line {line}:"):
         parse_certificate(text)
+
+
+@pytest.mark.parametrize("extra", [
+    "state 1 0001 0.0 1.0\n",                 # same state, same bitstring
+    "qubits 4\n",                             # header key again
+    "target 0 1 0 0 0 0 0 0 0\ntarget 0 1 0 0 0 0 0 0 0\n",
+])
+def test_certificate_lines_must_not_repeat(extra):
+    text = _cert_text("0000") + extra
+    repeat = len(text.splitlines())
+    with pytest.raises(CertificateParseError, match=f"line {repeat}:") as err:
+        parse_certificate(text)
+    assert err.value.kind == "duplicate-entry"
+    parse_certificate(_cert_text("0000") + "state 0 0001 0.0 1.0\n")  # other state
