@@ -157,15 +157,11 @@ def parse_circuit(text: str, tol: Tolerance = DEFAULT_TOL) -> Circuit:
                    [multis.get(Fraction(i + 1), []) for i in range(depth)])
 
 
-def _parse_qubit(tok, ln, r) -> int:
-    return parse_int(tok, ln, CircuitParseError, lo=0, hi=r - 1,
-                     what="qubit", kind="bad-qubit")
-
-
 def _parse_u(parts, ln, layer, r, tol):
     if len(parts) < 3:
         raise CircuitParseError("u needs a qubit and a gate", ln, "bad-matrix")
-    q = _parse_qubit(parts[1], ln, r)
+    q = parse_int(parts[1], ln, CircuitParseError, lo=0, hi=r - 1,
+                  what="qubit", kind="bad-qubit")
     if q in layer:
         raise CircuitParseError(f"two gates on qubit {q} in one layer", ln,
                                 "duplicate-qubit")
@@ -191,18 +187,13 @@ def _parse_multi(word, parts, ln, r) -> MultiGate:
         qubit_toks = parts[3:]
     qubits = []
     for tok in qubit_toks:
-        q = _parse_qubit(tok, ln, r)
+        q = parse_int(tok, ln, CircuitParseError, lo=0, hi=r - 1,
+                      what="qubit", kind="bad-qubit")
         if q in qubits:
             raise CircuitParseError(f"qubit {q} repeated in gate", ln,
                                     "duplicate-qubit")
         qubits.append(q)
     return MultiGate(frozenset(qubits), word, eta)
-
-
-def _format_label(label: float) -> str:
-    if label == int(label):
-        return str(int(label))
-    return f"{label:g}"
 
 
 def serialize_circuit(circuit: Circuit) -> str:
@@ -213,7 +204,7 @@ def serialize_circuit(circuit: Circuit) -> str:
     for i in range(circuit.depth + 1):
         layer = circuit.single_layers[i]
         if layer:
-            lines.append(f"layer {_format_label(i + 0.5)}")
+            lines.append(f"layer {i}.5")
             for q in sorted(layer):
                 g = layer[q]
                 if g.name is not None:

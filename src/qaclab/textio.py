@@ -5,7 +5,7 @@ dumps, polynomials, unitaries, certificates).
 is a :class:`ParseError`, or a per-format subclass of it, whose message
 reads ``line N: message [kind]``.  Numbers must be finite.
 """
-import math
+import cmath
 
 
 class ParseError(ValueError):
@@ -47,14 +47,23 @@ def parse_complexes(tokens, count, line_no, error=ParseError, *,
         raise error(f"expected {2 * count} numbers, got {len(tokens)}",
                     line_no, kind)
     vals = []
-    for tok in tokens:
+    for k in range(0, len(tokens), 2):
         try:
-            vals.append(float(tok))
+            z = complex(float(tokens[k]), float(tokens[k + 1]))
+        except ValueError:
+            break
+        if not cmath.isfinite(z):
+            break
+        vals.append(z)
+    else:
+        return vals
+    for tok in tokens:  # name the first offending token
+        try:
+            value = float(tok)
         except ValueError:
             raise error(f"bad {what} {tok!r}", line_no, kind) from None
-        if not math.isfinite(vals[-1]):
+        if not cmath.isfinite(value):
             raise error(f"non-finite {what} {tok!r}", line_no, kind)
-    return [complex(re, im) for re, im in zip(vals[::2], vals[1::2])]
 
 
 def format_complexes(values) -> str:
@@ -62,9 +71,9 @@ def format_complexes(values) -> str:
     return " ".join(f"{float(v)!r}" for c in values for v in (c.real, c.imag))
 
 
-def parse_bits(tok, width, line_no, error=ParseError, *,
-               kind="bad-bitstring") -> int:
+def parse_bits(tok, width, line_no, error=ParseError) -> int:
     """A ``width``-character 0/1 string, qubit 0 leftmost, as its index."""
-    if len(tok) != width or set(tok) - {"0", "1"}:
-        raise error(f"expected a {width}-bit string, got {tok!r}", line_no, kind)
+    if len(tok) != width or tok.strip("01"):
+        raise error(f"expected a {width}-bit string, got {tok!r}", line_no,
+                    "bad-bitstring")
     return int(tok, 2)

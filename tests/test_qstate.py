@@ -426,10 +426,6 @@ def test_dump_parse_errors():
     for bad in ("nan 0", "0 inf", "-inf 0", "1 -nan"):
         with pytest.raises(StateParseError, match="line 2: non-finite"):
             parse_state(f"0 1 0\n1 {bad}\n")
-
-
-def test_dump_rejects_repeated_bitstring():
-    from qaclab.qstate import StateParseError
     with pytest.raises(StateParseError, match="line 3: repeated bitstring 0") as err:
         parse_state("0 1 0\n# a comment\n0 0 1\n")
     assert err.value.kind == "duplicate-entry"
