@@ -30,7 +30,8 @@ Every parse failure is a ``CircuitParseError`` (a ``ParseError``, see
 the error class:
 
     bad-header          missing/duplicate/ill-formed header, count mismatch
-    bad-layer-index     label not a multiple of 0.5, out of order, duplicate
+    bad-layer-index     label not a multiple of 0.5, out of order, duplicate,
+                        above MAX_DEPTH + 0.5
     entry-outside-layer gate line before any layer line
     unknown-directive   unrecognized first word
     bad-qubit           non-integer or out-of-range qubit
@@ -74,6 +75,12 @@ from .textio import (
 )
 
 
+#: Deepest circuit a file may describe; its last label is MAX_DEPTH + 0.5.
+#: Every label up to it costs an (empty) layer, so a huge label would
+#: otherwise allocate without bound.
+MAX_DEPTH = 1000
+
+
 class CircuitParseError(ParseError):
     pass
 
@@ -112,6 +119,9 @@ def parse_circuit(text: str, tol: Tolerance = DEFAULT_TOL) -> Circuit:
             if label * 2 != int(label * 2) or label < Fraction(1, 2):
                 raise CircuitParseError("layer label must be a positive multiple "
                                         "of 0.5", ln, "bad-layer-index")
+            if label > MAX_DEPTH + Fraction(1, 2):
+                raise CircuitParseError(f"layer label above the depth cap "
+                                        f"{MAX_DEPTH}", ln, "bad-layer-index")
             if current_layer is not None and label <= current_layer:
                 raise CircuitParseError("layer labels must increase", ln,
                                         "bad-layer-index")

@@ -15,6 +15,7 @@ from __future__ import annotations
 import time
 import zlib
 from dataclasses import dataclass, field, replace
+from itertools import combinations
 
 import numpy as np
 
@@ -36,7 +37,7 @@ from .circuit import (
     parity3_circuit,
     simulate,
 )
-from .numerics import Exact, Tolerance, make_rng, random_unitary
+from .numerics import Exact, Tolerance, make_rng, random_unitary, to_float
 from .parity import (
     KillParityError,
     kill_parity_state,
@@ -388,7 +389,6 @@ def _suite_irreducibility(cfg, only_instance):
                                   "assignment is not justifying")
                 continue
             value = ml.evaluate(p, assignment)
-            from .numerics import to_float
             if abs(to_float(value)) > 1e-8:
                 violations.append(f"instance={idx} A={a_val} P(a) != 0")
     return instances, violations
@@ -424,7 +424,6 @@ def _suite_sv_vs_rank(cfg, only_instance):
             violations.append(f"instance={k} search returned a non-justifying "
                               "assignment")
             continue
-        from itertools import combinations
         for size in range(len(fvars) + 1):
             stop = False
             for combo in combinations(fvars, size):

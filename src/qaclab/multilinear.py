@@ -10,7 +10,11 @@ The decomposability machinery has two independent routes:
 
 * ``sv_partition_test`` checks the restriction identity
   ``f(a) * f == f|_I * f|_complement(I)`` at a justifying assignment,
-  which holds exactly when I is a union of variable-partition classes;
+  which holds exactly when I is a union of variable-partition classes.
+  Exact inputs are decided as one check on the split matrix of the
+  dense [2]*v coefficient tensor (the bit-axis layout of ``qstate``):
+  in int64 when no entry can overflow, on object arrays of Python
+  ints or ``Exact`` scalars otherwise;
 * ``bipartition_rank_oracle`` checks whether the coefficient matrix of
   the split has rank <= 1, i.e. whether f factors as g(I) * h(rest).
 
@@ -18,6 +22,7 @@ They are used to cross-check each other in the verification suites.
 """
 from __future__ import annotations
 
+import math
 import re
 from itertools import combinations
 from typing import Iterable, NamedTuple
@@ -35,6 +40,7 @@ from .numerics import (
     scalar_is_zero,
     to_float,
 )
+from .qstate import cut_matrix
 from .textio import ParseError, content_lines, format_complexes, parse_complexes
 
 
@@ -275,6 +281,77 @@ def find_justifying_assignment(f: MultilinearPoly,
         f"no justifying assignment in {attempts} attempts")
 
 
+#: Exact inputs on more variables are tested at random points.
+_DENSE_MAX_VARS = 16
+
+#: The int64 route needs every compared entry below this in magnitude.
+_INT64_LIMIT = 1 << 63
+
+#: A pivot coefficient at most this large counts as zero when
+#: ``_solve_single_variable_zero`` solves along one variable.
+_PIVOT_EPS = 1e-12
+
+#: |f(a)| at most this counts as a root in the zero-justifying search.
+_ROOT_EPS = 1e-9
+
+
+def _is_integer(s) -> bool:
+    return is_exact(s) and not (s.b or s.c or s.d) and s.a.denominator == 1
+
+
+def _coefficient_tensor(f: MultilinearPoly, fvars: list, a: Assignment):
+    """f as a [2]*v coefficient tensor, plus the pairs (1, a_q).
+
+    The coefficient of monomial m sits at the index that is 1 exactly on
+    m, and axis q is variable ``fvars[q]``.  When every coefficient and
+    a_q is a real integer, the scalars become Python ints and the tensor
+    is int64 if B^2 < 2^63, B = sum|c| * prod_q max(1, |a_q|): B bounds
+    |f(a)|, every restricted coefficient and every partial sum, so no
+    entry that ``_restriction_identity`` computes exceeds B^2.  Past the
+    bound the ints go in an object array, which cannot overflow;
+    otherwise it is an object array of the ``Exact`` scalars.
+    """
+    v = len(fvars)
+    coeffs = list(f.terms.values())
+    point = [a[x] for x in fvars]
+    dtype, one, zero = object, Exact.ONE, Exact.ZERO
+    if all(map(_is_integer, coeffs + point)):
+        coeffs = [c.a.numerator for c in coeffs]
+        point = [x.a.numerator for x in point]
+        one, zero = 1, 0
+        bound = sum(map(abs, coeffs)) * math.prod(max(1, abs(x)) for x in point)
+        if bound * bound < _INT64_LIMIT:
+            dtype = np.int64
+    bit = {x: 1 << (v - 1 - q) for q, x in enumerate(fvars)}
+    t = np.full(1 << v, zero, dtype=dtype)
+    t[[sum(bit[x] for x in m) for m in f.terms]] = coeffs
+    return t.reshape([2] * v), [(one, x) for x in point]
+
+
+def _kron(pairs: list, axes, dtype) -> np.ndarray:
+    """Kronecker product of ``pairs[q]`` over ``axes``, first axis leftmost."""
+    vec = [1]
+    for q in axes:
+        vec = [x * y for x in vec for y in pairs[q]]
+    return np.array(vec, dtype=dtype)
+
+
+def _restriction_identity(t: np.ndarray, pairs: list, s_axes) -> bool:
+    """f(a) * f == f|_S * f|_rest on the coefficient tensor t of f.
+
+    With M the cut matrix (rows: monomials in S) and u, w the Kronecker
+    products of (1, a_q) over S and over the rest, M w is f with the
+    rest substituted, u^T M is f with S substituted and f(a) = u^T M w,
+    so the identity reads f(a) M == outer(M w, u^T M), compared exactly.
+    """
+    rest = [q for q in range(t.ndim) if q not in s_axes]
+    m = cut_matrix(t, s_axes, rest)
+    u, w = _kron(pairs, s_axes, t.dtype), _kron(pairs, rest, t.dtype)
+    right = m @ w
+    left = u @ m
+    return bool(np.array_equal((left @ w) * m, np.multiply.outer(right, left)))
+
+
 def sv_partition_test(f: MultilinearPoly,
                       a: Assignment,
                       subset: Iterable[VarId],
@@ -285,24 +362,36 @@ def sv_partition_test(f: MultilinearPoly,
     """Decide whether f(a)*f == f|_subset * f|_rest as polynomials.
 
     With a justifying a this holds iff subset is a union of classes of
-    the variable-partition of f.  Exact-coefficient inputs with at most
-    16 variables are expanded symbolically; everything else is tested at
-    random points.  Callers sweeping many subsets against one assignment
-    can verify it once themselves and pass ``assume_justifying``.
+    the variable-partition of f.  Exact inputs with at most 16 variables
+    are decided exactly on the dense coefficient tensor: with M its split
+    matrix along the subset (``qstate.cut_matrix``) and u, w the
+    Kronecker products of (1, a_q) on either side, the identity reads
+    f(a) M == outer(M w, u^T M).  It runs in int64 when coefficients and
+    point are real integers with B^2 < 2^63,
+    B = sum|c| * prod_q max(1, |a_q|), on object arrays of Python ints
+    for larger integers, and of ``Exact`` scalars otherwise, never in
+    float.  Everything else is tested at random points.  Callers
+    sweeping many subsets against one assignment can verify it once
+    themselves and pass ``assume_justifying``.
     """
     if not assume_justifying and not is_justifying(f, a):
         raise NotJustifyingError("assignment is not justifying for f")
     subset = frozenset(subset)
     fvars = f.variables()
-    rest = fvars - subset
+    for v in fvars:
+        if v not in a:
+            raise MissingVariableError(f"assignment is missing {v}")
+
+    if (len(fvars) <= _DENSE_MAX_VARS
+            and all(is_exact(c) for c in f.terms.values())
+            and all(is_exact(a[v]) for v in fvars)):
+        order = sorted(fvars)
+        t, pairs = _coefficient_tensor(f, order, a)
+        return _restriction_identity(
+            t, pairs, [q for q, v in enumerate(order) if v in subset])
+
     left = restrict(f, subset & fvars, a)
-    right = restrict(f, rest, a)
-
-    all_exact = (all(is_exact(c) for c in f.terms.values())
-                 and all(is_exact(a[v]) for v in fvars))
-    if all_exact and len(fvars) <= 16:
-        return f * evaluate(f, a) == left * right
-
+    right = restrict(f, fvars - subset, a)
     rng = rng or np.random.default_rng(0)
     fa = to_float(evaluate(f, a))
     for _ in range(trials):
@@ -320,7 +409,7 @@ def _solve_single_variable_zero(f: MultilinearPoly, pivot: VarId,
     g = restrict(f, f.variables() - {pivot}, others)
     c1 = g.coefficient(mono(pivot))
     c0 = g.constant_value()
-    if scalar_is_zero(c1, 1e-12):
+    if scalar_is_zero(c1, _PIVOT_EPS):
         return None
     if is_exact(c0) and is_exact(c1):
         return -c0 / c1
@@ -342,7 +431,7 @@ def find_zero_justifying_assignment(f: MultilinearPoly,
     if f.is_constant:
         raise ValueError("need a non-constant polynomial")
     for a in candidates:
-        if (scalar_is_zero(evaluate(f, a), 1e-9) and is_justifying(f, a)):
+        if (scalar_is_zero(evaluate(f, a), _ROOT_EPS) and is_justifying(f, a)):
             return a
     fvars = sorted(f.variables())
     for attempt in range(attempts):
@@ -356,7 +445,7 @@ def find_zero_justifying_assignment(f: MultilinearPoly,
             continue
         a = dict(others)
         a[pivot] = val
-        if is_justifying(f, a) and scalar_is_zero(evaluate(f, a), 1e-9):
+        if is_justifying(f, a) and scalar_is_zero(evaluate(f, a), _ROOT_EPS):
             return a
     return None
 

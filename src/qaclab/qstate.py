@@ -213,10 +213,13 @@ def validate_bipartition(r: int, a, b) -> tuple[frozenset, frozenset]:
     return a, b
 
 
-def _cut_matrix(psi: StateVector, a: frozenset, b: frozenset) -> np.ndarray:
-    """Amplitudes reshaped to 2^|A| x 2^|B| along the cut."""
+def cut_matrix(t: np.ndarray, a, b) -> np.ndarray:
+    """A [2]*v array reshaped to 2^|A| x 2^|B| along the cut {A, B} of its
+    axes.  Rows run over the axes of A, columns over those of B, each in
+    increasing order with the least axis most significant; either side
+    may be empty (one row or one column)."""
     perm = sorted(a) + sorted(b)
-    return psi.axes().transpose(perm).reshape(1 << len(a), 1 << len(b))
+    return t.transpose(perm).reshape(1 << len(a), 1 << len(b))
 
 
 def separates_at(psi: StateVector, a, b, tol: Tolerance = DEFAULT_TOL):
@@ -227,7 +230,7 @@ def separates_at(psi: StateVector, a, b, tol: Tolerance = DEFAULT_TOL):
     to phase; the yes/no decision itself is exact for exact states.
     """
     a, b = validate_bipartition(psi.r, a, b)
-    mat = _cut_matrix(psi, a, b)
+    mat = cut_matrix(psi.axes(), a, b)
     if psi.is_exact:
         rows = {}
         for i, j in zip(*np.nonzero(mat)):

@@ -64,6 +64,7 @@ MALFORMED = [
     ("bad-layer-label", "qubits 2\ninputs 1\nancillas 0\nlayer 0.7\nu 0 H\n", "bad-layer-index"),
     ("layer-out-of-order", "qubits 2\ninputs 1\nancillas 0\nlayer 1\ncz 0 1\nlayer 0.5\nu 0 H\n", "bad-layer-index"),
     ("duplicate-layer", "qubits 2\ninputs 1\nancillas 0\nlayer 1\ncz 0 1\nlayer 1\ncz 0 1\n", "bad-layer-index"),
+    ("layer-above-depth-cap", "qubits 2\ninputs 1\nancillas 0\nlayer 1e9\ncz 0 1\n", "bad-layer-index"),
     ("entry-before-layer", "qubits 2\ninputs 1\nancillas 0\nu 0 H\n", "entry-outside-layer"),
     ("unknown-directive", "qubits 2\ninputs 1\nancillas 0\nlayer 0.5\nv 0 H\n", "unknown-directive"),
     ("qubit-out-of-range", "qubits 2\ninputs 1\nancillas 0\nlayer 0.5\nu 2 H\n", "bad-qubit"),

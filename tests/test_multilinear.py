@@ -1,5 +1,9 @@
+from fractions import Fraction
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qaclab.multilinear import (
     DecompositionBudgetError,
@@ -190,6 +194,130 @@ def test_sv_cross_polynomial_never_splits():
         assert not sv_partition_test(CROSS, a, subset, rng=rng)
 
 
+# ---- the restriction identity against its sparse symbolic expansion ---------
+
+def restriction_identity_oracle(f, a, subset):
+    """f(a) * f == f|_S * f|_rest, expanded term by term on the sparse map."""
+    fvars = f.variables()
+    subset = frozenset(subset)
+    return (f * evaluate(f, a)
+            == restrict(f, subset & fvars, a) * restrict(f, fvars - subset, a))
+
+
+VARS = [var("x", format(i, "03b")) for i in range(8)]
+OUTSIDE = [var("z", "0"), var("z", "1")]
+# sqrt2, i, fractions and their mixtures: never real integers
+OBJECT_SCALARS = [Exact(0, 1), Exact.I, Exact(Fraction(1, 3)),
+                  Exact(1, 0, 0, Fraction(1, 2)), Exact(Fraction(-5, 2), 1)]
+
+
+@st.composite
+def polys(draw, vs, coeff):
+    masks = draw(st.lists(st.integers(0, (1 << len(vs)) - 1), min_size=1,
+                          max_size=12))
+    terms = {}
+    for mask in masks:
+        m = frozenset(x for i, x in enumerate(vs) if mask >> i & 1)
+        terms[m] = terms.get(m, Exact.ZERO) + draw(coeff)
+    return MultilinearPoly(terms)
+
+
+small_ints = st.integers(-5, 5).map(Exact)
+
+
+def monomials(vs):
+    return [frozenset(c) for k in range(len(vs) + 1) for c in combinations(vs, k)]
+
+
+@st.composite
+def identity_cases(draw):
+    """(f, a, subset) on the int64 route, the object route and either side
+    of the int64 bound; near-products that only an exact compare tells
+    from products; points that are roots of f; subsets that are empty,
+    full or reach outside f."""
+    kind = draw(st.sampled_from(
+        ["constant", "int", "object", "big", "product", "near-product"]))
+    vs = VARS[:draw(st.sampled_from(range(1, 9)))] if kind != "constant" else []
+    a = None
+    if kind in ("constant", "int"):  # a constant may be zero
+        f = draw(polys(vs, small_ints))
+    elif kind == "object":
+        f = draw(polys(vs, st.one_of(small_ints, st.sampled_from(OBJECT_SCALARS))))
+    elif kind == "big":  # B^2 >= 2^63: the object route by the bound
+        scale = 2 ** draw(st.sampled_from([30, 32]))
+        f = draw(polys(vs, small_ints)) * Exact(scale)
+    elif kind == "product":
+        cut = draw(st.integers(0, len(vs)))
+        f = draw(polys(vs[:cut], small_ints)) * draw(polys(vs[cut:], small_ints))
+    else:  # a product with every coefficient large, plus one unit term
+        cut = draw(st.integers(0, len(vs)))
+        scale = draw(st.sampled_from([1000, 20000]))
+        big = st.integers(1, 5).map(lambda c: Exact(c * scale))
+        g, h = (MultilinearPoly({m: draw(big) for m in monomials(part)})
+                for part in (vs[:cut], vs[cut:]))
+        f = g * h + poly({draw(st.sampled_from(monomials(vs))): Exact.ONE})
+        # a positive point keeps every entry large, so the identity misses
+        # by a relative gap far below any float tolerance
+        a = {x: Exact(draw(st.integers(1, 7))) for x in vs}
+    fvars = sorted(f.variables())
+    if kind != "near-product" and fvars and draw(st.booleans()):
+        a = find_zero_justifying_assignment(
+            f, make_rng(draw(st.integers(0, 99))), attempts=2)
+        if a is not None and not all(isinstance(x, Exact) for x in a.values()):
+            a = None
+    if a is None:
+        values = st.integers(-3, 7).map(Exact)
+        if draw(st.booleans()):
+            values = st.one_of(values, st.sampled_from(OBJECT_SCALARS))
+        a = {x: draw(values) for x in fvars}
+    pick = draw(st.integers(0, 9))
+    if pick < 2:
+        subset = frozenset(fvars) if pick else frozenset()
+    else:
+        subset = frozenset(x for x in fvars + OUTSIDE if draw(st.booleans()))
+    return f, a, subset
+
+
+def near_product(s):
+    """(s x + s - 1)(s y + s - 1) + 1 at x = y = 1, split at {x}.
+
+    f is indecomposable (its 2x2 minor is s^2) and the point justifying,
+    but the identity misses by s^2 on entries near 4 s^4: from s = 20000
+    on, a relative gap below 1e-9 that only an exact compare sees.
+    """
+    x, y = VARS[:2]
+    f = poly({(x, y): Exact(s * s), (x,): Exact(s * (s - 1)),
+              (y,): Exact(s * (s - 1)), (): Exact((s - 1) ** 2 + 1)})
+    return f, {x: Exact.ONE, y: Exact.ONE}, frozenset({x})
+
+
+X000, X001, X010 = VARS[:3]
+# x0 (x1 + x2) at a justifying point, split at {x0, x1}: rows of the cut
+# matrix in another order than the Kronecker product u makes it pass
+TRANSPOSED = (poly({(X000, X001): Exact.ONE, (X000, X010): Exact.ONE}),
+              {X000: Exact.ONE, X001: Exact.ZERO, X010: Exact.ONE},
+              frozenset({X000, X001}))
+# 2^32 (x0 x1 + 1): every compared entry is a multiple of 2^64, so int64
+# arithmetic past the bound wraps them all to 0 and the identity "holds"
+OVERFLOWING = (poly({(X000, X001): Exact(2**32), (): Exact(2**32)}),
+               {X000: Exact.ONE, X001: Exact.ONE}, frozenset({X000}))
+
+
+@given(identity_cases())
+@example(near_product(20000))  # int64 route
+@example(near_product(10**5))  # object route by the bound
+@example(TRANSPOSED)
+@example(OVERFLOWING)
+@settings(max_examples=200, deadline=None)
+def test_sv_partition_test_matches_symbolic_oracle(case):
+    f, a, subset = case
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    dense = sv_partition_test(f, a, subset, rng=rng, assume_justifying=True)
+    assert dense == restriction_identity_oracle(f, a, subset)
+    assert rng.bit_generator.state == before  # decided exactly, no random points
+
+
 def test_zero_justifying_assignment():
     rng = make_rng(11)
     g = poly({(X0,): Exact.ONE, (X1,): Exact.ONE})
@@ -233,7 +361,6 @@ def test_rank_oracle_examples():
 
 def test_rank_oracle_agrees_with_sv(subtests=None):
     rng = make_rng(13)
-    from itertools import combinations
     for _ in range(60):
         f = random_multilinear_poly(rng, int(rng.integers(2, 6)), 6)
         fvars = sorted(f.variables())
@@ -294,7 +421,6 @@ def test_decompose_budget():
 
 def test_indecomposable_at_every_split_matches_oracle():
     rng = make_rng(15)
-    from itertools import combinations
     # 40 exact polynomials, then 40 with Gaussian float coefficients, then
     # 20 products of variable-disjoint Gaussian factors
     for k in range(100):

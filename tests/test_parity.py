@@ -282,12 +282,14 @@ def test_certificate_tampering_detected():
 def test_verifier_rejects_wrong_final_targets():
     c = all_h_depth1(2)
     cert = refute_depth1(c)
-    broken = RefutationCertificate(
-        kind=cert.kind, states=cert.states,
-        final_targets=[np.eye(2), cert.final_targets[1]],
-        parities=cert.parities, note=cert.note)
-    ok, detail = verify_certificate(broken, c)
-    assert not ok
+    nan = np.full((2, 2), np.nan + 0j)
+    for targets in ([np.eye(2), cert.final_targets[1]], [nan, nan]):
+        broken = RefutationCertificate(
+            kind=cert.kind, states=cert.states, final_targets=targets,
+            parities=cert.parities, note=cert.note)
+        ok, detail = verify_certificate(broken, c)
+        assert not ok
+        assert detail == "recorded final target deviates from simulation"
 
 
 def test_product_initial_layout():

@@ -13,6 +13,7 @@ from qaclab.qstate import (
     StateVector,
     basis_state,
     bipartitions,
+    cut_matrix,
     format_state,
     is_S_separable,
     linked_classes,
@@ -79,6 +80,21 @@ def test_bell_is_far_from_products():
                                         random_state(1, rng)).amps)
                   for _ in range(1000))
     assert closest > 0.2
+
+
+def test_cut_matrix_layout():
+    # entry [i, j] is t at the bits of i on A and of j on B, least axis
+    # most significant on each side
+    t = np.arange(16).reshape([2] * 4)
+    m = cut_matrix(t, {3, 1}, {0, 2})
+    for i in range(4):
+        for j in range(4):
+            idx = [0] * 4
+            idx[1], idx[3] = i >> 1, i & 1
+            idx[0], idx[2] = j >> 1, j & 1
+            assert m[i, j] == t[tuple(idx)]
+    assert cut_matrix(t, set(), range(4)).shape == (1, 16)
+    assert cut_matrix(np.array(7), (), ()).tolist() == [[7]]
 
 
 def test_separates_at_examples():
