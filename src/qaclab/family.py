@@ -29,6 +29,11 @@ import numpy as np
 from .multilinear import Assignment, MultilinearPoly, VarId
 from .numerics import Exact, is_exact, random_scalar, scalar_is_zero, to_float
 
+#: In the candidate scan of ``two_block_zero_assignment``, T1 or T2 this
+#: close to 0, or to alpha times its ones coefficient, rejects the
+#: candidate.
+_DEGENERATE = 1e-12
+
 
 class FamilyShapeError(ValueError):
     """Block lengths or coefficient keys do not match the requested shape."""
@@ -238,11 +243,11 @@ def two_block_zero_assignment(spec: BlockSpec, c: dict, d: dict,
 
     for a_val in range(5):
         t1 = c1f + cs0 * a_val
-        if abs(t1) < 1e-12 or abs(t1 - alphaf * c1f) < 1e-12:
+        if abs(t1) < _DEGENERATE or abs(t1 - alphaf * c1f) < _DEGENERATE:
             continue
         b_val = alphaf * c1f * d1f / (du0 * t1) - d1f / du0
         t2 = d1f + du0 * b_val
-        if abs(t2) < 1e-12 or abs(t2 - alphaf * d1f) < 1e-12:
+        if abs(t2) < _DEGENERATE or abs(t2 - alphaf * d1f) < _DEGENERATE:
             continue
         if exact_inputs:
             a_s = Exact(a_val)

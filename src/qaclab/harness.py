@@ -74,6 +74,19 @@ SUITES = (
 )
 
 
+#: The explicit root assignment of ``irreducibility-family`` must make
+#: |P(a)| at most this.
+_ROOT_RESIDUAL = 1e-8
+
+#: A ``kill-parity`` state must leave every killed row, and the parity it
+#: must avoid, at most this in absolute value (rows) and norm (parity).
+_KILL_RESIDUAL = 1e-10
+
+#: ``depth-reduce`` compares the target densities of the full and the
+#: reduced circuit entrywise against this.
+_TARGET_DEVIATION = 1e-10
+
+
 class SuiteConfigError(ValueError):
     pass
 
@@ -389,7 +402,7 @@ def _suite_irreducibility(cfg, only_instance):
                                   "assignment is not justifying")
                 continue
             value = ml.evaluate(p, assignment)
-            if abs(to_float(value)) > 1e-8:
+            if abs(to_float(value)) > _ROOT_RESIDUAL:
                 violations.append(f"instance={idx} A={a_val} P(a) != 0")
     return instances, violations
 
@@ -461,10 +474,10 @@ def _suite_kill_parity(cfg, only_instance):
                 violations.append(f"instance={k} b={b} construction failed: {exc}")
                 continue
             residual = max(abs(u[-1, :] @ psi.amps) for u in units)
-            if residual > 1e-10:
+            if residual > _KILL_RESIDUAL:
                 violations.append(f"instance={k} b={b} residual={residual:g}")
             off = float(np.sqrt(subset_parity_mass(psi, range(r), 1 - b)))
-            if off > 1e-10:
+            if off > _KILL_RESIDUAL:
                 violations.append(f"instance={k} b={b} parity residual={off:g}")
         if k % 50 == 0:
             extra = units + [random_unitary(1 << r, rng)
@@ -599,7 +612,7 @@ def _suite_depth_reduce(cfg, only_instance):
             rho_full = target_density(simulate(circuit, initial))
             rho_red = target_density(simulate(reduced, initial))
             gap = float(np.max(np.abs(rho_full - rho_red)))
-            if gap > 1e-10:
+            if gap > _TARGET_DEVIATION:
                 violations.append(f"instance={k} input={bits} target "
                                   f"deviation {gap:g}")
                 break

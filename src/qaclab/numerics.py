@@ -60,7 +60,7 @@ class Exact:
         return not (self.a or self.b or self.c or self.d)
 
     def __bool__(self) -> bool:
-        return not self.is_zero
+        return bool(self.a or self.b or self.c or self.d)
 
     # ---- conversions ------------------------------------------------
 

@@ -47,6 +47,10 @@ from .textio import (
     parse_int,
 )
 
+#: The nullspace vector's phase is fixed on its first coordinate whose
+#: modulus exceeds this.
+_PHASE_PIVOT = 1e-12
+
 
 def parity_basis(r: int, b: int) -> list[str]:
     """All bitstrings of length r with Hamming parity b, sorted."""
@@ -116,7 +120,7 @@ def _nullspace_vector_last_free(a: np.ndarray, tol: Tolerance) -> np.ndarray:
         x[col] = -r[i, c_star]
     x = x / np.linalg.norm(x)
     # phase convention: first nonzero coordinate positive real
-    first_nonzero = next(v for v in x if abs(v) > 1e-12)
+    first_nonzero = next(v for v in x if abs(v) > _PHASE_PIVOT)
     x = x * (abs(first_nonzero) / first_nonzero)
     return x
 

@@ -7,7 +7,10 @@ gates, projections and tensor products are slices, outer products and
 axis moves on that view, never loops over the 2^r indices.  Amplitude
 arrays come in two flavours: complex128 (floating backend) and object
 arrays of ``Exact`` scalars; the same array code serves both, and on the
-latter every operation is performed without rounding.
+latter every operation is performed without rounding.  Gates are the
+exception: ``circuit`` applies them to an exact state on integer
+numerators over one denominator, and ``amps`` is again ``Exact`` when it
+hands the state back.
 
 Separation of a state at a bipartition {A, B} is decided through the
 Schmidt rank of the amplitude matrix reshaped along the cut: rank one
@@ -99,7 +102,10 @@ class StateVector:
     def to_float(self) -> "StateVector":
         if not self.is_exact:
             return self
-        return StateVector(self.r, self.amps.astype(complex), self.normalized)
+        out = np.zeros(len(self.amps), dtype=complex)
+        idx = np.flatnonzero(self.amps)
+        out[idx] = [complex(a) for a in self.amps[idx].tolist()]
+        return StateVector(self.r, out, self.normalized)
 
     def norm_sq(self):
         if self.is_exact:

@@ -28,7 +28,14 @@ from qaclab.circuit import (
     simulate,
     target_is_pass_through,
 )
-from qaclab.numerics import Exact, Tolerance, make_rng, random_unitary, to_float
+from qaclab.numerics import (
+    DEFAULT_TOL,
+    Exact,
+    Tolerance,
+    make_rng,
+    random_unitary,
+    to_float,
+)
 from qaclab.qstate import (
     StateVector,
     basis_state,
@@ -150,6 +157,19 @@ def test_simulate_trace_layer_labels():
     c = parity3_circuit()
     _, steps = simulate(c, basis_state(4, "0000"), trace=True)
     assert [label for label, _ in steps] == [0.5, 1.0, 1.5, 2.0, 2.5]
+
+
+def test_simulate_twelve_qubits_exact():
+    r = 12
+    all_h = {q: GATE_H for q in range(r)}
+    c = Circuit(r, r - 1, 0, single_layers=[all_h, all_h, all_h],
+                multi_layers=[[cz(q, q + 1) for q in range(0, r, 2)],
+                              [cz(q, q + 1, q + 2) for q in range(1, r - 2, 3)]])
+    bits = "101100111000"
+    final = simulate(c, basis_state(r, bits))
+    assert final.is_exact and final.norm_sq() == 1
+    floats = simulate(c, basis_state(r, bits).to_float())
+    assert final.approx_equal(floats, DEFAULT_TOL)
 
 
 def test_unitarity_of_random_circuits():

@@ -17,6 +17,7 @@ from qaclab.circuit import (
     apply_1q,
     apply_cnot,
     apply_multi,
+    simulate,
 )
 from qaclab.numerics import DEFAULT_TOL, Exact, random_unitary
 from qaclab.parity import product_initial, subset_parity_mass
@@ -67,10 +68,37 @@ def states(draw, min_r=1, max_r=MAX_R, exact=None):
     return StateVector(r, make_amps(rng, r, exact, zero_prob), normalized=False)
 
 
+def phase_gate(eta):
+    return Gate1q(np.array([[Exact.ONE, Exact.ZERO], [Exact.ZERO, eta]],
+                           dtype=object))
+
+
+#: Exact phases: i, -i, (1+i)/sqrt2, and (3+4i)/5, whose denominator is
+#: not a power of two.
+PHASES = (Exact.I, -Exact.I, Exact(0, Fraction(1, 2), 0, Fraction(1, 2)),
+          Exact(Fraction(3, 5), 0, Fraction(4, 5)))
+
+#: Factors of the exact products: the named gates and the phase gates.
+FACTORS = [Gate1q.named(name) for name in "IXYZH"] + [phase_gate(e) for e in PHASES]
+
+
+@st.composite
+def exact_gates(draw):
+    """A named gate, or a product of up to four exact factors; products
+    have entries such as (1 +- i)/2 and (3 + 4i)/(5 sqrt2)."""
+    if draw(st.booleans()):
+        return Gate1q.named(draw(st.sampled_from("IXYZH")))
+    product = draw(st.lists(st.sampled_from(FACTORS), min_size=2, max_size=4))
+    gate = product[0]
+    for factor in product[1:]:
+        gate = factor.compose_after(gate)
+    return gate
+
+
 @st.composite
 def gates(draw):
     if draw(st.booleans()):
-        return Gate1q.named(draw(st.sampled_from("IXYZH")))
+        return draw(exact_gates())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     return Gate1q(random_unitary(2, rng))
 
@@ -91,6 +119,21 @@ def assert_same(got, want):
                    for g, w in zip(got, want))
 
 
+def reference_1q(a, r, q, m):
+    want = []
+    for i in range(1 << r):
+        i0 = i & ~(1 << (r - 1 - q))
+        i1 = i0 | (1 << (r - 1 - q))
+        row = bit(i, r, q)
+        want.append(m[row, 0] * a[i0] + m[row, 1] * a[i1])
+    return want
+
+
+def reference_multi(a, r, qubits, eta):
+    return [eta * a[i] if all(bit(i, r, q) for q in qubits) else a[i]
+            for i in range(1 << r)]
+
+
 @given(states(), st.data())
 @settings(max_examples=80, deadline=None)
 def test_apply_1q(psi, data):
@@ -100,15 +143,9 @@ def test_apply_1q(psi, data):
     exact = psi.is_exact and gate.is_exact
     m = gate.mat if exact else gate.float_mat()
     a = psi.amps if exact else [complex(x) for x in psi.amps]
-    want = []
-    for i in range(1 << r):
-        i0 = i & ~(1 << (r - 1 - q))
-        i1 = i0 | (1 << (r - 1 - q))
-        row = bit(i, r, q)
-        want.append(m[row, 0] * a[i0] + m[row, 1] * a[i1])
     got = apply_1q(psi, q, gate)
     assert got.is_exact == exact
-    assert_same(got.amps, want)
+    assert_same(got.amps, reference_1q(a, r, q, m))
 
 
 @given(states(), st.data())
@@ -123,12 +160,70 @@ def test_apply_multi(psi, data):
     eta = gate.eta
     exact = psi.is_exact and isinstance(eta, Exact)
     a = psi.amps if exact else [complex(x) for x in psi.amps]
-    e = eta if exact else complex(eta)
-    want = [e * a[i] if all(bit(i, r, q) for q in qubits) else a[i]
-            for i in range(1 << r)]
     got = apply_multi(psi, gate)
     assert got.is_exact == exact
-    assert_same(got.amps, want)
+    assert_same(got.amps, reference_multi(a, r, qubits, eta if exact else complex(eta)))
+
+
+@st.composite
+def exact_inputs(draw, r):
+    """Exact amplitudes over denominators 1, 2 or 3, some of them zero.
+    Scaled, the numerators sit near 2^61, where one gate can leave int64,
+    or past 2^64, where the input itself does not fit."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    den = draw(st.sampled_from((1, 2, 3)))
+    scale = draw(st.sampled_from((1, 2**61 + 3, 2**64 + 1)))
+    amps = np.empty(1 << r, dtype=object)
+    for i, parts in enumerate(rng.integers(-1, 2, size=(1 << r, 4))):
+        amps[i] = Exact(*(Fraction(int(p) * scale, den) for p in parts))
+    amps[rng.random(1 << r) < 0.3] = Exact.ZERO
+    return StateVector(r, amps, normalized=draw(st.booleans()))
+
+
+@st.composite
+def exact_circuits(draw):
+    r = draw(st.integers(1, 6))
+    depth = draw(st.integers(0, 3))
+    singles = [draw(st.dictionaries(st.integers(0, r - 1), exact_gates(), max_size=r))
+               for _ in range(depth + 1)]
+    multis = []
+    for _ in range(depth):
+        order = draw(st.permutations(range(r)))
+        cuts = sorted(draw(st.sets(st.integers(1, r), max_size=3)) | {0, r})
+        layer = []
+        for lo, hi in zip(cuts, cuts[1:]):
+            eta = draw(st.sampled_from((None,) + PHASES))
+            qubits = frozenset(order[lo:hi])
+            layer.append(MultiGate(qubits, "cz") if eta is None
+                         else MultiGate(qubits, "geta", eta))
+        multis.append(draw(st.lists(st.sampled_from(layer), unique=True)))
+    return Circuit(r, r - 1, 0, singles, multis)
+
+
+@given(exact_circuits(), st.data(), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_simulate_exact_matches_index_loops(circuit, data, trace):
+    r = circuit.r
+    psi = data.draw(exact_inputs(r))
+    a = list(psi.amps)
+    want = []
+    for i in range(circuit.depth + 1):
+        for q, gate in sorted(circuit.single_layers[i].items()):
+            a = reference_1q(a, r, q, gate.mat)
+        want.append((i + 0.5, a))
+        if i < circuit.depth:
+            for gate in circuit.multi_layers[i]:
+                a = reference_multi(a, r, gate.qubits, gate.eta)
+            want.append((i + 1.0, a))
+    out = simulate(circuit, psi, trace=trace)
+    final, steps = out if trace else (out, [])
+    for got in [final] + [st_ for _, st_ in steps]:
+        assert got.is_exact and got.normalized == psi.normalized
+    assert_same(final.amps, a)
+    if trace:
+        assert [label for label, _ in steps] == [label for label, _ in want]
+        for (_, got), (_, amps) in zip(steps, want):
+            assert_same(got.amps, amps)
 
 
 @given(states(), st.data())
