@@ -1,9 +1,15 @@
 """Seeded verification suites with deterministic, replayable reports.
 
-Each suite draws its instances from per-instance generators seeded by
-``(seed, crc32(suite), instance_index)``, so a report is a pure function
-of (suite, config) and any recorded violation can be replayed on its own
-via the ``only_instance`` hook (CLI: ``--instance``).
+A suite is a generator ``_suite_x(cfg, k)`` over one instance k: it
+draws the instance from its own generator, seeded by
+``(seed, crc32(suite), k)``, and yields that instance's violation
+messages without a prefix.  ``run_suite`` owns the rest: the instance
+count (``trials``, except 16 basis inputs for tight-parity3 and
+``trials`` per shape for irreducibility-family), the selection of one
+instance (``only_instance``, CLI ``--instance``), the ``instance=k``
+prefix of each message and the report's instance count.  So a report is
+a pure function of (suite, config), and any recorded violation can be
+replayed on its own.
 
 Machine-format reports are line-oriented ``key=value`` text with a fixed
 field order and no timing information, so identical configurations
@@ -15,6 +21,7 @@ from __future__ import annotations
 import time
 import zlib
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -23,9 +30,6 @@ from . import family as fam
 from . import multilinear as ml
 from .circuit import (
     GATE_H,
-    GATE_I,
-    GATE_X,
-    GATE_Z,
     Circuit,
     Gate1q,
     apply_multi,
@@ -46,7 +50,6 @@ from .parity import (
     verify_certificate,
 )
 from .qstate import (
-    StateVector,
     basis_state,
     bipartitions,
     is_S_separable,
@@ -59,20 +62,6 @@ from .qstate import (
     tensor,
 )
 from .textio import ParseError
-
-SUITES = (
-    "tight-parity3",
-    "entanglement-lemma",
-    "simplify-lemma",
-    "no-zero-divisors",
-    "irreducibility-family",
-    "sv-vs-rank",
-    "kill-parity",
-    "depth1-refute",
-    "depth-reduce",
-    "topology-6qubit",
-)
-
 
 #: The explicit root assignment of ``irreducibility-family`` must make
 #: |P(a)| at most this.
@@ -160,41 +149,23 @@ def _rng(cfg: SuiteConfig, instance: int, sub: int = 0) -> np.random.Generator:
     return make_rng(cfg.seed, zlib.crc32(cfg.suite.encode()), instance, sub)
 
 
-def _each_instance(cfg: SuiteConfig, only_instance):
-    for k in range(cfg.trials):
-        if only_instance is not None and k != only_instance:
-            continue
-        yield k
-
-
 # ---- individual suites ------------------------------------------------------
 
 
-def _suite_tight_parity3(cfg, only_instance):
+def _suite_tight_parity3(cfg, k):
     """The 4-qubit depth-2 circuit computes 3-input parity exactly and
-    matches its CNOT form on every basis state."""
-    circuit = parity3_circuit()
-    violations = []
-    instances = 0
-    for idx in range(16):
-        if only_instance is not None and idx != only_instance:
-            continue
-        instances += 1
-        bits = format(idx, "04b")
-        initial = basis_state(4, bits)
-        final = simulate(circuit, initial)
-        want_target = (bits.count("1") % 2)
-        for i in range(16):
-            amp = final.amps[i]
-            if (i >> 3) != want_target and not amp.is_zero:
-                violations.append(f"instance={idx} input={bits} "
-                                  f"target residual at {i:04b}")
-                break
-        reference = parity3_cnot_reference(initial)
-        if not all(a == b for a, b in zip(final.amps, reference.amps)):
-            violations.append(f"instance={idx} input={bits} "
-                              "differs from the CNOT form")
-    return instances, violations
+    matches its CNOT form on basis input k."""
+    bits = format(k, "04b")
+    initial = basis_state(4, bits)
+    final = simulate(parity3_circuit(), initial)
+    want_target = (bits.count("1") % 2)
+    for i, amp in enumerate(final.amps):
+        if (i >> 3) != want_target and not amp.is_zero:
+            yield f"input={bits} target residual at {i:04b}"
+            break
+    reference = parity3_cnot_reference(initial)
+    if not all(a == b for a, b in zip(final.amps, reference.amps)):
+        yield f"input={bits} differs from the CNOT form"
 
 
 def _random_split_meeting(rng, r, s):
@@ -206,42 +177,37 @@ def _random_split_meeting(rng, r, s):
             return a, b
 
 
-def _suite_entanglement(cfg, only_instance):
+#: The exact backend's phases for instances k % 4 = 1, 2, 3: i, -i, (1+i)/sqrt2.
+_EXACT_ETAS = (Exact.I, -Exact.I, Exact(0, Fraction(1, 2), 0, Fraction(1, 2)))
+
+
+def _suite_entanglement(cfg, k):
     """A phase gate on S applied to an S-separable product state either
     simplifies or leaves the result S-entangled."""
-    violations = []
-    instances = 0
-    eta_rng = _rng(cfg, 10**6)
-    etas = [complex(np.exp(2j * np.pi * eta_rng.random())) for _ in range(3)]
-    from fractions import Fraction
-    half = Fraction(1, 2)
-    exact_etas = [Exact.I, -Exact.I, Exact(0, half, 0, half)]  # i, -i, (1+i)/sqrt2
-    for k in _each_instance(cfg, only_instance):
-        instances += 1
-        rng = _rng(cfg, k)
-        r = int(rng.integers(2, cfg.max_qubits + 1))
-        s_size = int(rng.integers(2, r + 1))
-        s = frozenset(map(int, rng.choice(r, size=s_size, replace=False)))
-        a, b = _random_split_meeting(rng, r, s)
-        if cfg.backend == "exact":
-            psi = tensor(random_exact_state(len(a), rng),
-                         random_exact_state(len(b), rng), placement=a)
-            gate = cz(*s) if k % 4 == 0 else geta(exact_etas[k % 4 - 1], *s)
-        else:
-            psi = tensor(random_state(len(a), rng),
-                         random_state(len(b), rng), placement=a)
-            gate = cz(*s) if k % 4 == 0 else geta(etas[k % 4 - 1], *s)
-        outcome = classify_simplification(s, psi, cfg.tol)
-        if outcome.kind != "none":
-            continue
-        phi = apply_multi(psi, gate)
-        separable, witness = is_S_separable(phi, s, cfg.tol)
-        if separable:
-            violations.append(
-                f"instance={k} r={r} S={sorted(s)} split={sorted(a)} "
-                f"gate={gate!r}: unsimplified gate left a separable state "
-                f"at {tuple(sorted(witness[0]))}")
-    return instances, violations
+    rng = _rng(cfg, k)
+    r = int(rng.integers(2, cfg.max_qubits + 1))
+    s_size = int(rng.integers(2, r + 1))
+    s = frozenset(map(int, rng.choice(r, size=s_size, replace=False)))
+    a, b = _random_split_meeting(rng, r, s)
+    if cfg.backend == "exact":
+        psi = tensor(random_exact_state(len(a), rng),
+                     random_exact_state(len(b), rng), placement=a)
+        etas = _EXACT_ETAS
+    else:
+        psi = tensor(random_state(len(a), rng),
+                     random_state(len(b), rng), placement=a)
+        eta_rng = _rng(cfg, 10**6)
+        etas = [complex(np.exp(2j * np.pi * eta_rng.random())) for _ in range(3)]
+    gate = cz(*s) if k % 4 == 0 else geta(etas[k % 4 - 1], *s)
+    outcome = classify_simplification(s, psi, cfg.tol)
+    if outcome.kind != "none":
+        return
+    phi = apply_multi(psi, gate)
+    separable, witness = is_S_separable(phi, s, cfg.tol)
+    if separable:
+        yield (f"r={r} S={sorted(s)} split={sorted(a)} "
+               f"gate={gate!r}: unsimplified gate left a separable state "
+               f"at {tuple(sorted(witness[0]))}")
 
 
 def _local_positions(group, qubits):
@@ -264,230 +230,190 @@ def _random_factor_pinned(rng, size, pinned_local):
     return tensor(ones, base, placement=pinned_local)
 
 
-def _suite_simplify(cfg, only_instance):
+def _suite_simplify(cfg, k):
     """Whenever the gate's output separates somewhere, the gate either
     disappears or acts as a gate confined to one side of the input or
     output split."""
-    violations = []
-    instances = 0
-    for k in _each_instance(cfg, only_instance):
-        instances += 1
-        rng = _rng(cfg, k)
-        r = int(rng.integers(3, cfg.max_qubits + 1))
-        s_size = int(rng.integers(2, r + 1))
-        s = frozenset(map(int, rng.choice(r, size=s_size, replace=False)))
+    rng = _rng(cfg, k)
+    r = int(rng.integers(3, cfg.max_qubits + 1))
+    s_size = int(rng.integers(2, r + 1))
+    s = frozenset(map(int, rng.choice(r, size=s_size, replace=False)))
+    a = frozenset(q for q in range(r) if rng.random() < 0.5)
+    while not a or len(a) == r:
         a = frozenset(q for q in range(r) if rng.random() < 0.5)
-        while not a or len(a) == r:
-            a = frozenset(q for q in range(r) if rng.random() < 0.5)
-        b = frozenset(range(r)) - a
-        case = k % 3
-        if case == 0:
-            # force disappearance from one side
-            side = a if (s & a) else b
-            other = b if side is a else a
-            psi_side = _random_factor_avoiding_ones(
-                rng, len(side), _local_positions(side, s & side))
-            psi = tensor(psi_side, random_state(len(other), rng), placement=side)
-        elif case == 1 and (s & b):
-            # pin the b side of S so the gate shrinks onto a
-            psi_b = _random_factor_pinned(rng, len(b),
-                                          _local_positions(b, s & b))
-            psi = tensor(random_state(len(a), rng), psi_b, placement=a)
+    b = frozenset(range(r)) - a
+    case = k % 3
+    if case == 0:
+        # force disappearance from one side
+        side = a if (s & a) else b
+        other = b if side is a else a
+        psi_side = _random_factor_avoiding_ones(
+            rng, len(side), _local_positions(side, s & side))
+        psi = tensor(psi_side, random_state(len(other), rng), placement=side)
+    elif case == 1 and (s & b):
+        # pin the b side of S so the gate shrinks onto a
+        psi_b = _random_factor_pinned(rng, len(b),
+                                      _local_positions(b, s & b))
+        psi = tensor(random_state(len(a), rng), psi_b, placement=a)
+    else:
+        psi = tensor(random_state(len(a), rng),
+                     random_state(len(b), rng), placement=a)
+    outcome = classify_simplification(s, psi, cfg.tol)
+    phi = apply_multi(psi, cz(*s))
+    for c, d in bipartitions(r):
+        sep, _ = separates_at(phi, c, d, cfg.tol)
+        if not sep:
+            continue
+        if outcome.disappears:
+            continue
+        if outcome.simplifies:
+            t = outcome.t
+            if any(t <= side for side in (a, b, c, d)):
+                continue
         else:
-            psi = tensor(random_state(len(a), rng),
-                         random_state(len(b), rng), placement=a)
-        outcome = classify_simplification(s, psi, cfg.tol)
-        phi = apply_multi(psi, cz(*s))
-        for c, d in bipartitions(r):
-            sep, _ = separates_at(phi, c, d, cfg.tol)
-            if not sep:
+            if any(s <= side for side in (a, b, c, d)):
                 continue
-            if outcome.disappears:
-                continue
-            if outcome.simplifies:
-                t = outcome.t
-                if any(t <= side for side in (a, b, c, d)):
-                    continue
-            else:
-                if any(s <= side for side in (a, b, c, d)):
-                    continue
-            violations.append(
-                f"instance={k} r={r} S={sorted(s)} outcome={outcome!r} "
-                f"in-split={sorted(a)} out-split={sorted(c)}")
-            break
-    return instances, violations
+        yield (f"r={r} S={sorted(s)} outcome={outcome!r} "
+               f"in-split={sorted(a)} out-split={sorted(c)}")
+        return
 
 
-def _suite_no_zero_divisors(cfg, only_instance):
+def _suite_no_zero_divisors(cfg, k):
     """A disappearing gate on a product state is switched off by one
     factor alone, for any partner on the other side."""
-    violations = []
-    instances = 0
-    for k in _each_instance(cfg, only_instance):
-        instances += 1
-        rng = _rng(cfg, k)
-        r = int(rng.integers(2, cfg.max_qubits + 1))
-        s_size = int(rng.integers(1, r + 1))
-        s = frozenset(map(int, rng.choice(r, size=s_size, replace=False)))
+    rng = _rng(cfg, k)
+    r = int(rng.integers(2, cfg.max_qubits + 1))
+    s_size = int(rng.integers(1, r + 1))
+    s = frozenset(map(int, rng.choice(r, size=s_size, replace=False)))
+    a = frozenset(q for q in range(r) if rng.random() < 0.5)
+    while not a or len(a) == r:
         a = frozenset(q for q in range(r) if rng.random() < 0.5)
-        while not a or len(a) == r:
-            a = frozenset(q for q in range(r) if rng.random() < 0.5)
-        b = frozenset(range(r)) - a
-        sides = [side for side in (a, b) if s & side]
-        zero_side = sides[k % len(sides)]
-        other = b if zero_side is a else a
-        psi_zero = _random_factor_avoiding_ones(
-            rng, len(zero_side), _local_positions(zero_side, s & zero_side))
-        psi_other = random_state(len(other), rng)
-        psi = tensor(psi_zero, psi_other, placement=zero_side)
-        outcome = classify_simplification(s, psi, cfg.tol)
-        if not outcome.disappears:
-            violations.append(f"instance={k} construction failed: {outcome!r}")
-            continue
-        thr = cfg.tol.threshold(1.0)
-        norm_a = ones_projection_norm(psi_zero, _local_positions(zero_side, s & zero_side))
-        norm_b = ones_projection_norm(psi_other, _local_positions(other, s & other)) \
-            if (s & other) else 1.0
-        if norm_a > thr and norm_b > thr:
-            violations.append(f"instance={k} no factor certifies disappearance")
-            continue
-        certified = zero_side if norm_a <= thr else other
-        certified_state = psi_zero if norm_a <= thr else psi_other
-        partner_side = b if certified is a else a
-        partner_rng = _rng(cfg, k, 1)
-        for j in range(50):
-            sigma = random_state(len(partner_side), partner_rng)
-            pair = tensor(certified_state, sigma, placement=certified)
-            if not classify_simplification(s, pair, cfg.tol).disappears:
-                violations.append(
-                    f"instance={k} partner={j}: certified side failed")
-                break
-    return instances, violations
+    b = frozenset(range(r)) - a
+    sides = [side for side in (a, b) if s & side]
+    zero_side = sides[k % len(sides)]
+    other = b if zero_side is a else a
+    psi_zero = _random_factor_avoiding_ones(
+        rng, len(zero_side), _local_positions(zero_side, s & zero_side))
+    psi_other = random_state(len(other), rng)
+    psi = tensor(psi_zero, psi_other, placement=zero_side)
+    outcome = classify_simplification(s, psi, cfg.tol)
+    if not outcome.disappears:
+        yield f"construction failed: {outcome!r}"
+        return
+    thr = cfg.tol.threshold(1.0)
+    norm_a = ones_projection_norm(psi_zero, _local_positions(zero_side, s & zero_side))
+    norm_b = ones_projection_norm(psi_other, _local_positions(other, s & other)) \
+        if (s & other) else 1.0
+    if norm_a > thr and norm_b > thr:
+        yield "no factor certifies disappearance"
+        return
+    certified = zero_side if norm_a <= thr else other
+    certified_state = psi_zero if norm_a <= thr else psi_other
+    partner_side = b if certified is a else a
+    partner_rng = _rng(cfg, k, 1)
+    for j in range(50):
+        sigma = random_state(len(partner_side), partner_rng)
+        pair = tensor(certified_state, sigma, placement=certified)
+        if not classify_simplification(s, pair, cfg.tol).disappears:
+            yield f"partner={j}: certified side failed"
+            return
 
 
-def _suite_irreducibility(cfg, only_instance):
+def _suite_irreducibility(cfg, k):
     """Every hypothesis-passing family instance is indecomposable at all
     splits; the compact two-block shape also yields the explicit
-    justifying root assignment."""
-    violations = []
-    instances = 0
-    total = len(fam.FAMILY_SHAPES) * cfg.trials
-    for idx in range(total):
-        if only_instance is not None and idx != only_instance:
-            continue
-        instances += 1
-        shape = fam.FAMILY_SHAPES[idx // cfg.trials]
-        rng = _rng(cfg, idx)
-        spec, c, d, alpha = fam.random_family_instance(shape, rng, max_vars=12)
-        hyp = fam.check_family_hypotheses(spec, c, d)
-        if not hyp.all_hold:
-            violations.append(f"instance={idx} shape={shape} hypotheses "
-                              f"failed for a Gaussian draw")
-            continue
-        p = fam.build_family_P(spec, c, d, alpha)
-        if not ml.indecomposable_at_every_split(p, cfg.tol):
-            violations.append(f"instance={idx} shape={shape} found a "
-                              "rank-1 split")
-            continue
-        if shape == "two-block-compact":
-            try:
-                assignment, a_val, _ = fam.two_block_zero_assignment(
-                    spec, c, d, alpha)
-            except fam.NoZeroAssignmentError as exc:
-                violations.append(f"instance={idx} shape={shape} "
-                                  f"no explicit root: {exc}")
-                continue
-            if not ml.is_justifying(p, assignment):
-                violations.append(f"instance={idx} A={a_val} explicit "
-                                  "assignment is not justifying")
-                continue
-            value = ml.evaluate(p, assignment)
-            if abs(to_float(value)) > _ROOT_RESIDUAL:
-                violations.append(f"instance={idx} A={a_val} P(a) != 0")
-    return instances, violations
+    justifying root assignment.  Instances run ``trials`` per shape."""
+    shape = fam.FAMILY_SHAPES[k // cfg.trials]
+    rng = _rng(cfg, k)
+    spec, c, d, alpha = fam.random_family_instance(shape, rng, max_vars=12)
+    hyp = fam.check_family_hypotheses(spec, c, d)
+    if not hyp.all_hold:
+        yield f"shape={shape} hypotheses failed for a Gaussian draw"
+        return
+    p = fam.build_family_P(spec, c, d, alpha)
+    if not ml.indecomposable_at_every_split(p, cfg.tol):
+        yield f"shape={shape} found a rank-1 split"
+        return
+    if shape != "two-block-compact":
+        return
+    try:
+        assignment, a_val, _ = fam.two_block_zero_assignment(spec, c, d, alpha)
+    except fam.NoZeroAssignmentError as exc:
+        yield f"shape={shape} no explicit root: {exc}"
+        return
+    if not ml.is_justifying(p, assignment):
+        yield f"A={a_val} explicit assignment is not justifying"
+        return
+    value = ml.evaluate(p, assignment)
+    if abs(to_float(value)) > _ROOT_RESIDUAL:
+        yield f"A={a_val} P(a) != 0"
 
 
-def _suite_sv_vs_rank(cfg, only_instance):
+def _suite_sv_vs_rank(cfg, k):
     """The restriction-identity split test agrees with membership in the
     factor-variable partition computed by exhaustive decomposition."""
-    violations = []
-    instances = 0
     max_vars = min(cfg.max_qubits, 8)
-    for k in _each_instance(cfg, only_instance):
-        instances += 1
-        rng = _rng(cfg, k)
-        exact = cfg.backend == "exact"
-        if k % 2 == 0:
-            n_vars = int(rng.integers(3, max_vars + 1))
-            f = ml.random_multilinear_poly(rng, n_vars, n_vars + 2, exact)
-        else:
-            n_factors = 2 if rng.random() < 0.7 else 3
-            per = 2 if n_factors == 3 else int(rng.integers(2, 4))
-            f, _ = ml.random_disjoint_product(rng, n_factors, per, exact)
-        fvars = sorted(f.variables())
-        if len(fvars) < 2:
-            continue
-        try:
-            partition = ml.variable_partition(f, cfg.tol)
-            a = ml.find_justifying_assignment(f, rng)
-        except (ml.JustifyingSearchError, ml.DecompositionBudgetError) as exc:
-            violations.append(f"instance={k} setup failed: {exc}")
-            continue
-        if not ml.is_justifying(f, a):
-            violations.append(f"instance={k} search returned a non-justifying "
-                              "assignment")
-            continue
-        for size in range(len(fvars) + 1):
-            stop = False
-            for combo in combinations(fvars, size):
-                subset = frozenset(combo)
-                expected = ml.is_union_of_classes(subset, partition)
-                actual = ml.sv_partition_test(f, a, subset, rng=rng, tol=cfg.tol,
-                                              assume_justifying=True)
-                if actual != expected:
-                    violations.append(
-                        f"instance={k} subset={sorted(map(str, subset))} "
-                        f"identity={actual} partition-membership={expected}")
-                    stop = True
-                    break
-            if stop:
-                break
-    return instances, violations
+    rng = _rng(cfg, k)
+    exact = cfg.backend == "exact"
+    if k % 2 == 0:
+        n_vars = int(rng.integers(3, max_vars + 1))
+        f = ml.random_multilinear_poly(rng, n_vars, n_vars + 2, exact)
+    else:
+        n_factors = 2 if rng.random() < 0.7 else 3
+        per = 2 if n_factors == 3 else int(rng.integers(2, 4))
+        f, _ = ml.random_disjoint_product(rng, n_factors, per, exact)
+    fvars = sorted(f.variables())
+    if len(fvars) < 2:
+        return
+    try:
+        partition = ml.variable_partition(f, cfg.tol)
+        a = ml.find_justifying_assignment(f, rng)
+    except (ml.JustifyingSearchError, ml.DecompositionBudgetError) as exc:
+        yield f"setup failed: {exc}"
+        return
+    if not ml.is_justifying(f, a):
+        yield "search returned a non-justifying assignment"
+        return
+    subsets = (frozenset(combo) for size in range(len(fvars) + 1)
+               for combo in combinations(fvars, size))
+    for subset in subsets:
+        expected = ml.is_union_of_classes(subset, partition)
+        actual = ml.sv_partition_test(f, a, subset, rng=rng, tol=cfg.tol,
+                                      assume_justifying=True)
+        if actual != expected:
+            yield (f"subset={sorted(map(str, subset))} "
+                   f"identity={actual} partition-membership={expected}")
+            return
 
 
-def _suite_kill_parity(cfg, only_instance):
+def _suite_kill_parity(cfg, k):
     """Killer states satisfy every constraint and have pure parity; the
     too-many-constraints precondition is rejected."""
-    violations = []
-    instances = 0
-    for k in _each_instance(cfg, only_instance):
-        instances += 1
-        rng = _rng(cfg, k)
-        r = int(rng.integers(2, cfg.max_qubits + 1))
-        k_max = (1 << (r - 1)) - 1
-        n_units = int(rng.integers(1, k_max + 1))
-        units = [random_unitary(1 << r, rng) for _ in range(n_units)]
-        for b in (0, 1):
-            try:
-                psi = kill_parity_state(units, b, cfg.tol)
-            except KillParityError as exc:
-                violations.append(f"instance={k} b={b} construction failed: {exc}")
-                continue
-            residual = max(abs(u[-1, :] @ psi.amps) for u in units)
-            if residual > _KILL_RESIDUAL:
-                violations.append(f"instance={k} b={b} residual={residual:g}")
-            off = float(np.sqrt(subset_parity_mass(psi, range(r), 1 - b)))
-            if off > _KILL_RESIDUAL:
-                violations.append(f"instance={k} b={b} parity residual={off:g}")
-        if k % 50 == 0:
-            extra = units + [random_unitary(1 << r, rng)
-                             for _ in range((1 << (r - 1)) - n_units)]
-            try:
-                kill_parity_state(extra, 0, cfg.tol)
-                violations.append(f"instance={k} precondition not rejected")
-            except KillParityError:
-                pass
-    return instances, violations
+    rng = _rng(cfg, k)
+    r = int(rng.integers(2, cfg.max_qubits + 1))
+    k_max = (1 << (r - 1)) - 1
+    n_units = int(rng.integers(1, k_max + 1))
+    units = [random_unitary(1 << r, rng) for _ in range(n_units)]
+    for b in (0, 1):
+        try:
+            psi = kill_parity_state(units, b, cfg.tol)
+        except KillParityError as exc:
+            yield f"b={b} construction failed: {exc}"
+            continue
+        residual = max(abs(u[-1, :] @ psi.amps) for u in units)
+        if residual > _KILL_RESIDUAL:
+            yield f"b={b} residual={residual:g}"
+        off = float(np.sqrt(subset_parity_mass(psi, range(r), 1 - b)))
+        if off > _KILL_RESIDUAL:
+            yield f"b={b} parity residual={off:g}"
+    if k % 50 == 0:
+        extra = units + [random_unitary(1 << r, rng)
+                         for _ in range((1 << (r - 1)) - n_units)]
+        try:
+            kill_parity_state(extra, 0, cfg.tol)
+            yield "precondition not rejected"
+        except KillParityError:
+            pass
 
 
 def _random_1q(rng) -> Gate1q:
@@ -517,32 +443,27 @@ def _random_multi_layer(rng, r, qubits=None):
     return gates
 
 
-def _suite_depth1_refute(cfg, only_instance):
+def _suite_depth1_refute(cfg, k):
     """Every random depth-1 circuit earns a verified certificate."""
-    violations = []
-    instances = 0
-    for k in _each_instance(cfg, only_instance):
-        instances += 1
-        rng = _rng(cfg, k)
-        n = int(rng.integers(2, 4))
-        m = int(rng.integers(0, 3))
-        r = 1 + n + m
-        circuit = Circuit(
-            r, n, m,
-            single_layers=[_random_single_layer(rng, r),
-                           _random_single_layer(rng, r)],
-            multi_layers=[_random_multi_layer(rng, r)],
-        )
-        ancilla = random_state(m, rng) if (m and k % 2) else None
-        try:
-            cert = refute_depth1(circuit, ancilla, cfg.tol)
-        except Exception as exc:  # any failure to refute is a violation
-            violations.append(f"instance={k} refuter failed: {exc}")
-            continue
-        ok, detail = verify_certificate(cert, circuit, cfg.tol)
-        if not ok:
-            violations.append(f"instance={k} verification failed: {detail}")
-    return instances, violations
+    rng = _rng(cfg, k)
+    n = int(rng.integers(2, 4))
+    m = int(rng.integers(0, 3))
+    r = 1 + n + m
+    circuit = Circuit(
+        r, n, m,
+        single_layers=[_random_single_layer(rng, r),
+                       _random_single_layer(rng, r)],
+        multi_layers=[_random_multi_layer(rng, r)],
+    )
+    ancilla = random_state(m, rng) if (m and k % 2) else None
+    try:
+        cert = refute_depth1(circuit, ancilla, cfg.tol)
+    except Exception as exc:  # any failure to refute is a violation
+        yield f"refuter failed: {exc}"
+        return
+    ok, detail = verify_certificate(cert, circuit, cfg.tol)
+    if not ok:
+        yield f"verification failed: {detail}"
 
 
 def _case1_fixture(rng, n, m):
@@ -588,35 +509,29 @@ def _case2_fixture(rng, n, m):
                    multi_layers=[layer1, layer2])
 
 
-def _suite_depth_reduce(cfg, only_instance):
+def _suite_depth_reduce(cfg, k):
     """Stripping the last layer preserves the target's final state on
     every classical input, for both admissible shapes."""
-    violations = []
-    instances = 0
-    for k in _each_instance(cfg, only_instance):
-        instances += 1
-        rng = _rng(cfg, k)
-        n = int(rng.integers(1, 4))
-        m = int(rng.integers(0, 3))
-        if 1 + n + m > cfg.max_qubits:
-            m = max(0, cfg.max_qubits - 1 - n)
-        circuit = _case1_fixture(rng, n, m) if k % 2 == 0 else _case2_fixture(rng, n, m)
-        try:
-            reduced = depth_reduce(circuit, cfg.tol)
-        except Exception as exc:
-            violations.append(f"instance={k} reduction failed: {exc}")
-            continue
-        for xi in range(1 << n):
-            bits = "0" + format(xi, f"0{n}b") + "0" * m
-            initial = basis_state(circuit.r, bits).to_float()
-            rho_full = target_density(simulate(circuit, initial))
-            rho_red = target_density(simulate(reduced, initial))
-            gap = float(np.max(np.abs(rho_full - rho_red)))
-            if gap > _TARGET_DEVIATION:
-                violations.append(f"instance={k} input={bits} target "
-                                  f"deviation {gap:g}")
-                break
-    return instances, violations
+    rng = _rng(cfg, k)
+    n = int(rng.integers(1, 4))
+    m = int(rng.integers(0, 3))
+    if 1 + n + m > cfg.max_qubits:
+        m = max(0, cfg.max_qubits - 1 - n)
+    circuit = _case1_fixture(rng, n, m) if k % 2 == 0 else _case2_fixture(rng, n, m)
+    try:
+        reduced = depth_reduce(circuit, cfg.tol)
+    except Exception as exc:
+        yield f"reduction failed: {exc}"
+        return
+    for xi in range(1 << n):
+        bits = "0" + format(xi, f"0{n}b") + "0" * m
+        initial = basis_state(circuit.r, bits).to_float()
+        rho_full = target_density(simulate(circuit, initial))
+        rho_red = target_density(simulate(reduced, initial))
+        gap = float(np.max(np.abs(rho_full - rho_red)))
+        if gap > _TARGET_DEVIATION:
+            yield f"input={bits} target deviation {gap:g}"
+            return
 
 
 def _topology_circuit(rng) -> Circuit:
@@ -633,27 +548,21 @@ def _topology_circuit(rng) -> Circuit:
     )
 
 
-def _suite_topology(cfg, only_instance):
+def _suite_topology(cfg, k):
     """The forbidden conjunction never occurs: the middle gate fails to
     simplify while its output separates at {{0,1},{2,3,4,5}}."""
-    violations = []
-    instances = 0
     middle = frozenset({1, 2, 3})
-    for k in _each_instance(cfg, only_instance):
-        instances += 1
-        rng = _rng(cfg, k)
-        circuit = _topology_circuit(rng)
-        bits = format(int(rng.integers(0, 64)), "06b")
-        initial = basis_state(6, bits).to_float()
-        _, steps = simulate(circuit, initial, trace=True)
-        phi = next(st for lbl, st in steps if lbl == 1.5)
-        outcome = classify_simplification(middle, phi, cfg.tol)
-        after = apply_multi(phi, cz(*middle))
-        sep, _ = separates_at(after, {0, 1}, {2, 3, 4, 5}, cfg.tol)
-        if outcome.kind == "none" and sep:
-            violations.append(f"instance={k} input={bits}: unsimplified "
-                              "middle gate with separable output")
-    return instances, violations
+    rng = _rng(cfg, k)
+    circuit = _topology_circuit(rng)
+    bits = format(int(rng.integers(0, 64)), "06b")
+    initial = basis_state(6, bits).to_float()
+    _, steps = simulate(circuit, initial, trace=True)
+    phi = next(st for lbl, st in steps if lbl == 1.5)
+    outcome = classify_simplification(middle, phi, cfg.tol)
+    after = apply_multi(phi, cz(*middle))
+    sep, _ = separates_at(after, {0, 1}, {2, 3, 4, 5}, cfg.tol)
+    if outcome.kind == "none" and sep:
+        yield f"input={bits}: unsimplified middle gate with separable output"
 
 
 _SUITE_FNS = {
@@ -668,6 +577,16 @@ _SUITE_FNS = {
     "depth-reduce": _suite_depth_reduce,
     "topology-6qubit": _suite_topology,
 }
+SUITES = tuple(_SUITE_FNS)
+
+
+def _instance_count(cfg: SuiteConfig) -> int:
+    """The number of instances in a full run of ``cfg.suite``."""
+    if cfg.suite == "tight-parity3":
+        return 16
+    if cfg.suite == "irreducibility-family":
+        return len(fam.FAMILY_SHAPES) * cfg.trials
+    return cfg.trials
 
 
 def run_suite(name: str, cfg: SuiteConfig | None = None,
@@ -678,14 +597,20 @@ def run_suite(name: str, cfg: SuiteConfig | None = None,
         cfg = default_config(name, **overrides)
     elif cfg.suite != name:
         cfg = replace(cfg, suite=name)
+    count = _instance_count(cfg)
+    if only_instance is not None and not 0 <= only_instance < count:
+        raise SuiteConfigError(f"instance {only_instance} is outside "
+                               f"0..{count - 1} of suite {name}")
+    ks = range(count) if only_instance is None else (only_instance,)
+    suite = _SUITE_FNS[name]
     start = time.perf_counter()
-    instances, violations = _SUITE_FNS[name](cfg, only_instance)
+    violations = [f"instance={k} {msg}" for k in ks for msg in suite(cfg, k)]
     wall = time.perf_counter() - start
     return SuiteReport(
         suite=name, trials=cfg.trials, max_qubits=cfg.max_qubits,
         seed=cfg.seed, abs_eps=cfg.abs_eps, rel_eps=cfg.rel_eps,
-        backend=cfg.backend, instances=instances,
-        violations=list(violations), wall_time=wall)
+        backend=cfg.backend, instances=len(ks),
+        violations=violations, wall_time=wall)
 
 
 # ---- reports ----------------------------------------------------------------
@@ -724,6 +649,7 @@ def emit_report(report: SuiteReport, fmt: str = "text") -> str:
         if instance.startswith("instance="):
             lines.append(f"    replay      : qaclab verify {report.suite} "
                          f"--seed {report.seed} --trials {report.trials} "
+                         f"--qubits {report.max_qubits} --backend {report.backend} "
                          f"--instance {instance.split('=')[1]}")
     return "\n".join(lines) + "\n"
 

@@ -15,8 +15,9 @@ is re-verified by simulation alone:
 
 * parity-mismatch: the input registers carry pure parity 0 and 1
   respectively, yet the final target states agree;
-* target-independence: the two initial states differ by a bit flip on a
-  designated input qubit, yet the final target states agree.
+* target-independence: the first input register has one definite parity
+  and the second state is the first with a designated input qubit
+  flipped, so of the other parity, yet the final target states agree.
 
 Either way a circuit computing parity would have to end with target
 |0> against target |1>, so agreement refutes it.
@@ -225,6 +226,9 @@ def verify_certificate(cert: RefutationCertificate, circuit: Circuit,
         q = cert.flip_qubit
         if q is None or q not in inputs:
             return False, "flip qubit must be an input qubit"
+        # the flip then moves the input register to the other parity
+        if min(subset_parity_mass(cert.states[0], inputs, b) for b in (0, 1)) > thr**2:
+            return False, "input register has no definite parity"
         from .circuit import GATE_X, apply_1q
         flipped = apply_1q(cert.states[0], q, GATE_X)
         if not flipped.approx_equal(cert.states[1], tol):

@@ -1,4 +1,5 @@
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -7,12 +8,13 @@ import numpy as np
 import pytest
 
 import qaclab
-from qaclab.cli import main
+from qaclab import harness
+from qaclab.cli import build_parser, main
 from qaclab.circuit import GATE_H, Circuit, cz, parity3_circuit
 from qaclab.circuit_io import parse_circuit, serialize_circuit
 from qaclab.numerics import make_rng, random_unitary
-from qaclab.parity import format_unitaries
-from qaclab.qstate import basis_state, format_state, parse_state
+from qaclab.parity import RefutationCertificate, format_certificate, format_unitaries
+from qaclab.qstate import StateVector, basis_state, format_state, parse_state
 
 DATA = Path(__file__).parent / "data"
 PARITY3 = DATA / "parity3.qac"
@@ -147,6 +149,20 @@ def test_refute_and_verify_cert(capsys, tmp_path):
     assert code == 1 and "INVALID" in out
 
 
+def test_verify_cert_rejects_flip_of_input_without_parity(capsys, tmp_path):
+    # |0>|+>|0>|0> and its flip on qubit 2 both end with target diag(1/2, 1/2)
+    amps = np.zeros((2, 2, 2, 2), dtype=complex)
+    amps[0, :, 0, 0] = 1 / np.sqrt(2)
+    states = [StateVector(4, a.reshape(16)) for a in (amps, amps[:, :, ::-1])]
+    cert = RefutationCertificate("target-independence", states, [None, None],
+                                 flip_qubit=2)
+    cert_path = tmp_path / "cert.txt"
+    cert_path.write_text(format_certificate(cert))
+    code, out, _ = run_cli(capsys, "verify-cert", "-c", str(PARITY3),
+                           "--cert", str(cert_path))
+    assert code == 1 and "definite parity" in out
+
+
 def test_refute_depth2_not_applicable(capsys):
     code, out, _ = run_cli(capsys, "refute", "-c", str(PARITY3))
     assert code == 1 and "not-applicable" in out
@@ -169,6 +185,35 @@ def test_verify_suite_machine_determinism(capsys):
                              "--trials", "10", "--seed", "3",
                              "--format", "machine")
     assert (code1, out1) == (code2, out2)
+
+
+@pytest.mark.parametrize("suite,instance", [("depth-reduce", "999"),
+                                            ("tight-parity3", "-3"),
+                                            ("tight-parity3", "16")])
+def test_verify_instance_outside_suite_is_usage_error(capsys, tmp_path,
+                                                      suite, instance):
+    rpath = tmp_path / "report.txt"
+    code, out, err = run_cli(capsys, "verify", suite, "--instance", instance,
+                             "--format", "machine", "--report", str(rpath))
+    assert code == 2 and "outside" in err
+    assert out == "" and not rpath.exists()
+
+
+def test_replay_line_reproduces_the_config(capsys):
+    report = harness.run_suite("entanglement-lemma", trials=3, backend="exact",
+                               max_qubits=4)
+    report.violations.append("instance=1 synthetic failure")
+    replay = next(line for line in harness.emit_report(report).splitlines()
+                  if "replay" in line)
+    args = build_parser().parse_args(shlex.split(replay.split(": qaclab ")[1]))
+    cfg = harness.default_config(args.suite, trials=args.trials,
+                                 max_qubits=args.qubits, seed=args.seed,
+                                 backend=args.backend)
+    assert cfg == harness.SuiteConfig(
+        suite=report.suite, trials=report.trials, max_qubits=report.max_qubits,
+        seed=report.seed, abs_eps=report.abs_eps, rel_eps=report.rel_eps,
+        backend=report.backend)
+    assert args.instance == 1
 
 
 def test_verify_unknown_suite_is_usage_error(capsys):

@@ -87,6 +87,19 @@ def test_single_instance_replay_reproduces_subset():
     assert one.passed
 
 
+@pytest.mark.parametrize("suite,trials,instance", [
+    ("kill-parity", 10, 10), ("kill-parity", 10, -1),
+    ("tight-parity3", 1, 16), ("irreducibility-family", 2, 12)])
+def test_instance_outside_suite_rejected(suite, trials, instance):
+    with pytest.raises(SuiteConfigError, match="outside"):
+        run_suite(suite, trials=trials, only_instance=instance)
+
+
+def test_tight_parity3_runs_every_basis_input():
+    assert run_suite("tight-parity3").instances == 16
+    assert run_suite("tight-parity3", only_instance=15).instances == 1
+
+
 def test_each_suite_passes_smoke_scale():
     for name in SUITES:
         overrides = {} if name == "tight-parity3" else {"trials": 6}

@@ -1,15 +1,20 @@
+from functools import reduce
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qaclab.circuit import (
     GATE_H,
     GATE_X,
     Circuit,
+    apply_1q,
     classify_simplification,
     cz,
     parity3_circuit,
     simulate,
 )
+from qaclab.harness import _random_multi_layer, _random_single_layer, run_suite
 from qaclab.numerics import Tolerance, make_rng, random_unitary
 from qaclab.parity import (
     CertificateParseError,
@@ -162,7 +167,6 @@ def test_refute_depth1_shape_errors():
 
 def test_refute_depth1_random_circuits():
     rng = make_rng(84)
-    from qaclab.harness import _random_multi_layer, _random_single_layer
     for _ in range(30):
         n = int(rng.integers(2, 4))
         m = int(rng.integers(0, 3))
@@ -335,6 +339,12 @@ def _sv4(amps):
     return StateVector(4, np.asarray(amps, dtype=complex))
 
 
+def _plus_on_1(bits23):
+    """|0>|+>|b2>|b3>: an input register with no definite parity."""
+    return _sv4((np.eye(16)[int("00" + bits23, 2)]
+                 + np.eye(16)[int("01" + bits23, 2)]) / np.sqrt(2))
+
+
 _TARGET_PLUS = np.kron(np.array([1, 1]) / np.sqrt(2), np.eye(8)[0])
 _TARGET_PLUS_FLIPPED = np.kron(np.array([1, 1]) / np.sqrt(2), np.eye(8)[4])
 
@@ -355,6 +365,10 @@ FORGED = {
         "parity-mismatch", [basis_state(4, "0000")] * 2, [None, None],
         parities=(0, 2)), "parities"),
     "wrong-register": (refute_depth1(all_h_depth1(2)), "qubits"),
+    # both final targets are diag(1/2, 1/2), yet the flip proves nothing
+    "input-without-parity": (RefutationCertificate(
+        "target-independence", [_plus_on_1("00"), _plus_on_1("10")],
+        [None, None], flip_qubit=2), "definite parity"),
 }
 
 
@@ -364,6 +378,63 @@ def test_forged_certificates_rejected(name):
     ok, detail = verify_certificate(cert, parity3_circuit())
     assert not ok
     assert reason in detail
+
+
+#: Input factors; the last three give exactly equal parity masses.
+_FACTORS = {"0": (1, 0), "1": (0, 1), "+": (1, 1), "-": (1, -1), "+i": (1, 1j)}
+
+
+@st.composite
+def parity3_initials(draw):
+    """Target |0> and a product of ``_FACTORS`` or a random state on the
+    three inputs."""
+    if draw(st.booleans()):
+        names = draw(st.lists(st.sampled_from(sorted(_FACTORS)),
+                              min_size=3, max_size=3))
+        inputs = reduce(np.kron, [np.array(_FACTORS[x]) / np.linalg.norm(_FACTORS[x])
+                                  for x in names])
+    else:
+        inputs = random_state(3, make_rng(draw(st.integers(0, 2**32 - 1)))).amps
+    return _sv4(np.kron([1, 0], inputs))
+
+
+@st.composite
+def depth1_certificates(draw):
+    """The certificate ``refute_depth1`` gives for a random 4-qubit
+    depth-1 circuit."""
+    rng = make_rng(draw(st.integers(0, 2**32 - 1)))
+    c = Circuit(4, 3, 0,
+                single_layers=[_random_single_layer(rng, 4),
+                               _random_single_layer(rng, 4)],
+                multi_layers=[_random_multi_layer(rng, 4)])
+    return refute_depth1(c)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_no_certificate_refutes_parity3(data):
+    """parity3_circuit computes parity, so every certificate against it
+    must be rejected: drawn states, or a real certificate's states under
+    a drawn kind, flip qubit and parities."""
+    kind = data.draw(st.sampled_from(("parity-mismatch", "target-independence")))
+    parities = data.draw(st.tuples(st.integers(0, 1), st.integers(0, 1)))
+    flip = data.draw(st.integers(1, 3))
+    if data.draw(st.booleans()):
+        states = data.draw(depth1_certificates()).states
+    else:
+        first = data.draw(parity3_initials())
+        second = (apply_1q(first, flip, GATE_X) if data.draw(st.booleans())
+                  else data.draw(parity3_initials()))
+        states = [first, second]
+    cert = RefutationCertificate(kind, states, [None, None],
+                                 parities=parities, flip_qubit=flip)
+    ok, detail = verify_certificate(cert, parity3_circuit())
+    assert not ok, detail
+
+
+def test_default_depth1_refute_certificates_verify():
+    report = run_suite("depth1-refute")
+    assert report.instances == 100 and report.passed, report.violations[:2]
 
 
 def _cert_text(bits_line, qubits=4):
