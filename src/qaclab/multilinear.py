@@ -19,6 +19,12 @@ The decomposability machinery has two independent routes:
   the split has rank <= 1, i.e. whether f factors as g(I) * h(rest).
 
 They are used to cross-check each other in the verification suites.
+Each polynomial keeps a form (``_form``) built on first use: its term
+bitmasks and, for real-integer coefficients, the ints and the int64
+coefficient tensor, shared by every later call.  ``decompose`` tests
+only the subsets that are unions of pair-link classes
+(``qstate.linked_classes`` on that tensor), which never skips the
+minimal split.
 """
 from __future__ import annotations
 
@@ -40,7 +46,7 @@ from .numerics import (
     scalar_is_zero,
     to_float,
 )
-from .qstate import cut_matrix
+from .qstate import cut_matrix, linked_classes
 from .textio import ParseError, content_lines, format_complexes, parse_complexes
 
 
@@ -87,7 +93,7 @@ def _mono_key(m: Monomial):
 class MultilinearPoly:
     """Multilinear polynomial as a pruned {monomial: coefficient} map."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_form")
 
     def __init__(self, terms=None):
         pruned = {}
@@ -95,6 +101,7 @@ class MultilinearPoly:
             if not scalar_is_zero(c):
                 pruned[frozenset(m)] = c
         self.terms = pruned
+        self._form = None
 
     # ---- constructors -------------------------------------------------
 
@@ -206,7 +213,7 @@ def evaluate(f: MultilinearPoly, a: Assignment):
     total = None
     for m, c in f.terms.items():
         val = c
-        for v in m:
+        for v in sorted(m):  # not hash order: float rounding depends on it
             if v not in a:
                 raise MissingVariableError(f"assignment is missing {v}")
             val = val * a[v]
@@ -224,9 +231,8 @@ def restrict(f: MultilinearPoly, subset: Iterable[VarId], a: Assignment) -> Mult
             raise MissingVariableError(f"assignment is missing {v}")
     out = {}
     for m, c in f.terms.items():
-        fixed = m & subset
         val = c
-        for v in fixed:
+        for v in sorted(m & subset):
             val = val * a[v]
         rest = m - subset
         out[rest] = out[rest] + val if rest in out else val
@@ -243,8 +249,20 @@ def is_justifying(f: MultilinearPoly, a: Assignment,
     non-constant when c1 is nonzero (exactly for exact scalars, above
     the tolerance relative to the restriction's own scale for floats,
     so that an assignment annihilating a whole factor is rejected even
-    when rounding leaves residues of order 1e-17).
+    when rounding leaves residues of order 1e-17).  When coefficients
+    and point are real integers, c1 = df/dv(a) for every v comes from
+    one pass over the terms of f's integer form instead.
     """
+    form = _form(f)
+    point = [a.get(x) for x in form.fvars]
+    if form.ints is not None and all(map(_is_integer, point)):
+        point, n = [x.a.numerator for x in point], len(point)
+        c1 = [0] * n
+        for mask, c in zip(form.masks, form.ints):
+            axes = [q for q in range(n) if mask >> (n - 1 - q) & 1]
+            for q in axes:
+                c1[q] += c * math.prod(point[p] for p in axes if p != q)
+        return all(c1)
     fvars = f.variables()
     for v in fvars:
         g = restrict(f, fvars - {v}, a)
@@ -299,33 +317,39 @@ def _is_integer(s) -> bool:
     return is_exact(s) and not (s.b or s.c or s.d) and s.a.denominator == 1
 
 
-def _coefficient_tensor(f: MultilinearPoly, fvars: list, a: Assignment):
-    """f as a [2]*v coefficient tensor, plus the pairs (1, a_q).
+class _Form(NamedTuple):
+    """Sorted variables and a bitmask per term (bit v-1-q for ``fvars[q]``);
+    for real-integer coefficients the ints, l1 = sum|c| and, if v <= 16
+    and l1^2 < 2^63, the read-only int64 [2]*v coefficient tensor."""
+    fvars: list
+    masks: list
+    ints: list | None
+    l1: int
+    tensor: np.ndarray | None
 
-    The coefficient of monomial m sits at the index that is 1 exactly on
-    m, and axis q is variable ``fvars[q]``.  When every coefficient and
-    a_q is a real integer, the scalars become Python ints and the tensor
-    is int64 if B^2 < 2^63, B = sum|c| * prod_q max(1, |a_q|): B bounds
-    |f(a)|, every restricted coefficient and every partial sum, so no
-    entry that ``_restriction_identity`` computes exceeds B^2.  Past the
-    bound the ints go in an object array, which cannot overflow;
-    otherwise it is an object array of the ``Exact`` scalars.
-    """
-    v = len(fvars)
-    coeffs = list(f.terms.values())
-    point = [a[x] for x in fvars]
-    dtype, one, zero = object, Exact.ONE, Exact.ZERO
-    if all(map(_is_integer, coeffs + point)):
-        coeffs = [c.a.numerator for c in coeffs]
-        point = [x.a.numerator for x in point]
-        one, zero = 1, 0
-        bound = sum(map(abs, coeffs)) * math.prod(max(1, abs(x)) for x in point)
-        if bound * bound < _INT64_LIMIT:
-            dtype = np.int64
-    bit = {x: 1 << (v - 1 - q) for q, x in enumerate(fvars)}
+
+def _form(f: MultilinearPoly) -> _Form:
+    """f's form, built once: nothing writes ``terms`` after construction."""
+    if f._form is None:
+        fvars = sorted(f.variables())
+        v = len(fvars)
+        bit = {x: 1 << (v - 1 - q) for q, x in enumerate(fvars)}
+        masks = [sum(bit[x] for x in m) for m in f.terms]
+        ints, l1, tensor = None, 0, None
+        if all(map(_is_integer, f.terms.values())):
+            ints = [c.a.numerator for c in f.terms.values()]
+            l1 = sum(map(abs, ints))
+            if v <= _DENSE_MAX_VARS and l1 * l1 < _INT64_LIMIT:
+                tensor = _dense(masks, ints, v, np.int64)
+                tensor.flags.writeable = False
+        f._form = _Form(fvars, masks, ints, l1, tensor)
+    return f._form
+
+
+def _dense(masks, values, v: int, dtype, zero=0) -> np.ndarray:
     t = np.full(1 << v, zero, dtype=dtype)
-    t[[sum(bit[x] for x in m) for m in f.terms]] = coeffs
-    return t.reshape([2] * v), [(one, x) for x in point]
+    t[masks] = values
+    return t.reshape([2] * v)
 
 
 def _kron(pairs: list, axes, dtype) -> np.ndarray:
@@ -366,36 +390,43 @@ def sv_partition_test(f: MultilinearPoly,
     are decided exactly on the dense coefficient tensor: with M its split
     matrix along the subset (``qstate.cut_matrix``) and u, w the
     Kronecker products of (1, a_q) on either side, the identity reads
-    f(a) M == outer(M w, u^T M).  It runs in int64 when coefficients and
-    point are real integers with B^2 < 2^63,
-    B = sum|c| * prod_q max(1, |a_q|), on object arrays of Python ints
-    for larger integers, and of ``Exact`` scalars otherwise, never in
-    float.  Everything else is tested at random points.  Callers
-    sweeping many subsets against one assignment can verify it once
-    themselves and pass ``assume_justifying``.
+    f(a) M == outer(M w, u^T M).  Real-integer coefficients and point
+    use f's cached int64 tensor if B^2 < 2^63, with
+    B = sum|c| * prod_q max(1, |a_q|) bounding every entry computed;
+    larger integers use object arrays of Python ints, other ``Exact``
+    scalars object arrays of them, never float.  Everything else is
+    tested at random points.  Callers sweeping many subsets against one
+    assignment can verify it once themselves and pass
+    ``assume_justifying``.
     """
     if not assume_justifying and not is_justifying(f, a):
         raise NotJustifyingError("assignment is not justifying for f")
     subset = frozenset(subset)
-    fvars = f.variables()
-    for v in fvars:
+    form = _form(f)
+    for v in form.fvars:
         if v not in a:
             raise MissingVariableError(f"assignment is missing {v}")
 
-    if (len(fvars) <= _DENSE_MAX_VARS
-            and all(is_exact(c) for c in f.terms.values())
-            and all(is_exact(a[v]) for v in fvars)):
-        order = sorted(fvars)
-        t, pairs = _coefficient_tensor(f, order, a)
-        return _restriction_identity(
-            t, pairs, [q for q, v in enumerate(order) if v in subset])
+    point = [a[x] for x in form.fvars]
+    n = len(point)
+    s_axes = [q for q, x in enumerate(form.fvars) if x in subset]
+    if n <= _DENSE_MAX_VARS and form.ints is not None and all(map(_is_integer, point)):
+        point = [x.a.numerator for x in point]
+        bound = form.l1 * math.prod(max(1, abs(x)) for x in point)
+        t = (form.tensor if bound * bound < _INT64_LIMIT
+             else _dense(form.masks, form.ints, n, object))
+        return _restriction_identity(t, [(1, x) for x in point], s_axes)
+    if n <= _DENSE_MAX_VARS and all(map(is_exact, [*f.terms.values(), *point])):
+        t = _dense(form.masks, list(f.terms.values()), n, object, Exact.ZERO)
+        return _restriction_identity(t, [(Exact.ONE, x) for x in point], s_axes)
 
+    fvars = f.variables()
     left = restrict(f, subset & fvars, a)
     right = restrict(f, fvars - subset, a)
     rng = rng or np.random.default_rng(0)
     fa = to_float(evaluate(f, a))
     for _ in range(trials):
-        p = {v: random_scalar(rng) for v in fvars}
+        p = {v: random_scalar(rng) for v in sorted(fvars)}
         lhs = fa * to_float(evaluate(f, p))
         rhs = to_float(evaluate(left, p)) * to_float(evaluate(right, p))
         if not tol.close(lhs, rhs):
@@ -558,15 +589,33 @@ def _extract_factors(f: MultilinearPoly, subset: frozenset):
     return g, h
 
 
+def _link_classes(f: MultilinearPoly, tol: Tolerance):
+    """``linked_classes`` of f's cached int64 tensor, or of its complex
+    tensor for float coefficients, as variable sets; None past 16
+    variables, past the int64 bound and for non-integer ``Exact``."""
+    form = _form(f)
+    t = form.tensor
+    if (form.ints is None and len(form.fvars) <= _DENSE_MAX_VARS
+            and not all(map(is_exact, f.terms.values()))):
+        t = _dense(form.masks, list(map(to_float, f.terms.values())),
+                   len(form.fvars), complex)
+    return None if t is None else [
+        frozenset(form.fvars[q] for q in c) for c in linked_classes(t, tol)]
+
+
 def decompose(f: MultilinearPoly,
               tol: Tolerance = DEFAULT_TOL,
               max_vars: int = 24) -> list[MultilinearPoly]:
     """Variable-disjoint indecomposable factors of f.
 
     Exhaustive minimal-bipartition search (exponential in the variable
-    count, capped at ``max_vars``).  Factors are normalized so that the
-    leading-monomial coefficient is 1, with the residual scalar attached
-    to the first factor; their product equals f up to that convention.
+    count, capped at ``max_vars``).  Pair-linked variables lie in one
+    factor, so only subsets that are unions of ``_link_classes`` are
+    tested, in the same order: the factors are those of the full search.
+    Integer f is linked once (quotients keep its classes), float f at
+    every level.  Factors are normalized so that the leading-monomial
+    coefficient is 1, with the residual scalar attached to the first
+    factor; their product equals f up to that convention.
     """
     if f.is_zero:
         raise ValueError("cannot decompose the zero polynomial")
@@ -574,10 +623,11 @@ def decompose(f: MultilinearPoly,
     if len(fvars) > max_vars:
         raise DecompositionBudgetError(
             f"{len(fvars)} variables exceeds the {max_vars}-variable cap")
+    relink = not all(map(is_exact, f.terms.values()))
 
     factors = []
 
-    def split(g: MultilinearPoly):
+    def split(g: MultilinearPoly, links):
         gvars = sorted(g.variables())
         if len(gvars) <= 1:
             factors.append(g)
@@ -589,17 +639,19 @@ def decompose(f: MultilinearPoly,
             found = None
             for combo in combinations(others, size):
                 subset = frozenset((anchor, *combo))
+                if links and not is_union_of_classes(subset, links):
+                    continue
                 if bipartition_rank_oracle(g, subset, tol):
                     found = subset
                     break
             if found is not None:
                 left, right = _extract_factors(g, found)
                 factors.append(left)  # minimal split: left is one class
-                split(right)
+                split(right, _link_classes(right, tol) if relink else links)
                 return
         factors.append(g)
 
-    split(f)
+    split(f, _link_classes(f, tol))
 
     # normalize: unit leading coefficients, residual scalar on factor 0
     residual = None

@@ -138,6 +138,8 @@ class Exact:
     def _invert(self) -> "Exact":
         if self.is_zero:
             raise ZeroDivisionError("exact scalar division by zero")
+        if not (self.b or self.c or self.d):
+            return Exact._fast(1 / self.a, _F0, _F0, _F0)
         # 1/z = conj(z) / |z|^2 ; |z|^2 = A + B*sqrt2 with rational A, B,
         # and 1/(A + B*sqrt2) = (A - B*sqrt2)/(A^2 - 2 B^2).
         n = self.abs2()

@@ -65,9 +65,8 @@ def subset_parity_mass(psi: StateVector, qubits, b: int) -> float:
     """Probability mass of basis components whose bits at ``qubits`` have
     parity b."""
     r = psi.r
-    parity = np.zeros([1] * r, dtype=int)
-    for q in set(qubits):
-        parity = parity ^ np.arange(2).reshape([2 if p == q else 1 for p in range(r)])
+    sel = sum(1 << (r - 1 - q) for q in set(qubits))
+    parity = (np.bitwise_count(np.arange(1 << r) & sel) & 1).reshape([2] * r)
     probs = np.abs(psi.to_float().axes()) ** 2
     return float(np.sum(probs, where=parity == b))
 

@@ -276,17 +276,20 @@ def linked_classes(t: np.ndarray, tol: Tolerance = DEFAULT_TOL):
     """Classes of the axes of a [2]*v array joined by pair links.
 
     Axes i and j are linked when the 2x2 matrix M left after summing
-    ``t`` over every other axis has det M != 0.  Exact entries link when
-    det M is exactly nonzero.  Float entries link only when |det M|
-    exceeds 2 k tau (|M|_F + k tau), with tau = tol.threshold(|t|_F) and
-    k = 2^((v-2)/2): a cut between i and j that passes the singular-value
-    rule of ``separates_at`` leaves t within tau of a product in the
-    spectral norm, the two summing maps have norm k together, and a 2x2
-    matrix within k tau of a rank-1 one has |det| at most
-    k tau (|M|_F + 2 k tau); the doubled first term is slack for
-    rounding.  Linked axes therefore lie in one tensor factor, and on one
-    side of every cut that the rule lets separate, so the classes
-    returned, sorted by least axis, are never coarser than either.
+    ``t`` over every other axis has det M != 0.  Object and integer
+    arrays are exact: they link when det M is exactly nonzero (int64
+    needs (sum|t|)^2 < 2^63, which bounds |det M|).  Float entries link
+    only when |det M| exceeds 2 k tau (|M|_F + k tau), with
+    tau = tol.threshold(|t|_F) and k = 2^((v-2)/2): a cut between i and
+    j that passes the singular-value rule s_2 <= tol.threshold(s_1) (of
+    ``separates_at`` and ``multilinear.bipartition_rank_oracle``)
+    leaves t within tau of a product in the spectral norm, the two
+    summing maps have norm k together, and a 2x2 matrix within k tau of
+    a rank-1 one has |det| at most k tau (|M|_F + 2 k tau); the doubled
+    first term is slack for rounding.  Linked axes therefore lie in one
+    tensor factor, and on one side of every cut that the rule lets
+    separate, so the classes returned, sorted by least axis, are never
+    coarser than either.
     """
     v = t.ndim
     parent = list(range(v))
@@ -297,7 +300,7 @@ def linked_classes(t: np.ndarray, tol: Tolerance = DEFAULT_TOL):
             q = parent[q]
         return q
 
-    exact = t.dtype == object
+    exact = t.dtype.kind in "Oiu"
     if not exact:
         k = 2.0 ** ((v - 2) / 2)
         k_tau = k * tol.threshold(float(np.linalg.norm(t)))

@@ -331,3 +331,7 @@ def test_subset_parity_mass(psi, data):
                if sum(bit(i, r, q) for q in qubits) % 2 == b)
     got = subset_parity_mass(psi, qubits, b)
     assert DEFAULT_TOL.close(got, want)
+    # the same masked sum over a mask built index by index: bit-identical
+    mask = [sum(bit(i, r, q) for q in set(qubits)) % 2 == b for i in range(1 << r)]
+    probs = np.abs(psi.to_float().axes()) ** 2
+    assert got == float(np.sum(probs, where=np.reshape(mask, [2] * r)))

@@ -1,11 +1,17 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import qaclab
 from qaclab.multilinear import (
+    _extract_factors,
     DecompositionBudgetError,
     MissingVariableError,
     MultilinearPoly,
@@ -29,7 +35,7 @@ from qaclab.multilinear import (
     variable_partition,
     variables_of,
 )
-from qaclab.numerics import Exact, approx_eq, make_rng, to_float
+from qaclab.numerics import DEFAULT_TOL, Exact, approx_eq, make_rng, to_float
 
 X0, X1, X2 = var("x", "0"), var("x", "1"), var("x", "10")
 Z0, Z1 = var("z", "0"), var("z", "1")
@@ -318,6 +324,59 @@ def test_sv_partition_test_matches_symbolic_oracle(case):
     assert rng.bit_generator.state == before  # decided exactly, no random points
 
 
+def definitional_justifying(f, a):
+    """Every single-variable restriction of f at a has a nonzero linear
+    coefficient, read off ``restrict`` in ``Exact`` arithmetic."""
+    fvars = f.variables()
+    for v in fvars:
+        c1 = restrict(f, fvars - {v}, a).coefficient(mono(v))
+        if not isinstance(c1, Exact) or c1.is_zero:
+            return False
+    return True
+
+
+@given(st.sampled_from(range(1, 9)).flatmap(lambda n: polys(VARS[:n], small_ints)),
+       st.sampled_from([1, 2**31, 2**40, 2**70]), st.data())
+@settings(max_examples=200, deadline=None)
+def test_integer_justifying_route_matches_restrictions(f, scale, data):
+    f = f * Exact(scale)  # scales past 2^31 put B^2 past the int64 bound
+    a = {x: Exact(data.draw(st.integers(-3, 3))) for x in sorted(f.variables())}
+    assert is_justifying(f, a) == definitional_justifying(f, a)
+
+
+@given(st.sampled_from(range(1, 7)).flatmap(lambda n: polys(VARS[:n], small_ints)),
+       st.data())
+@settings(max_examples=60, deadline=None)
+def test_cached_form_reused_across_the_int64_bound(f, data):
+    """One polynomial's cached form serves a point inside the int64 bound
+    and one past it, in either order, and is never written."""
+    fvars = sorted(f.variables())
+    small = {x: Exact(data.draw(st.integers(-3, 3))) for x in fvars}
+    large = {x: Exact(data.draw(st.sampled_from([-1, 1])) << 21) for x in fvars}
+    points = [small, large] if data.draw(st.booleans()) else [large, small]
+    subsets = [frozenset(c) for k in range(len(fvars) + 1)
+               for c in combinations(fvars, k)]
+    fresh = None
+    for a in points + points:
+        for subset in subsets:
+            got = sv_partition_test(f, a, subset, assume_justifying=True)
+            assert got == restriction_identity_oracle(f, a, subset)
+        if fvars and fresh is None:
+            fresh = f._form.tensor.copy()
+    if fvars:
+        assert not f._form.tensor.flags.writeable
+        assert np.array_equal(f._form.tensor, fresh)
+
+
+@given(st.fractions().filter(bool), st.fractions())
+def test_rational_exact_inverse_is_fraction_division(q, p):
+    inv = Exact.ONE / Exact(q)
+    assert (inv.a, inv.b, inv.c, inv.d) == (1 / q, 0, 0, 0)
+    quo = Exact(p) / Exact(q)
+    assert (quo.a, quo.b, quo.c, quo.d) == (p / q, 0, 0, 0)
+    assert Exact(p) * inv == quo
+
+
 def test_zero_justifying_assignment():
     rng = make_rng(11)
     g = poly({(X0,): Exact.ONE, (X1,): Exact.ONE})
@@ -417,6 +476,87 @@ def test_decompose_budget():
     f = MultilinearPoly({frozenset(vs): Exact.ONE})
     with pytest.raises(DecompositionBudgetError):
         decompose(f)
+
+
+def unpruned_decompose(f, tol=DEFAULT_TOL):
+    """The minimal-subset search with no pair-link pruning: every subset
+    holding the least variable, by size, then in ``combinations`` order."""
+    factors = []
+    g = f
+    while True:
+        gvars = sorted(g.variables())
+        found = None
+        for size in range(len(gvars) - 1):
+            subsets = (frozenset((gvars[0], *c)) for c in combinations(gvars[1:], size))
+            found = next((s for s in subsets if bipartition_rank_oracle(g, s, tol)), None)
+            if found is not None:
+                break
+        if found is None:
+            factors.append(g)
+            break
+        left, g = _extract_factors(g, found)
+        factors.append(left)
+    leads = [g.terms[g.leading_monomial()] for g in factors]
+    out = [g * (Exact.ONE / c if isinstance(c, Exact) else 1.0 / to_float(c))
+           for g, c in zip(factors, leads)]
+    residual = leads[0]
+    for c in leads[1:]:
+        residual = residual * c
+    out[0] = out[0] * residual
+    return out
+
+
+float_coeffs = st.complex_numbers(min_magnitude=0.1, max_magnitude=10,
+                                  allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def decompose_cases(draw):
+    """Products of up to three variable-disjoint factors with integer,
+    sqrt2-scaled or float coefficients, a float product possibly nudged
+    off rank 1 by a term near the tolerance."""
+    kind = draw(st.sampled_from(["int", "sqrt2", "float"]))
+    coeff = float_coeffs if kind == "float" else small_ints
+    n = draw(st.integers(1, 8))
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=2)))
+    parts = [VARS[lo:hi] for lo, hi in zip([0, *cuts], [*cuts, n])]
+    f = poly({(): Exact.ONE})
+    for part in parts:
+        f = f * draw(polys(part, coeff))
+    if kind == "sqrt2":
+        f = f * Exact.SQRT2
+    if kind == "float" and draw(st.booleans()):
+        eps = draw(st.sampled_from([1e-13, 1e-10, 1e-8, 1e-6]))
+        f = f + poly({draw(st.sampled_from(monomials(VARS[:n]))): eps})
+    return f
+
+
+@given(decompose_cases())
+@settings(max_examples=200, deadline=None)
+def test_decompose_matches_unpruned_search(f):
+    if f.is_zero:
+        return
+    assert decompose(f) == unpruned_decompose(f)
+
+
+def test_evaluate_and_restrict_ignore_the_hash_seed():
+    """Float rounding follows the order of the products, which must not
+    follow string hashes."""
+    code = ("from qaclab.multilinear import MultilinearPoly, evaluate, restrict, var\n"
+            "vs = [var('x', format(i, '04b')) for i in range(12)]\n"
+            "f = MultilinearPoly({frozenset(vs[i:i + 7]): 0.1 * i + 0.3j "
+            "for i in range(6)})\n"
+            "a = {x: 0.7 + 0.1 * i - 0.3j * (i % 3) for i, x in enumerate(vs)}\n"
+            "print(repr(evaluate(f, a)), restrict(f, vs[1:], a))\n")
+    src = str(Path(qaclab.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outs = set()
+    for seed in ("0", "1", "2", "3", "4", "5"):
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed})
+        outs.add(proc.stdout)
+    assert len(outs) == 1
 
 
 def test_indecomposable_at_every_split_matches_oracle():
