@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .multilinear import MultilinearPoly, VarId, bipartition_rank_oracle
-from .numerics import DEFAULT_TOL, Exact, Tolerance, scalar_is_zero
+from .numerics import DEFAULT_TOL, Exact, Tolerance
 from .qstate import StateVector, separates_at
 
 
@@ -68,19 +68,19 @@ def block_partition(*blocks) -> BlockPartition:
     return BlockPartition(tuple((lbl, tuple(sorted(qs))) for lbl, qs in blocks))
 
 
-def _block_substring(bits: str, qubits: tuple[int, ...]) -> str:
-    return "".join(bits[q] for q in sorted(qubits))
-
-
 def poly_of_state(psi: StateVector, bp: BlockPartition) -> MultilinearPoly:
     """Map each basis state to one variable per block, extended linearly."""
     bp.check_covers(psi.r)
-    terms = {}
-    for bits, amp in psi.nonzero_items():
-        m = frozenset(VarId(lbl, _block_substring(bits, qs))
-                      for lbl, qs in bp.blocks)
-        terms[m] = terms[m] + amp if m in terms else amp
-    return MultilinearPoly(terms)
+    idx = np.flatnonzero(psi.support())
+    factors = []
+    for lbl, qs in bp.blocks:
+        # the block's bits of each basis index, in qubit order, as an int
+        value = sum(((idx >> (psi.r - 1 - q)) & 1) << (len(qs) - 1 - p)
+                    for p, q in enumerate(sorted(qs)))
+        names = [VarId(lbl, format(k, f"0{len(qs)}b")) for k in range(1 << len(qs))]
+        factors.append([names[k] for k in value.tolist()])
+    amps = psi.amps
+    return MultilinearPoly({frozenset(m): amps[i] for i, *m in zip(idx, *factors)})
 
 
 def state_of_poly(f: MultilinearPoly, bp: BlockPartition) -> StateVector:

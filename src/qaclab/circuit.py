@@ -18,25 +18,28 @@ component with 1s throughout the gate's qubits; it acts like the smaller
 gate on T = S minus the qubits pinned to |1> when such qubits exist; and
 otherwise it does not simplify.
 
-Gates on an exact state run on integer numerators over one shared
-denominator (``_ExactKernel``): every exact gate entry lies in
-Q(i, sqrt2), and those of H/X/Y/Z, CZ and the phases +-i and
-(1+-i)/sqrt2 even in Z[1/sqrt2, i] (Giles and Selinger, PRA 2013).  The
-amplitudes callers see stay ``Exact``: ``simulate`` converts in once and
-out once (once per layer with ``trace``), the single-gate functions
-once each way.
+Gates on an exact state run on its integer numerators over one shared
+denominator (``StateVector.num``; ``_gate_1q``, ``_gate_multi``), with
+no conversion to or from ``Exact`` amplitudes: every exact gate entry
+lies in Q(i, sqrt2), and those of H/X/Y/Z, CZ and the phases +-i and
+(1+-i)/sqrt2 even in Z[1/sqrt2, i] (Giles and Selinger, PRA 2013).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
-from operator import attrgetter
 
 import numpy as np
 
-from .numerics import DEFAULT_TOL, Exact, Tolerance, is_exact, to_float
+from .numerics import (
+    DEFAULT_TOL,
+    Exact,
+    Tolerance,
+    is_exact,
+    numerators,
+    to_float,
+    widened,
+)
 from .qstate import (
     MAX_QUBITS,
     StateVector,
@@ -188,23 +191,6 @@ def geta(eta, *qubits) -> MultiGate:
 
 # ---- gate application ------------------------------------------------------
 
-#: The exact kernel stays on int64 while every entry it can produce is
-#: below this; numpy int64 wraps silently, so the bound is taken first.
-_INT64_SAFE = 1 << 62
-
-
-_PARTS = attrgetter("a", "b", "c", "d")
-
-
-def _numerators(xs) -> tuple[list, int]:
-    """The components of each ``Exact`` in xs, four per value in order,
-    as integer numerators over their least common denominator, and that
-    denominator."""
-    flat = [c for x in xs for c in _PARTS(x)]
-    den = math.lcm(*{c.denominator for c in flat})
-    return [c.numerator * (den // c.denominator) for c in flat], den
-
-
 def _times(n) -> list:
     """Multiplication by n0 + n1 sqrt2 + i (n2 + n3 sqrt2) as an integer
     matrix on the components (1, sqrt2, i, i sqrt2)."""
@@ -221,130 +207,54 @@ def _gain(*mats) -> int:
     return max(sum(abs(x) for m in mats for x in m[k]) for k in range(4))
 
 
-class _ExactKernel:
-    """An exact state as integer numerators over one denominator.
-
-    Column j of the (4, 2^r) array ``n`` holds amplitude j as
-    (n0 + n1 sqrt2 + i (n2 + n3 sqrt2)) / den with den > 0.  Every exact
-    gate entry lies in Q(i, sqrt2), so a gate acts on the components as
-    an integer matrix over the entry's own denominator, which ``den``
-    absorbs; after each gate, ``n`` and ``den`` are divided by their gcd.
-    ``n`` is int64 while the bound taken before each gate keeps every
-    entry below 2^62, and an object array of Python ints past it.
-    Converting in skips the amplitudes that are the shared ``Exact.ZERO``;
-    converting out writes it at every zero column.  Neither uses a float.
-    """
-
-    def __init__(self, psi: StateVector):
-        self.r, self.normalized = psi.r, psi.normalized
-        # a zero that is not the shared Exact.ZERO becomes a zero column
-        amps = psi.amps.tolist()
-        idx = [j for j, x in enumerate(amps) if x is not Exact.ZERO]
-        nums, self.den = _numerators([amps[j] for j in idx])
-        big = max(map(abs, nums), default=0)
-        self.n = np.zeros((4, 1 << self.r),
-                          dtype=np.int64 if big < _INT64_SAFE else object)
-        self.n[:, idx] = np.array(nums, dtype=self.n.dtype).reshape(-1, 4).T
-
-    def _axes(self, qubits, bit) -> tuple:
-        return (slice(None),) + bit_index(self.r, qubits, bit)
-
-    def _fit(self, gain: int):
-        if (self.n.dtype != object
-                and int(np.abs(self.n).max()) * gain >= _INT64_SAFE):
-            self.n = self.n.astype(object)
-
-    def _reduce(self):
-        if self.den != 1:
-            g = math.gcd(self.den, int(np.gcd.reduce(self.n, axis=None)))
-            if g != 1:
-                self.n //= g
-                self.den //= g
-
-    def apply_1q(self, qubit: int, gate: Gate1q):
-        nums, g = _numerators(gate.mat.flat)
-        m00, m01, m10, m11 = (_times(nums[k:k + 4]) for k in range(0, 16, 4))
-        rows = [(m00, m01), (m10, m11)]
-        self._fit(max(_gain(*row) for row in rows))
-        t = self.n.reshape([4] + [2] * self.r)
-        parts = [self._axes((qubit,), 0), self._axes((qubit,), 1)]
-        out = np.empty_like(t)
-        for part, row in zip(parts, rows):
-            out[part] = sum(np.tensordot(np.array(m, dtype=t.dtype), t[src], 1)
-                            for m, src in zip(row, parts) if any(map(any, m)))
-        self.n = out.reshape(4, -1)
-        self.den *= g
-        self._reduce()
-
-    def apply_multi(self, gate: MultiGate):
-        e, g = _numerators([gate.eta])
-        m = _times(e)
-        self._fit(max(g, _gain(m)))
-        t = self.n.reshape([4] + [2] * self.r)
-        ones = self._axes(gate.qubits, 1)
-        phased = np.tensordot(np.array(m, dtype=t.dtype), t[ones], 1)
-        if g != 1:
-            self.n *= g
-            self.den *= g
-        t[ones] = phased
-        self._reduce()
-
-    def vector(self) -> StateVector:
-        amps = np.full(1 << self.r, Exact.ZERO, dtype=object)
-        idx = np.flatnonzero((self.n != 0).any(axis=0))
-        # each distinct numerator becomes one Fraction, shared
-        values, where = np.unique(self.n[:, idx], return_inverse=True)
-        fracs = [Fraction(v, self.den) for v in values.tolist()]
-        a, b, c, d = ([fracs[i] for i in row]
-                      for row in where.reshape(4, -1).tolist())
-        amps[idx] = list(map(Exact._fast, a, b, c, d))
-        return StateVector(self.r, amps, self.normalized)
-
-
-class _FloatKernel:
-    """A state on the floating backend, with the exact kernel's methods."""
-
-    def __init__(self, psi: StateVector):
-        self.psi = psi.to_float()
-
-    def apply_1q(self, qubit: int, gate: Gate1q):
-        src, m = self.psi.axes(), gate.float_mat()
-        lo = bit_index(self.psi.r, (qubit,), 0)
-        hi = bit_index(self.psi.r, (qubit,), 1)
+def _gate_1q(psi: StateVector, qubit: int, gate: Gate1q) -> StateVector:
+    """psi after a 1-qubit gate, exactly if psi is exact (then so is the
+    gate): each entry acts on the numerators as a ``_times`` matrix over
+    its own denominator, which the state's absorbs."""
+    lo, hi = bit_index(psi.r, (qubit,), 0), bit_index(psi.r, (qubit,), 1)
+    if not psi.is_exact:
+        src, m = psi.axes(), gate.float_mat()
         a0, a1 = src[lo], src[hi]
         out = np.empty_like(src)
         out[lo] = a0 * m[0, 0] + a1 * m[0, 1]
         out[hi] = a0 * m[1, 0] + a1 * m[1, 1]
-        self.psi = StateVector(self.psi.r, out.reshape(-1), self.psi.normalized)
+        return StateVector(psi.r, out.reshape(-1), psi.normalized)
+    nums, g = numerators(gate.mat.flat)
+    m00, m01, m10, m11 = (_times(nums[k:k + 4]) for k in range(0, 16, 4))
+    rows = [(m00, m01), (m10, m11)]
+    t = widened(psi.num, max(_gain(*row) for row in rows)).reshape([4] + [2] * psi.r)
+    parts = [(slice(None),) + lo, (slice(None),) + hi]
+    out = np.empty_like(t)
+    for part, row in zip(parts, rows):
+        out[part] = sum(np.tensordot(np.array(m, dtype=t.dtype), t[src], 1)
+                        for m, src in zip(row, parts) if any(map(any, m)))
+    return psi.restacked(out, psi.den * g)
 
-    def apply_multi(self, gate: MultiGate):
-        ones = bit_index(self.psi.r, gate.qubits, 1)
-        out = self.psi.axes().copy()
+
+def _gate_multi(psi: StateVector, gate: MultiGate) -> StateVector:
+    """psi after a phase gate, exactly if psi is exact (then so is eta)."""
+    ones = bit_index(psi.r, gate.qubits, 1)
+    if not psi.is_exact:
+        out = psi.axes().copy()
         out[ones] = out[ones] * to_float(gate.eta)
-        self.psi = StateVector(self.psi.r, out.reshape(-1), self.psi.normalized)
-
-    def vector(self) -> StateVector:
-        return self.psi
-
-
-def _kernel(psi: StateVector, gates_exact: bool):
-    if gates_exact and psi.is_exact:
-        return _ExactKernel(psi)
-    return _FloatKernel(psi)
+        return StateVector(psi.r, out.reshape(-1), psi.normalized)
+    e, g = numerators([gate.eta])
+    m = _times(e)
+    t = widened(psi.num, max(g, _gain(m))).reshape([4] + [2] * psi.r)
+    out = t * g
+    ones = (slice(None),) + ones
+    out[ones] = np.tensordot(np.array(m, dtype=t.dtype), t[ones], 1)
+    return psi.restacked(out, psi.den * g)
 
 
 def apply_1q(psi: StateVector, qubit: int, gate: Gate1q) -> StateVector:
     if qubit < 0 or qubit >= psi.r:
         raise ValueError(f"qubit {qubit} outside register")
-    k = _kernel(psi, gate.is_exact)
-    k.apply_1q(qubit, gate)
-    return k.vector()
+    return _gate_1q(psi if gate.is_exact else psi.to_float(), qubit, gate)
 
 
 def apply_multi(psi: StateVector, gate: MultiGate) -> StateVector:
-    k = _kernel(psi, is_exact(gate.eta))
-    k.apply_multi(gate)
-    return k.vector()
+    return _gate_multi(psi if is_exact(gate.eta) else psi.to_float(), gate)
 
 
 def apply_cz(psi: StateVector, qubits) -> StateVector:
@@ -359,10 +269,11 @@ def apply_geta(psi: StateVector, qubits, eta) -> StateVector:
 # here): it flips the target on the control's |1> half.
 
 def apply_cnot(psi: StateVector, control: int, target: int) -> StateVector:
-    on = bit_index(psi.r, (control,), 1)
-    out = psi.axes().copy()
-    out[on] = np.flip(psi.axes()[on], axis=target)
-    return StateVector(psi.r, out.reshape(-1), psi.normalized)
+    t = psi.stack()
+    on = (slice(None),) + bit_index(psi.r, (control,), 1)
+    out = t.copy()
+    out[on] = np.flip(t[on], axis=1 + target)
+    return psi.restacked(out)
 
 
 # ---- circuits --------------------------------------------------------------
@@ -450,21 +361,19 @@ def simulate(circuit: Circuit, initial: StateVector, trace: bool = False):
     """
     if initial.r != circuit.r:
         raise ValueError("state register does not match circuit")
-    k = _kernel(initial, circuit.is_exact)
+    psi = initial if circuit.is_exact else initial.to_float()
     steps = []
     for i in range(circuit.depth + 1):
         for q in sorted(circuit.single_layers[i]):
-            k.apply_1q(q, circuit.single_layers[i][q])
+            psi = _gate_1q(psi, q, circuit.single_layers[i][q])
         if trace:
-            steps.append((i + 0.5, k.vector()))
+            steps.append((i + 0.5, psi))
         if i < circuit.depth:
             for g in circuit.multi_layers[i]:
-                k.apply_multi(g)
+                psi = _gate_multi(psi, g)
             if trace:
-                steps.append((i + 1.0, k.vector()))
-    if trace:
-        return steps[-1][1], steps
-    return k.vector()
+                steps.append((i + 1.0, psi))
+    return (psi, steps) if trace else psi
 
 
 # ---- simplification classification ----------------------------------------
@@ -497,10 +406,10 @@ NO_SIMPLIFICATION = SimplificationOutcome("none")
 
 def _pinned_to_one(psi: StateVector, qubit: int, tol: Tolerance) -> bool:
     """True iff every amplitude with a 0 at the qubit vanishes."""
-    zeros = psi.axes()[bit_index(psi.r, (qubit,), 0)]
+    zeros = bit_index(psi.r, (qubit,), 0)
     if psi.is_exact:
-        return not np.count_nonzero(zeros)
-    return bool(np.linalg.norm(zeros) <= tol.threshold(psi.norm()))
+        return not psi.support()[zeros].any()
+    return bool(np.linalg.norm(psi.axes()[zeros]) <= tol.threshold(psi.norm()))
 
 
 def classify_simplification(s, psi: StateVector,
@@ -598,11 +507,11 @@ def computes_parity_on_basis(circuit: Circuit,
                                                        placement=range(1 + n))
         final = simulate(circuit, initial)
         # the component with target != parity(x) must vanish
-        wrong = final.axes()[bit_index(circuit.r, (0,), 1 - x.count("1") % 2)]
+        wrong = bit_index(circuit.r, (0,), 1 - x.count("1") % 2)
         if final.is_exact:
-            ok = not np.count_nonzero(wrong)
+            ok = not final.support()[wrong].any()
         else:
-            ok = np.linalg.norm(wrong) <= tol.threshold(1.0)
+            ok = np.linalg.norm(final.axes()[wrong]) <= tol.threshold(1.0)
         if not ok:
             return False, x
     return True, None

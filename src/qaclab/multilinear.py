@@ -29,6 +29,7 @@ minimal split.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from itertools import combinations
 from typing import Iterable, NamedTuple
@@ -93,7 +94,7 @@ def _mono_key(m: Monomial):
 class MultilinearPoly:
     """Multilinear polynomial as a pruned {monomial: coefficient} map."""
 
-    __slots__ = ("terms", "_form")
+    __slots__ = ("terms", "_form", "_point")
 
     def __init__(self, terms=None):
         pruned = {}
@@ -102,6 +103,7 @@ class MultilinearPoly:
                 pruned[frozenset(m)] = c
         self.terms = pruned
         self._form = None
+        self._point = None
 
     # ---- constructors -------------------------------------------------
 
@@ -352,25 +354,53 @@ def _dense(masks, values, v: int, dtype, zero=0) -> np.ndarray:
     return t.reshape([2] * v)
 
 
-def _kron(pairs: list, axes, dtype) -> np.ndarray:
-    """Kronecker product of ``pairs[q]`` over ``axes``, first axis leftmost."""
-    vec = [1]
-    for q in axes:
-        vec = [x * y for x in vec for y in pairs[q]]
-    return np.array(vec, dtype=dtype)
+def _prepared(f: MultilinearPoly, form: _Form, point: list):
+    """The coefficient tensor of f and the [2]*v Kronecker product of
+    (1, a_q) for an exact point and v <= 16, else None.
+
+    Real-integer coefficients and point use f's int64 tensor if
+    B^2 < 2^63, with B = sum|c| * prod_q max(1, |a_q|) bounding every
+    entry computed, and object ints past it; other ``Exact`` scalars an
+    object tensor of them.  The last point is kept on f with the pair,
+    keyed on the identity of its values (immutable, and held, so no other
+    object takes their ids): a subset sweep prepares a point once, and a
+    dict changed in place is prepared again."""
+    if f._point is not None and all(map(operator.is_, f._point[0], point)):
+        return f._point[1:]
+    n = len(point)
+    if n > _DENSE_MAX_VARS:
+        return None
+    if form.ints is not None and all(map(_is_integer, point)):
+        pairs = [(1, x.a.numerator) for x in point]
+        bound = form.l1 * math.prod(max(1, abs(x)) for _, x in pairs)
+        t = (form.tensor if bound * bound < _INT64_LIMIT
+             else _dense(form.masks, form.ints, n, object))
+    elif all(map(is_exact, [*f.terms.values(), *point])):
+        pairs = [(Exact.ONE, x) for x in point]
+        t = _dense(form.masks, list(f.terms.values()), n, object, Exact.ZERO)
+    else:
+        return None
+    kron = [1]
+    for pair in pairs:
+        kron = [x * y for x in kron for y in pair]
+    f._point = (point, t, np.array(kron, dtype=t.dtype).reshape([2] * n))
+    return f._point[1:]
 
 
-def _restriction_identity(t: np.ndarray, pairs: list, s_axes) -> bool:
+def _restriction_identity(t: np.ndarray, kron: np.ndarray, s_axes) -> bool:
     """f(a) * f == f|_S * f|_rest on the coefficient tensor t of f.
 
     With M the cut matrix (rows: monomials in S) and u, w the Kronecker
-    products of (1, a_q) over S and over the rest, M w is f with the
-    rest substituted, u^T M is f with S substituted and f(a) = u^T M w,
-    so the identity reads f(a) M == outer(M w, u^T M), compared exactly.
+    products of (1, a_q) over S and over the rest (the first column and
+    row of ``kron``'s cut matrix, where the other side's bits are 0),
+    M w is f with the rest substituted, u^T M is f with S substituted and
+    f(a) = u^T M w, so the identity reads f(a) M == outer(M w, u^T M),
+    compared exactly.
     """
     rest = [q for q in range(t.ndim) if q not in s_axes]
     m = cut_matrix(t, s_axes, rest)
-    u, w = _kron(pairs, s_axes, t.dtype), _kron(pairs, rest, t.dtype)
+    k = cut_matrix(kron, s_axes, rest)
+    u, w = k[:, 0], k[0, :]
     right = m @ w
     left = u @ m
     return bool(np.array_equal((left @ w) * m, np.multiply.outer(right, left)))
@@ -390,14 +420,11 @@ def sv_partition_test(f: MultilinearPoly,
     are decided exactly on the dense coefficient tensor: with M its split
     matrix along the subset (``qstate.cut_matrix``) and u, w the
     Kronecker products of (1, a_q) on either side, the identity reads
-    f(a) M == outer(M w, u^T M).  Real-integer coefficients and point
-    use f's cached int64 tensor if B^2 < 2^63, with
-    B = sum|c| * prod_q max(1, |a_q|) bounding every entry computed;
-    larger integers use object arrays of Python ints, other ``Exact``
-    scalars object arrays of them, never float.  Everything else is
-    tested at random points.  Callers sweeping many subsets against one
-    assignment can verify it once themselves and pass
-    ``assume_justifying``.
+    f(a) M == outer(M w, u^T M), in int64 when no entry can overflow,
+    else on Python ints or ``Exact`` objects, never float (``_prepared``,
+    which keeps the last point on f).  Everything else is tested at
+    random points.  Callers sweeping many subsets against one assignment
+    can verify it once themselves and pass ``assume_justifying``.
     """
     if not assume_justifying and not is_justifying(f, a):
         raise NotJustifyingError("assignment is not justifying for f")
@@ -407,18 +434,10 @@ def sv_partition_test(f: MultilinearPoly,
         if v not in a:
             raise MissingVariableError(f"assignment is missing {v}")
 
-    point = [a[x] for x in form.fvars]
-    n = len(point)
-    s_axes = [q for q, x in enumerate(form.fvars) if x in subset]
-    if n <= _DENSE_MAX_VARS and form.ints is not None and all(map(_is_integer, point)):
-        point = [x.a.numerator for x in point]
-        bound = form.l1 * math.prod(max(1, abs(x)) for x in point)
-        t = (form.tensor if bound * bound < _INT64_LIMIT
-             else _dense(form.masks, form.ints, n, object))
-        return _restriction_identity(t, [(1, x) for x in point], s_axes)
-    if n <= _DENSE_MAX_VARS and all(map(is_exact, [*f.terms.values(), *point])):
-        t = _dense(form.masks, list(f.terms.values()), n, object, Exact.ZERO)
-        return _restriction_identity(t, [(Exact.ONE, x) for x in point], s_axes)
+    prepared = _prepared(f, form, [a[x] for x in form.fvars])
+    if prepared is not None:
+        s_axes = [q for q, x in enumerate(form.fvars) if x in subset]
+        return _restriction_identity(*prepared, s_axes)
 
     fvars = f.variables()
     left = restrict(f, subset & fvars, a)

@@ -16,9 +16,11 @@ to the floating backend.
 """
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 
 import numpy as np
 
@@ -200,14 +202,6 @@ def to_float(s) -> complex:
     return complex(s)
 
 
-def abs2_scalar(s):
-    """|s|^2 on the same backend as s (Exact stays Exact)."""
-    if isinstance(s, Exact):
-        return s.abs2()
-    z = complex(s)
-    return z.real * z.real + z.imag * z.imag
-
-
 def scalar_is_zero(s, abs_eps: float = 0.0) -> bool:
     """Exact scalars are tested exactly; floats against abs_eps."""
     if isinstance(s, Exact):
@@ -262,6 +256,75 @@ def rank_le_1(rows, tol: Tolerance = DEFAULT_TOL) -> bool:
             if not approx_eq(x * pivot[c0], other[c0] * pivot[col], tol):
                 return False
     return True
+
+
+# ---- integer numerators ------------------------------------------------
+# Field values as integer arrays: a (4, ...) array of the numerators of
+# the components of 1, sqrt2, i and i sqrt2 over one denominator.
+
+#: Numerator arrays stay int64 while every entry an operation can
+#: produce is below this; int64 wraps silently, so bounds come first.
+INT64_SAFE = 1 << 62
+
+_PARTS = attrgetter("a", "b", "c", "d")
+
+
+def numerators(xs) -> tuple[list, int]:
+    """The components of each ``Exact`` in xs, four per value in order,
+    as integer numerators over their least common denominator (so in
+    lowest terms), and that denominator."""
+    flat = [c for x in xs for c in _PARTS(x)]
+    den = math.lcm(*{c.denominator for c in flat})
+    return [c.numerator * (den // c.denominator) for c in flat], den
+
+
+def widened(num: np.ndarray, gain: int = 1) -> np.ndarray:
+    """``num`` as Python ints once an entry times ``gain`` could reach
+    ``INT64_SAFE``."""
+    if num.dtype != object and int(np.abs(num).max()) * gain >= INT64_SAFE:
+        return num.astype(object)
+    return num
+
+
+def lowest_terms(num: np.ndarray, den: int) -> tuple[np.ndarray, int]:
+    if den != 1:
+        g = math.gcd(den, int(np.gcd.reduce(num, axis=None)))
+        if g != 1:
+            return num // g, den // g
+    return num, den
+
+
+def field_mul(x, y):
+    """Componentwise products of values (a, b, c, d), on ints or arrays;
+    each component is at most 6 max|x| max|y|."""
+    a, b, c, d = x
+    e, f, g, h = y
+    return (a * e + 2 * b * f - c * g - 2 * d * h,
+            a * f + b * e - c * h - d * g,
+            a * g + 2 * b * h + c * e + 2 * d * f,
+            a * h + b * g + c * f + d * e)
+
+
+def numerators_to_complex(num: np.ndarray, den: int) -> np.ndarray:
+    """num / den as complex128, equal to ``complex`` of each ``Exact``:
+    components rounded once from their rational values, as ``float`` of a
+    ``Fraction`` does (exact int64-to-float conversion up to 2^53)."""
+    if num.dtype != object and den <= 1 << 53 and int(np.abs(num).max()) <= 1 << 53:
+        a, b, c, d = num / den
+    else:
+        a, b, c, d = (np.array([x / den for x in row]) for row in num.tolist())
+    out = np.empty(num.shape[1:], dtype=complex)
+    out.real = a + b * _SQRT2
+    out.imag = c + d * _SQRT2
+    return out
+
+
+def numerators_to_exact(num: np.ndarray, den: int) -> list:
+    """num / den as ``Exact`` values, one ``Fraction`` per distinct numerator."""
+    values, where = np.unique(num, return_inverse=True)
+    fracs = [Fraction(v, den) for v in values.tolist()]
+    a, b, c, d = ([fracs[i] for i in row] for row in where.reshape(4, -1).tolist())
+    return list(map(Exact._fast, a, b, c, d))
 
 
 # ---- randomness ------------------------------------------------------

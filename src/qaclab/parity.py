@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, classify_simplification, simulate
+from .circuit import GATE_X, Circuit, apply_1q, classify_simplification, simulate
 from .numerics import DEFAULT_TOL, Tolerance, kron_all
 from .qstate import (
     MAX_QUBITS,
@@ -36,7 +36,7 @@ from .qstate import (
     basis_state,
     format_state,
     ones_projection_norm,
-    product_amplitudes,
+    product_state,
     target_density,
 )
 from .textio import (
@@ -228,7 +228,6 @@ def verify_certificate(cert: RefutationCertificate, circuit: Circuit,
         # the flip then moves the input register to the other parity
         if min(subset_parity_mass(cert.states[0], inputs, b) for b in (0, 1)) > thr**2:
             return False, "input register has no definite parity"
-        from .circuit import GATE_X, apply_1q
         flipped = apply_1q(cert.states[0], q, GATE_X)
         if not flipped.approx_equal(cert.states[1], tol):
             return False, "states do not differ by a flip of the designated qubit"
@@ -283,7 +282,7 @@ def product_initial(circuit: Circuit, committed: dict,
     if taken != set(range(r)):
         raise ValueError("pieces do not cover the register")
 
-    return StateVector(r, product_amplitudes(pieces))
+    return product_state(pieces)
 
 
 def _dressing_unitary(circuit: Circuit, layer_index: int, qubits) -> np.ndarray:

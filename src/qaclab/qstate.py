@@ -4,13 +4,14 @@ Qubit 0 is the most significant position of a basis-state index, so the
 amplitude of |q0 q1 ... q_{r-1}> sits at index int(bits, 2).  Equivalently,
 qubit q is axis q of ``amps.reshape([2] * r)`` (``StateVector.axes``):
 gates, projections and tensor products are slices, outer products and
-axis moves on that view, never loops over the 2^r indices.  Amplitude
-arrays come in two flavours: complex128 (floating backend) and object
-arrays of ``Exact`` scalars; the same array code serves both, and on the
-latter every operation is performed without rounding.  Gates are the
-exception: ``circuit`` applies them to an exact state on integer
-numerators over one denominator, and ``amps`` is again ``Exact`` when it
-hands the state back.
+axis moves on that view, never loops over the 2^r indices.  A float
+state holds complex128 amplitudes.  An exact state holds amplitude j as
+(n0 + n1 sqrt2 + i (n2 + n3 sqrt2)) / den, column j of an integer array
+``num`` over one den > 0, in lowest terms (equal states, equal arrays):
+int64 while every entry is below 2^62, Python ints past it.  Gates,
+tensor products, pair links, cut and zero tests run on ``num``
+(``StateVector.stack``) with no rounding; ``amps`` of an exact state is
+an ``Exact`` view built on first use.
 
 Separation of a state at a bipartition {A, B} is decided through the
 Schmidt rank of the amplitude matrix reshaped along the cut: rank one
@@ -37,18 +38,23 @@ any cut that passes the singular-value rule could make it; see
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 
 from .numerics import (
     DEFAULT_TOL,
+    INT64_SAFE,
     Exact,
     Tolerance,
-    abs2_scalar,
-    rank_le_1,
+    field_mul,
+    lowest_terms,
+    numerators,
+    numerators_to_complex,
+    numerators_to_exact,
     to_float,
+    widened,
 )
 from .textio import (
     ParseError,
@@ -73,47 +79,119 @@ class RegisterSizeError(ValueError):
     pass
 
 
-@dataclass
+def _field_outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The (4, len x, len y) outer product of (4, n) numerator arrays."""
+    x = widened(x, 6 * int(np.abs(y).max()))
+    return np.stack(field_mul(x[:, :, None], y.astype(x.dtype)[:, None, :]))
+
+
+def _rank_le_1(m: np.ndarray) -> bool:
+    """Whether the field matrix with numerators m (4, rows, cols) has rank
+    at most 1: every entry times the pivot (its first nonzero entry)
+    equals the pivot row's entry times the pivot column's."""
+    nonzero = np.flatnonzero((m != 0).any(axis=0))
+    if not nonzero.size:
+        return True
+    i, j = divmod(int(nonzero[0]), m.shape[2])
+    m = widened(m, 6 * int(np.abs(m).max()))
+    scaled = field_mul(m, m[:, i, j][:, None, None])
+    crossed = field_mul(m[:, :, j][:, :, None], m[:, i, :][:, None, :])
+    return all(map(np.array_equal, scaled, crossed))
+
+
 class StateVector:
-    """2^r amplitudes over qubits 0..r-1 (qubit 0 most significant)."""
+    """2^r amplitudes over qubits 0..r-1 (qubit 0 most significant), from
+    complex values or an object array of ``Exact`` (an exact state)."""
 
-    r: int
-    amps: np.ndarray
-    normalized: bool = True
+    __slots__ = ("r", "normalized", "num", "den", "_amps")
 
-    def __post_init__(self):
-        self.amps = np.asarray(self.amps)
-        if self.amps.dtype != object:
-            self.amps = self.amps.astype(complex)
-        if self.amps.shape != (1 << self.r,):
-            raise ValueError(f"expected {1 << self.r} amplitudes, "
-                             f"got shape {self.amps.shape}")
+    def __init__(self, r: int, amps, normalized: bool = True):
+        amps = np.asarray(amps)
+        if amps.shape != (1 << r,):
+            raise ValueError(f"expected {1 << r} amplitudes, "
+                             f"got shape {amps.shape}")
+        self.r, self.normalized = r, normalized
+        if amps.dtype == object:
+            nums, den = numerators(amps.tolist())
+            self._set_exact(np.array(nums, dtype=object).reshape(-1, 4).T, den)
+        else:
+            self.num, self.den = None, None
+            self._amps = amps.astype(complex)
+
+    @classmethod
+    def from_numerators(cls, r: int, num: np.ndarray, den: int = 1,
+                        normalized: bool = True) -> "StateVector":
+        """The exact state num / den from a (4, 2^r) integer array in
+        lowest terms with den > 0; ``num`` is kept and made read-only."""
+        psi = object.__new__(cls)
+        psi.r, psi.normalized = r, normalized
+        psi._set_exact(num, den)
+        return psi
+
+    def _set_exact(self, num: np.ndarray, den: int):
+        big = int(np.abs(num).max())
+        num = num.astype(np.int64 if big < INT64_SAFE else object,
+                         order="C", copy=False)
+        num.flags.writeable = False
+        self.num, self.den, self._amps = num, den, None
 
     # ---- basics -------------------------------------------------------
 
     @property
     def is_exact(self) -> bool:
-        return self.amps.dtype == object
+        return self.num is not None
+
+    @property
+    def amps(self) -> np.ndarray:
+        """The amplitudes: complex128, or read-only ``Exact`` objects
+        built once from ``num``."""
+        if self._amps is None:
+            amps = np.full(1 << self.r, Exact.ZERO, dtype=object)
+            idx = np.flatnonzero(self.support())
+            amps[idx] = numerators_to_exact(self.num[:, idx], self.den)
+            amps.flags.writeable = False
+            self._amps = amps
+        return self._amps
 
     def axes(self) -> np.ndarray:
         """The amplitudes as a [2]*r array in which qubit q is axis q."""
         return self.amps.reshape([2] * self.r)
 
+    def stack(self) -> np.ndarray:
+        """A [k, 2, ..., 2] array in which qubit q is axis q + 1: k = 4
+        numerators of an exact state, k = 1 complex amplitudes."""
+        flat = self.num if self.is_exact else self._amps[None]
+        return flat.reshape([len(flat)] + [2] * self.r)
+
+    def restacked(self, stack: np.ndarray, den: int | None = None) -> "StateVector":
+        """A state of the same kind and normalization flag with ``stack``
+        (laid out as ``stack()``) as its entries; an exact one over
+        ``den`` (default: this state's), reduced to lowest terms."""
+        flat = stack.reshape(len(stack), -1)
+        if self.is_exact:
+            num, den = lowest_terms(flat, self.den if den is None else den)
+            return StateVector.from_numerators(self.r, num, den, self.normalized)
+        return StateVector(self.r, flat[0], self.normalized)
+
+    def support(self) -> np.ndarray:
+        """[2]*r booleans: which amplitudes are nonzero, exactly."""
+        nonzero = (self.num != 0).any(axis=0) if self.is_exact else self._amps != 0
+        return nonzero.reshape([2] * self.r)
+
     def to_float(self) -> "StateVector":
         if not self.is_exact:
             return self
-        out = np.zeros(len(self.amps), dtype=complex)
-        idx = np.flatnonzero(self.amps)
-        out[idx] = [complex(a) for a in self.amps[idx].tolist()]
-        return StateVector(self.r, out, self.normalized)
+        return StateVector(self.r, numerators_to_complex(self.num, self.den),
+                           self.normalized)
 
     def norm_sq(self):
         if self.is_exact:
-            total = Exact.ZERO
-            for a in self.amps:
-                total = total + abs2_scalar(a)
-            return total
-        return float(np.sum(np.abs(self.amps) ** 2))
+            # the sum of z * conj(z), whose i and i sqrt2 parts are 0
+            a, b, c, d = self.num.astype(object)
+            re, root2, _, _ = field_mul((a, b, c, d), (a, b, -c, -d))
+            den2 = self.den * self.den
+            return Exact(Fraction(int(re.sum()), den2), Fraction(int(root2.sum()), den2))
+        return float(np.sum(np.abs(self._amps) ** 2))
 
     def norm(self) -> float:
         return float(np.sqrt(to_float(self.norm_sq()).real))
@@ -124,7 +202,7 @@ class StateVector:
         return self.amps[int(bits, 2)]
 
     def nonzero_items(self):
-        for i in np.flatnonzero(self.amps):
+        for i in np.flatnonzero(self.support()):
             yield format(i, f"0{self.r}b"), self.amps[i]
 
     def approx_equal(self, other: "StateVector", tol: Tolerance = DEFAULT_TOL,
@@ -132,7 +210,7 @@ class StateVector:
         if self.r != other.r:
             return False
         if self.is_exact and other.is_exact and not up_to_phase:
-            return all(a == b for a, b in zip(self.amps, other.amps))
+            return self.den == other.den and np.array_equal(self.num, other.num)
         u = self.to_float().amps
         v = other.to_float().amps
         if up_to_phase:
@@ -153,11 +231,13 @@ def basis_state(r: int, bits, exact: bool = True) -> StateVector:
         idx = int(bits, 2) if bits else 0
     else:
         idx = int(bits)
-    amps = np.empty(1 << r, dtype=object)
-    amps[:] = Exact.ZERO
-    amps[idx] = Exact.ONE
-    sv = StateVector(r, amps)
-    return sv if exact else sv.to_float()
+    if not exact:
+        amps = np.zeros(1 << r, dtype=complex)
+        amps[idx] = 1
+        return StateVector(r, amps)
+    num = np.zeros((4, 1 << r), dtype=np.int64)
+    num[0, idx] = 1
+    return StateVector.from_numerators(r, num)
 
 
 def bit_index(r: int, qubits, bit: int) -> tuple:
@@ -173,20 +253,29 @@ def bit_index(r: int, qubits, bit: int) -> tuple:
     return tuple(idx)
 
 
-def product_amplitudes(pieces) -> np.ndarray:
-    """Flat amplitudes of the tensor product of ``(labels, state)`` pieces.
+def product_state(pieces, normalized: bool = True) -> StateVector:
+    """Tensor product of ``(labels, state)`` pieces.
 
     Each state's qubits go, in its own order, to the listed labels; the
     labels of all pieces together must be 0..r-1, each once.  The result
     is exact when every piece is, else complex.
     """
-    exact = all(st.is_exact for _, st in pieces)
-    prod = None
-    for _, st in pieces:
-        amps = (st if exact else st.to_float()).axes()
-        prod = amps if prod is None else np.multiply.outer(prod, amps)
     labels = [q for qs, _ in pieces for q in qs]
-    return np.moveaxis(prod, range(len(labels)), labels).reshape(-1)
+    exact = all(st.is_exact for _, st in pieces)
+    prod, den = None, 1
+    for _, st in pieces:
+        if exact:
+            x, den = st.num, den * st.den
+            prod = x if prod is None else _field_outer(prod, x).reshape(4, -1)
+        else:
+            x = st.to_float().amps[None]
+            prod = x if prod is None else (prod[:, :, None] * x).reshape(1, -1)
+    moved = np.moveaxis(prod.reshape([len(prod)] + [2] * len(labels)),
+                        range(1, len(labels) + 1), [q + 1 for q in labels])
+    if exact:
+        num, den = lowest_terms(moved.reshape(4, -1), den)
+        return StateVector.from_numerators(len(labels), num, den, normalized)
+    return StateVector(len(labels), moved.reshape(-1), normalized)
 
 
 # ---- tensor structure ---------------------------------------------------
@@ -208,8 +297,8 @@ def tensor(u: StateVector, v: StateVector, placement=None) -> StateVector:
     if len(set(placement)) != u.r:
         raise ValueError("placement labels must be distinct")
     others = [q for q in range(r) if q not in set(placement)]
-    return StateVector(r, product_amplitudes([(placement, u), (others, v)]),
-                       u.normalized and v.normalized)
+    return product_state([(placement, u), (others, v)],
+                         u.normalized and v.normalized)
 
 
 def validate_bipartition(r: int, a, b) -> tuple[frozenset, frozenset]:
@@ -236,17 +325,11 @@ def separates_at(psi: StateVector, a, b, tol: Tolerance = DEFAULT_TOL):
     to phase; the yes/no decision itself is exact for exact states.
     """
     a, b = validate_bipartition(psi.r, a, b)
-    mat = cut_matrix(psi.axes(), a, b)
-    if psi.is_exact:
-        rows = {}
-        for i, j in zip(*np.nonzero(mat)):
-            rows.setdefault(i, {})[j] = mat[i, j]
-        if not rank_le_1(rows):
-            return False, None
-        u, s, vh = np.linalg.svd(mat.astype(complex))
-        return True, (StateVector(len(a), u[:, 0]), StateVector(len(b), vh[0, :]))
-    u, s, vh = np.linalg.svd(mat.astype(complex))
-    if len(s) > 1 and s[1] > tol.threshold(s[0]):
+    if psi.is_exact and not _rank_le_1(np.stack([cut_matrix(t, a, b)
+                                                 for t in psi.stack()])):
+        return False, None
+    u, s, vh = np.linalg.svd(cut_matrix(psi.to_float().axes(), a, b))
+    if not psi.is_exact and len(s) > 1 and s[1] > tol.threshold(s[0]):
         return False, None
     return True, (StateVector(len(a), u[:, 0]), StateVector(len(b), vh[0, :]))
 
@@ -272,14 +355,16 @@ def bipartitions(r: int, require_split=None):
             yield a, b
 
 
-def linked_classes(t: np.ndarray, tol: Tolerance = DEFAULT_TOL):
-    """Classes of the axes of a [2]*v array joined by pair links.
+def linked_classes(t, tol: Tolerance = DEFAULT_TOL):
+    """Classes of the axes of a [2]*v array, or of the qubits of a state,
+    joined by pair links.
 
     Axes i and j are linked when the 2x2 matrix M left after summing
     ``t`` over every other axis has det M != 0.  Object and integer
     arrays are exact: they link when det M is exactly nonzero (int64
-    needs (sum|t|)^2 < 2^63, which bounds |det M|).  Float entries link
-    only when |det M| exceeds 2 k tau (|M|_F + k tau), with
+    needs (sum|t|)^2 < 2^63, which bounds |det M|), and so are exact
+    states, summed on their numerators.  Float entries link only when
+    |det M| exceeds 2 k tau (|M|_F + k tau), with
     tau = tol.threshold(|t|_F) and k = 2^((v-2)/2): a cut between i and
     j that passes the singular-value rule s_2 <= tol.threshold(s_1) (of
     ``separates_at`` and ``multilinear.bipartition_rank_oracle``)
@@ -291,7 +376,13 @@ def linked_classes(t: np.ndarray, tol: Tolerance = DEFAULT_TOL):
     separate, so the classes returned, sorted by least axis, are never
     coarser than either.
     """
-    v = t.ndim
+    field = isinstance(t, StateVector) and t.is_exact
+    if field:
+        v, lead = t.r, 1
+        t = widened(t.stack(), 1 << v)
+    else:
+        t = t.axes() if isinstance(t, StateVector) else t
+        v, lead = t.ndim, 0
     parent = list(range(v))
 
     def find(q):
@@ -300,19 +391,23 @@ def linked_classes(t: np.ndarray, tol: Tolerance = DEFAULT_TOL):
             q = parent[q]
         return q
 
-    exact = t.dtype.kind in "Oiu"
+    exact = field or t.dtype.kind in "Oiu"
     if not exact:
         k = 2.0 ** ((v - 2) / 2)
         k_tau = k * tol.threshold(float(np.linalg.norm(t)))
     for i, j in combinations(range(v), 2):
         if find(i) == find(j):
             continue
-        m = t.sum(axis=tuple(q for q in range(v) if q != i and q != j))
-        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-        if exact:
-            linked = det != 0
+        m = t.sum(axis=tuple(q + lead for q in range(v) if q != i and q != j))
+        if field:
+            m = m.transpose(1, 2, 0).tolist()
+            det = [x - y for x, y in zip(field_mul(m[0][0], m[1][1]),
+                                         field_mul(m[0][1], m[1][0]))]
+            linked = any(det)
         else:
-            linked = abs(det) > 2 * k_tau * (np.linalg.norm(m) + k_tau)
+            det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+            linked = det != 0 if exact else \
+                abs(det) > 2 * k_tau * (np.linalg.norm(m) + k_tau)
         if linked:
             parent[find(j)] = find(i)
     joined = {}
@@ -337,7 +432,7 @@ def is_S_separable(psi: StateVector, s, tol: Tolerance = DEFAULT_TOL):
     s = frozenset(s)
     if len(s) < 2:
         raise ValueError("S must contain at least two qubits")
-    classes = linked_classes(psi.axes(), tol)
+    classes = linked_classes(psi, tol)
     if any(s <= c for c in classes):
         return False, None
     for a, b in bipartitions(psi.r, require_split=s):
@@ -351,7 +446,7 @@ def is_S_separable(psi: StateVector, s, tol: Tolerance = DEFAULT_TOL):
 
 def ones_projection_norm(psi: StateVector, s) -> float:
     """l2 norm of the projection onto basis states with 1s throughout S."""
-    ones = psi.axes()[bit_index(psi.r, s, 1)]
+    ones = psi.to_float().axes()[bit_index(psi.r, s, 1)]
     return float(np.linalg.norm(ones.astype(complex)))
 
 
@@ -359,7 +454,7 @@ def ones_component_is_zero(psi: StateVector, s, tol: Tolerance = DEFAULT_TOL) ->
     """Exact states: every S-ones amplitude is exactly zero; float states:
     projection norm below threshold scaled by the state norm."""
     if psi.is_exact:
-        return not np.count_nonzero(psi.axes()[bit_index(psi.r, s, 1)])
+        return not psi.support()[bit_index(psi.r, s, 1)].any()
     return ones_projection_norm(psi, s) <= tol.threshold(psi.norm())
 
 
@@ -407,14 +502,15 @@ def random_exact_state(r: int, rng: np.random.Generator,
     so the exact suites use these without normalizing (flagged)."""
     if r > MAX_QUBITS:
         raise RegisterSizeError(f"register cap is {MAX_QUBITS} qubits")
-    amps = np.empty(1 << r, dtype=object)
     while True:
-        for i in range(1 << r):
-            amps[i] = Exact(int(rng.integers(-span, span + 1)), 0,
-                            int(rng.integers(-span, span + 1)), 0)
-        if not all(a.is_zero for a in amps):
+        # scalar draws in amplitude order, real part then imaginary: a
+        # vector draw would consume the stream differently
+        parts = [int(rng.integers(-span, span + 1)) for _ in range(2 << r)]
+        if any(parts):
             break
-    return StateVector(r, amps, normalized=False)
+    num = np.zeros((4, 1 << r), dtype=np.int64)
+    num[0::2] = np.reshape(parts, (-1, 2)).T
+    return StateVector.from_numerators(r, num, normalized=False)
 
 
 # ---- dump format ----------------------------------------------------------

@@ -17,6 +17,7 @@ from qaclab.circuit import (
     apply_1q,
     apply_cnot,
     apply_multi,
+    classify_simplification,
     simulate,
 )
 from qaclab.numerics import DEFAULT_TOL, Exact, random_unitary
@@ -224,6 +225,51 @@ def test_simulate_exact_matches_index_loops(circuit, data, trace):
         assert [label for label, _ in steps] == [label for label, _ in want]
         for (_, got), (_, amps) in zip(steps, want):
             assert_same(got.amps, amps)
+
+
+def test_exact_simulation_matches_oracle_on_1000_circuits():
+    # seeded circuits of named, phase and product gates, so denominators of
+    # 2, sqrt2 and 5 arise, from inputs whose numerators reach past 2^64
+    rng = np.random.default_rng(12)
+    for k in range(1000):
+        r = int(rng.integers(1, 4))
+        depth = int(rng.integers(0, 3))
+        singles = [{q: FACTORS[int(rng.integers(len(FACTORS)))]
+                    for q in range(r) if rng.random() < 0.6} for _ in range(depth + 1)]
+        multis = []
+        for _ in range(depth):
+            qubits = frozenset(q for q in range(r) if rng.random() < 0.6)
+            eta = int(rng.integers(len(PHASES) + 1))
+            multis.append([MultiGate(qubits, "cz") if eta == len(PHASES)
+                           else MultiGate(qubits, "geta", PHASES[eta])])
+        circuit = Circuit(r, r - 1, 0, singles, multis)
+        scale = (1, 2**61 + 3, 2**64 + 1)[k % 3]
+        amps = make_amps(rng, r, True, 0.3) * Exact(scale)
+        a = list(amps)
+        for i in range(depth + 1):
+            for q, gate in sorted(singles[i].items()):
+                a = reference_1q(a, r, q, gate.mat)
+            if i < depth:
+                for gate in multis[i]:
+                    a = reference_multi(a, r, gate.qubits, gate.eta)
+        assert_same(simulate(circuit, StateVector(r, amps)).amps, a)
+
+
+def test_exact_zero_tests_never_call_exact_bool(monkeypatch):
+    def refuse(self):
+        raise AssertionError("Exact.__bool__ called")
+
+    rng = np.random.default_rng(4)
+    cases = [StateVector(4, make_amps(rng, 4, True, p)) for p in (0.0, 0.5, 0.9)]
+    monkeypatch.setattr(Exact, "__bool__", refuse)
+    cases.append(tensor(StateVector(2, make_amps(rng, 2, True, 0.5)),
+                        StateVector(2, make_amps(rng, 2, True, 0.0))))
+    for psi in cases:
+        psi.to_float()
+        list(psi.nonzero_items())
+        for s in ({0}, {1, 2}, {0, 1, 2, 3}):
+            ones_component_is_zero(psi, s)
+            classify_simplification(s, psi)
 
 
 @given(states(), st.data())

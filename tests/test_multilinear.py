@@ -366,6 +366,14 @@ def test_cached_form_reused_across_the_int64_bound(f, data):
     if fvars:
         assert not f._form.tensor.flags.writeable
         assert np.array_equal(f._form.tensor, fresh)
+        # a dict changed in place after a call is prepared again
+        moved = dict(small)
+        sv_partition_test(f, moved, subsets[0], assume_justifying=True)
+        moved[fvars[0]] = Exact(0 if moved[fvars[0]] != 0 else 3)
+        for subset in subsets:
+            got = sv_partition_test(f, moved, subset, assume_justifying=True)
+            assert got == restriction_identity_oracle(f, moved, subset)
+        assert f._point[0][0] is moved[fvars[0]]
 
 
 @given(st.fractions().filter(bool), st.fractions())

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from qaclab import qstate
 from qaclab.circuit import GATE_H, apply_1q
-from qaclab.numerics import DEFAULT_TOL, Exact, Tolerance, make_rng, to_float
+from qaclab.numerics import DEFAULT_TOL, Exact, Tolerance, make_rng, rank_le_1, to_float
 from qaclab.qstate import (
     RegisterSizeError,
     StateVector,
@@ -19,7 +19,7 @@ from qaclab.qstate import (
     linked_classes,
     ones_projection_norm,
     parse_state,
-    product_amplitudes,
+    product_state,
     random_exact_state,
     random_product_state,
     random_state,
@@ -208,7 +208,7 @@ def separability_cases(draw):
         else:
             factor = random_exact_state(size, rng)
         pieces.append((labels[lo:hi], factor))
-    amps = product_amplitudes(pieces)
+    amps = product_state(pieces).amps
     # a float product is also drawn blurred by noise near the tolerance,
     # where the singular-value rule of separates_at flips; the uniform
     # superposition is the noise that moves the pair matrices the most
@@ -332,7 +332,7 @@ def test_exact_separability_decisions():
 
 def sparse_exact_state(r, rng):
     """Exact state with Gaussian-integer amplitudes, most of them zero."""
-    amps = random_exact_state(r, rng).amps
+    amps = random_exact_state(r, rng).amps.copy()
     amps[rng.random(1 << r) < 0.7] = Exact.ZERO
     return StateVector(r, amps, normalized=False)
 
@@ -363,6 +363,53 @@ def test_exact_separability_with_zero_rows_and_columns():
             mat = mat.reshape(1 << len(a), 1 << len(b)).astype(complex)
             want = np.linalg.matrix_rank(mat) <= 1
             assert separates_at(psi, a, b)[0] == want
+
+
+def field_exact_state(r, rng, scale=1):
+    """Exact state with sqrt2, i and i sqrt2 components (halves on the
+    sqrt2 parts), about half of the amplitudes zero, all times ``scale``."""
+    amps = np.empty(1 << r, dtype=object)
+    for i, (a, b, c, d) in enumerate(rng.integers(-2, 3, size=(1 << r, 4))):
+        amps[i] = Exact(int(a), Fraction(int(b), 2), int(c), Fraction(int(d), 2)) * scale
+    amps[rng.random(1 << r) < 0.5] = Exact.ZERO
+    return StateVector(r, amps, normalized=False)
+
+
+def object_rank_le_1(mat):
+    """The rank-1 test on an object matrix of ``Exact``, by pivot minors."""
+    rows = {}
+    for i, j in zip(*np.nonzero([[not x.is_zero for x in row] for row in mat])):
+        rows.setdefault(i, {})[j] = mat[i, j]
+    return rank_le_1(rows)
+
+
+@settings(deadline=None, max_examples=120)
+@given(st.integers(2, 6), st.sampled_from([1, 2**40, 2**70]),
+       st.integers(0, 2**32 - 1))
+def test_exact_kernels_match_object_arrays(r, scale, seed):
+    # tensor, pair links and cut tests run on the integer numerators; the
+    # same operations on object arrays of Exact are the reference
+    rng = np.random.default_rng(seed)
+    a = frozenset(int(q) for q in rng.choice(r, int(rng.integers(1, r)), replace=False))
+    u = field_exact_state(len(a), rng, scale)
+    v = field_exact_state(r - len(a), rng)
+    psi = tensor(u, v, placement=a)
+    want = np.moveaxis(np.multiply.outer(u.axes(), v.axes()), range(r),
+                       sorted(a) + sorted(frozenset(range(r)) - a))
+    assert psi.is_exact and all(x == y for x, y in zip(psi.amps, want.reshape(-1)))
+    for state in (psi, field_exact_state(r, rng, scale)):
+        assert linked_classes(state) == linked_classes(state.axes())
+        for c, d in bipartitions(r):
+            assert separates_at(state, c, d)[0] == \
+                object_rank_le_1(cut_matrix(state.axes(), c, d))
+
+
+def test_exact_amps_are_read_only():
+    psi = tensor(random_exact_state(2, make_rng(3)), basis_state(1, 1))
+    for target in (psi.amps, psi.num):
+        with pytest.raises(ValueError):
+            target[0] = target[1]
+    assert psi.amps is psi.amps  # built once
 
 
 def test_ones_projection_examples():
