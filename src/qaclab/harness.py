@@ -9,7 +9,8 @@ count (``trials``, except 16 basis inputs for tight-parity3 and
 instance (``only_instance``, CLI ``--instance``), the ``instance=k``
 prefix of each message and the report's instance count.  So a report is
 a pure function of (suite, config), and any recorded violation can be
-replayed on its own.
+replayed on its own.  A config names only a backend its suite runs
+(``_BACKENDS``), so a report never says exact for float work.
 
 Machine-format reports are line-oriented ``key=value`` text with a fixed
 field order and no timing information, so identical configurations
@@ -96,13 +97,21 @@ class SuiteConfig:
             raise SuiteConfigError("trials must be >= 1")
         if not 1 <= self.max_qubits <= 12:
             raise SuiteConfigError("max_qubits must be within 1..12")
-        if self.backend not in ("float", "exact"):
-            raise SuiteConfigError("backend must be 'float' or 'exact'")
+        backends = _BACKENDS.get(self.suite, ("float",))
+        if self.backend not in backends:
+            raise SuiteConfigError(f"suite {self.suite} takes backend "
+                                   f"{' or '.join(backends)}, not {self.backend!r}")
 
     @cached_property
     def tol(self) -> Tolerance:
         return Tolerance(self.abs_eps, self.rel_eps)
 
+
+#: The backends a suite has a route for: tight-parity3 checks exact
+#: amplitudes only, and the suites not named here run floats only.
+_BACKENDS = {"tight-parity3": ("exact",),
+             "entanglement-lemma": ("float", "exact"),
+             "sv-vs-rank": ("float", "exact")}
 
 _DEFAULTS = {
     "tight-parity3": dict(trials=1, max_qubits=4, backend="exact"),

@@ -14,20 +14,25 @@ The decomposability machinery has two independent routes:
   Exact inputs are decided as one check on the split matrix of the
   dense [2]*v coefficient tensor (the bit-axis layout of ``qstate``):
   in int64 when no entry can overflow, on object arrays of Python
-  ints or ``Exact`` scalars otherwise;
+  ints or ``Exact`` scalars otherwise.  A sweep asking about a second
+  subset at one point (v <= 8) gets every subset's verdict from one
+  batched pass over the [3]*v table of partial evaluations, and later
+  calls at that point look theirs up;
 * ``bipartition_rank_oracle`` checks whether the coefficient matrix of
   the split has rank <= 1, i.e. whether f factors as g(I) * h(rest).
 
 They are used to cross-check each other in the verification suites.
 Each polynomial keeps a form (``_form``) built on first use: its term
-bitmasks and, for real-integer coefficients, the ints and the int64
-coefficient tensor, shared by every later call.  ``decompose`` tests
+bitmasks and, for coefficients that are one scalar (such as sqrt2, i
+or 1/3) times integers, those integers and their int64 coefficient
+tensor, shared by every later call.  ``decompose`` tests
 only the subsets that are unions of pair-link classes
 (``qstate.linked_classes`` on that tensor), which never skips the
 minimal split.
 """
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import re
@@ -251,9 +256,10 @@ def is_justifying(f: MultilinearPoly, a: Assignment,
     non-constant when c1 is nonzero (exactly for exact scalars, above
     the tolerance relative to the restriction's own scale for floats,
     so that an assignment annihilating a whole factor is rejected even
-    when rounding leaves residues of order 1e-17).  When coefficients
-    and point are real integers, c1 = df/dv(a) for every v comes from
-    one pass over the terms of f's integer form instead.
+    when rounding leaves residues of order 1e-17).  When f's form has
+    integers (coefficients one scalar times them) and the point is real
+    integers, c1 = df/dv(a), up to that scalar, comes for every v from
+    one pass over the integer terms instead.
     """
     form = _form(f)
     point = [a.get(x) for x in form.fvars]
@@ -321,8 +327,9 @@ def _is_integer(s) -> bool:
 
 class _Form(NamedTuple):
     """Sorted variables and a bitmask per term (bit v-1-q for ``fvars[q]``);
-    for real-integer coefficients the ints, l1 = sum|c| and, if v <= 16
-    and l1^2 < 2^63, the read-only int64 [2]*v coefficient tensor."""
+    for coefficients that are one scalar times integers (``_integers``)
+    those ints, l1 = sum|c| and, if v <= 16 and l1^2 < 2^63, the
+    read-only int64 [2]*v coefficient tensor."""
     fvars: list
     masks: list
     ints: list | None
@@ -337,9 +344,8 @@ def _form(f: MultilinearPoly) -> _Form:
         v = len(fvars)
         bit = {x: 1 << (v - 1 - q) for q, x in enumerate(fvars)}
         masks = [sum(bit[x] for x in m) for m in f.terms]
-        ints, l1, tensor = None, 0, None
-        if all(map(_is_integer, f.terms.values())):
-            ints = [c.a.numerator for c in f.terms.values()]
+        ints, l1, tensor = _integers(list(f.terms.values())), 0, None
+        if ints is not None:
             l1 = sum(map(abs, ints))
             if v <= _DENSE_MAX_VARS and l1 * l1 < _INT64_LIMIT:
                 tensor = _dense(masks, ints, v, np.int64)
@@ -348,47 +354,113 @@ def _form(f: MultilinearPoly) -> _Form:
     return f._form
 
 
+def _integers(coeffs: list) -> list | None:
+    """The coefficients as ints, if they are real integers; else, if each
+    is a real rational multiple of the first, those ratios as coprime
+    ints; else None.
+
+    A common nonzero scalar changes none of the results the ints serve:
+    the restriction identity is homogeneous of degree 2, and zero
+    partials and zero pair determinants stay zero.
+    """
+    if all(map(_is_integer, coeffs)):
+        return [c.a.numerator for c in coeffs]
+    ratios = []
+    for c in coeffs:
+        if not is_exact(c):
+            return None
+        parts = (c.a, c.b, c.c, c.d)
+        if not ratios:
+            first = parts
+            j = next(k for k, y in enumerate(first) if y)
+        q = parts[j] / first[j]
+        if any(y != q * z for y, z in zip(parts, first)):
+            return None
+        ratios.append(q)
+    # ints[0] is den, and each prime p of den divides den / d for no
+    # ratio n / d that holds all of den's factors p: the ints are coprime
+    den = math.lcm(*(q.denominator for q in ratios))
+    return [q.numerator * (den // q.denominator) for q in ratios]
+
+
 def _dense(masks, values, v: int, dtype, zero=0) -> np.ndarray:
     t = np.full(1 << v, zero, dtype=dtype)
     t[masks] = values
     return t.reshape([2] * v)
 
 
-def _prepared(f: MultilinearPoly, form: _Form, point: list):
-    """The coefficient tensor of f and the [2]*v Kronecker product of
-    (1, a_q) for an exact point and v <= 16, else None.
+#: A sweep on at most this many variables is decided for every subset in
+#: one batch; its index table holds 4^v int16 entries.
+_BATCH_MAX_VARS = 8
 
-    Real-integer coefficients and point use f's int64 tensor if
+#: The batched pass compares this many entries at a time: whole-table
+#: transients (2^15 entries at v = 8) raised the peak RSS of a sweep
+#: run by about 0.9 MB.
+_BATCH_BLOCK = 1 << 12
+
+
+class _Point:
+    """An exact point prepared for f (``_prepared``): the values it was
+    built from, f's coefficient tensor t, the point's scalars a_q, the
+    [2]*v Kronecker product of (1, a_q), the bitmask of the first subset
+    asked about and, once a second one is asked, every subset's verdict."""
+
+    __slots__ = ("values", "t", "scalars", "kron", "first", "verdicts")
+
+    def __init__(self, values, t, scalars, kron):
+        self.values, self.t, self.scalars, self.kron = values, t, scalars, kron
+        self.first = self.verdicts = None
+
+    def verdict(self, mask: int) -> bool:
+        """The restriction identity at the subset with this bitmask (bit
+        v-1-q for axis q): one subset alone at first, then every subset in
+        one batch when a second distinct one is asked about (v <= 8)."""
+        if self.verdicts is None:
+            if (self.first is None or self.first == mask
+                    or self.t.ndim > _BATCH_MAX_VARS):
+                self.first = mask
+                return _restriction_identity(self.t, self.kron, mask)
+            self.verdicts = _all_restriction_identities(self.t, self.scalars)
+        return self.verdicts[mask]
+
+
+def _prepared(f: MultilinearPoly, form: _Form, point: list) -> _Point | None:
+    """f prepared at an exact point with v <= 16, else None.
+
+    Form integers and a real-integer point use f's int64 tensor if
     B^2 < 2^63, with B = sum|c| * prod_q max(1, |a_q|) bounding every
-    entry computed, and object ints past it; other ``Exact`` scalars an
-    object tensor of them.  The last point is kept on f with the pair,
-    keyed on the identity of its values (immutable, and held, so no other
-    object takes their ids): a subset sweep prepares a point once, and a
-    dict changed in place is prepared again."""
-    if f._point is not None and all(map(operator.is_, f._point[0], point)):
-        return f._point[1:]
+    entry computed (also every entry of the batched pass), and object
+    ints past it; other ``Exact`` scalars an object tensor of them.
+    The last point is kept on f, keyed on the identity of its values
+    (immutable, and held, so no other object takes their ids): a subset
+    sweep prepares a point once, and a dict changed in place is prepared
+    again, with no verdicts."""
+    if f._point is not None and all(map(operator.is_, f._point.values, point)):
+        return f._point
     n = len(point)
     if n > _DENSE_MAX_VARS:
         return None
     if form.ints is not None and all(map(_is_integer, point)):
-        pairs = [(1, x.a.numerator) for x in point]
-        bound = form.l1 * math.prod(max(1, abs(x)) for _, x in pairs)
+        one, scalars = 1, [x.a.numerator for x in point]
+        bound = form.l1 * math.prod(max(1, abs(x)) for x in scalars)
         t = (form.tensor if bound * bound < _INT64_LIMIT
              else _dense(form.masks, form.ints, n, object))
     elif all(map(is_exact, [*f.terms.values(), *point])):
-        pairs = [(Exact.ONE, x) for x in point]
+        one, scalars = Exact.ONE, point
         t = _dense(form.masks, list(f.terms.values()), n, object, Exact.ZERO)
     else:
         return None
-    kron = [1]
-    for pair in pairs:
-        kron = [x * y for x in kron for y in pair]
-    f._point = (point, t, np.array(kron, dtype=t.dtype).reshape([2] * n))
-    return f._point[1:]
+    kron = [one]
+    for x in scalars:
+        kron = [y * z for y in kron for z in (one, x)]
+    f._point = _Point(point, t, scalars,
+                      np.array(kron, dtype=t.dtype).reshape([2] * n))
+    return f._point
 
 
-def _restriction_identity(t: np.ndarray, kron: np.ndarray, s_axes) -> bool:
-    """f(a) * f == f|_S * f|_rest on the coefficient tensor t of f.
+def _restriction_identity(t: np.ndarray, kron: np.ndarray, mask: int) -> bool:
+    """f(a) * f == f|_S * f|_rest on the coefficient tensor t of f, for
+    the subset S of axes q with bit v-1-q of mask set.
 
     With M the cut matrix (rows: monomials in S) and u, w the Kronecker
     products of (1, a_q) over S and over the rest (the first column and
@@ -397,13 +469,58 @@ def _restriction_identity(t: np.ndarray, kron: np.ndarray, s_axes) -> bool:
     f(a) = u^T M w, so the identity reads f(a) M == outer(M w, u^T M),
     compared exactly.
     """
-    rest = [q for q in range(t.ndim) if q not in s_axes]
+    v = t.ndim
+    s_axes = [q for q in range(v) if mask >> (v - 1 - q) & 1]
+    rest = [q for q in range(v) if not mask >> (v - 1 - q) & 1]
     m = cut_matrix(t, s_axes, rest)
     k = cut_matrix(kron, s_axes, rest)
     u, w = k[:, 0], k[0, :]
     right = m @ w
     left = u @ m
     return bool(np.array_equal((left @ w) * m, np.multiply.outer(right, left)))
+
+
+@functools.cache
+def _ternary_index(v: int) -> np.ndarray:
+    """Read-only int16 table over subset masks S (rows) and monomial
+    masks x (columns): the flat index into the [3]*v table of digit x_q
+    on the axes in S and digit 2 on the others.  Each bit adds its own
+    digit (row s, column x of [[2, 2], [0, 1]]) times its weight, so the
+    table is built from the one on v - 1 bits."""
+    if v == 0:
+        table = np.zeros((1, 1), np.int16)
+    else:
+        top = np.array([[2, 2], [0, 1]], np.int16) * 3 ** (v - 1)
+        low = _ternary_index(v - 1)
+        table = (top[:, None, :, None] + low[None, :, None, :]).reshape(
+            1 << v, 1 << v)
+    table.flags.writeable = False
+    return table
+
+
+def _all_restriction_identities(t: np.ndarray, scalars: list) -> list:
+    """``_restriction_identity`` for every subset S, indexed by its mask.
+
+    T3 is the [3]*v table of partial evaluations: digit 2 on axis q holds
+    t[.., 0, ..] + a_q t[.., 1, ..].  f|_rest is T3 with digit 2 off S,
+    f|_S with digit 2 on S and f(a) is T3[2, .., 2], so at S the identity
+    reads f(a) t[x] == T3[x on S, 2 off S] * T3[x off S, 2 on S] for all
+    x.  S and its complement swap the two factors: the rows of the first
+    half of the masks decide every subset.
+    """
+    t3 = t.reshape(1, -1)
+    for q, x in enumerate(scalars):
+        t3 = t3.reshape(3 ** q, 2, -1)
+        lo, hi = t3[:, 0], t3[:, 1]
+        t3 = np.stack([lo, hi, lo + hi * x], axis=1)
+    t3, table = t3.ravel(), _ternary_index(t.ndim)
+    fa_t, n = t.ravel() * t3[-1], len(table)
+    ok, step = [], _BATCH_BLOCK // n
+    for i in range(0, (n + 1) // 2, step):
+        rows = table[i:i + step]
+        comp = table[n - i - len(rows):n - i][::-1]
+        ok += (fa_t == t3[rows] * t3[comp]).all(axis=1).tolist()
+    return ok + ok[::-1][n % 2:]  # the one subset of v = 0 is its own complement
 
 
 def sv_partition_test(f: MultilinearPoly,
@@ -422,9 +539,13 @@ def sv_partition_test(f: MultilinearPoly,
     Kronecker products of (1, a_q) on either side, the identity reads
     f(a) M == outer(M w, u^T M), in int64 when no entry can overflow,
     else on Python ints or ``Exact`` objects, never float (``_prepared``,
-    which keeps the last point on f).  Everything else is tested at
-    random points.  Callers sweeping many subsets against one assignment
-    can verify it once themselves and pass ``assume_justifying``.
+    which keeps the last point on f).  The first call at a point checks
+    its subset alone.  At the second distinct subset, for v <= 8, one
+    batched pass decides every subset (``_all_restriction_identities``)
+    and keeps the 2^v verdicts with the point, so the rest of a sweep
+    only looks them up.  Everything else is tested at random points.
+    Callers sweeping many subsets against one assignment can verify it
+    once themselves and pass ``assume_justifying``.
     """
     if not assume_justifying and not is_justifying(f, a):
         raise NotJustifyingError("assignment is not justifying for f")
@@ -436,8 +557,9 @@ def sv_partition_test(f: MultilinearPoly,
 
     prepared = _prepared(f, form, [a[x] for x in form.fvars])
     if prepared is not None:
-        s_axes = [q for q, x in enumerate(form.fvars) if x in subset]
-        return _restriction_identity(*prepared, s_axes)
+        v = len(form.fvars)
+        return prepared.verdict(sum(1 << (v - 1 - q) for q, x in
+                                    enumerate(form.fvars) if x in subset))
 
     fvars = f.variables()
     left = restrict(f, subset & fvars, a)
@@ -611,7 +733,8 @@ def _extract_factors(f: MultilinearPoly, subset: frozenset):
 def _link_classes(f: MultilinearPoly, tol: Tolerance):
     """``linked_classes`` of f's cached int64 tensor, or of its complex
     tensor for float coefficients, as variable sets; None past 16
-    variables, past the int64 bound and for non-integer ``Exact``."""
+    variables, past the int64 bound and for ``Exact`` coefficients that
+    are not one scalar times integers."""
     form = _form(f)
     t = form.tensor
     if (form.ints is None and len(form.fvars) <= _DENSE_MAX_VARS

@@ -199,6 +199,17 @@ def test_verify_instance_outside_suite_is_usage_error(capsys, tmp_path,
     assert out == "" and not rpath.exists()
 
 
+@pytest.mark.parametrize("suite,backend", [("kill-parity", "exact"),
+                                           ("tight-parity3", "float")])
+def test_verify_backend_without_a_route_is_usage_error(capsys, tmp_path,
+                                                       suite, backend):
+    rpath = tmp_path / "report.txt"
+    code, out, err = run_cli(capsys, "verify", suite, "--backend", backend,
+                             "--format", "machine", "--report", str(rpath))
+    assert code == 2 and f"not '{backend}'" in err
+    assert out == "" and not rpath.exists()
+
+
 def test_replay_line_reproduces_the_config(capsys):
     report = harness.run_suite("entanglement-lemma", trials=3, backend="exact",
                                max_qubits=4)

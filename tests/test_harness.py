@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from qaclab.harness import (
@@ -27,6 +29,19 @@ def test_config_budget_checks():
     with pytest.raises(SuiteConfigError):
         SuiteConfig(suite="kill-parity", trials=5, max_qubits=4,
                     backend="quantum")
+
+
+FLOAT_ONLY = ["simplify-lemma", "no-zero-divisors", "irreducibility-family",
+              "kill-parity", "depth1-refute", "depth-reduce", "topology-6qubit"]
+
+
+@pytest.mark.parametrize("suite,backend", [(s, "exact") for s in FLOAT_ONLY]
+                         + [("tight-parity3", "float")])
+def test_backend_without_a_route_rejected(suite, backend):
+    with pytest.raises(SuiteConfigError, match=f"not '{backend}'"):
+        run_suite(suite, trials=1, backend=backend)
+    with pytest.raises(SuiteConfigError, match=f"not '{backend}'"):
+        default_config(suite, backend=backend)
 
 
 def test_default_configs_cover_all_suites():
@@ -111,3 +126,26 @@ def test_entanglement_exact_backend():
     report = run_suite("entanglement-lemma", trials=30, backend="exact",
                        max_qubits=4)
     assert report.passed, report.violations[:2]
+
+
+REPORTS = Path(__file__).parent / "data" / "reports"
+
+#: Machine reports pinned byte for byte: configs that print violation
+#: lines, and both backends of the suites that have two, at 30 trials.
+PINNED = [
+    ("sv-vs-rank-float-1e-15", "sv-vs-rank",
+     dict(backend="float", abs_eps=1e-15, rel_eps=1e-15)),
+    ("sv-vs-rank-float-0.3", "sv-vs-rank",
+     dict(backend="float", abs_eps=0.3, rel_eps=0.3)),
+    ("sv-vs-rank-exact", "sv-vs-rank", dict(backend="exact")),
+    ("entanglement-lemma-float", "entanglement-lemma", dict(backend="float")),
+    ("entanglement-lemma-exact", "entanglement-lemma", dict(backend="exact")),
+]
+
+
+@pytest.mark.parametrize("name,suite,overrides", PINNED,
+                         ids=[name for name, _, _ in PINNED])
+def test_machine_report_matches_pinned(name, suite, overrides):
+    report = run_suite(suite, trials=30, **overrides)
+    pinned = (REPORTS / f"{name}.machine").read_bytes()
+    assert emit_report(report, "machine").encode() == pinned

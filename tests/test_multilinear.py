@@ -10,8 +10,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import qaclab
+from qaclab import multilinear as ml
 from qaclab.multilinear import (
     _extract_factors,
+    _form,
+    _integers,
     DecompositionBudgetError,
     MissingVariableError,
     MultilinearPoly,
@@ -36,6 +39,7 @@ from qaclab.multilinear import (
     variables_of,
 )
 from qaclab.numerics import DEFAULT_TOL, Exact, approx_eq, make_rng, to_float
+from qaclab.qstate import cut_matrix
 
 X0, X1, X2 = var("x", "0"), var("x", "1"), var("x", "10")
 Z0, Z1 = var("z", "0"), var("z", "1")
@@ -236,11 +240,10 @@ def monomials(vs):
 
 
 @st.composite
-def identity_cases(draw):
-    """(f, a, subset) on the int64 route, the object route and either side
-    of the int64 bound; near-products that only an exact compare tells
-    from products; points that are roots of f; subsets that are empty,
-    full or reach outside f."""
+def identity_points(draw):
+    """(f, a) on the int64 route, the object route and either side of the
+    int64 bound, on 0 to 8 variables; near-products that only an exact
+    compare tells from products; points that are roots of f."""
     kind = draw(st.sampled_from(
         ["constant", "int", "object", "big", "product", "near-product"]))
     vs = VARS[:draw(st.sampled_from(range(1, 9)))] if kind != "constant" else []
@@ -276,6 +279,15 @@ def identity_cases(draw):
         if draw(st.booleans()):
             values = st.one_of(values, st.sampled_from(OBJECT_SCALARS))
         a = {x: draw(values) for x in fvars}
+    return f, a
+
+
+@st.composite
+def identity_cases(draw):
+    """``identity_points`` with a subset that is empty, full or reaches
+    outside f."""
+    f, a = draw(identity_points())
+    fvars = sorted(f.variables())
     pick = draw(st.integers(0, 9))
     if pick < 2:
         subset = frozenset(fvars) if pick else frozenset()
@@ -324,6 +336,66 @@ def test_sv_partition_test_matches_symbolic_oracle(case):
     assert rng.bit_generator.state == before  # decided exactly, no random points
 
 
+def per_subset_identity(t, kron, s_axes):
+    """The identity at one subset as each call decided it before verdicts
+    were batched: f(a) M == outer(M w, u^T M) on the cut matrices."""
+    rest = [q for q in range(t.ndim) if q not in s_axes]
+    m = cut_matrix(t, s_axes, rest)
+    k = cut_matrix(kron, s_axes, rest)
+    u, w = k[:, 0], k[0, :]
+    right, left = m @ w, u @ m
+    return bool(np.array_equal((left @ w) * m, np.multiply.outer(right, left)))
+
+
+def all_subsets(fvars):
+    return [frozenset(c) for k in range(len(fvars) + 1)
+            for c in combinations(fvars, k)]
+
+
+@given(identity_points(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_sweep_matches_per_subset_identity(point, data):
+    """A sweep of every subset of a point, in any order and with variables
+    outside f, gets each subset's per-subset verdict on the same tensor."""
+    f, a = point
+    fvars = sorted(f.variables())
+    subsets = data.draw(st.permutations(all_subsets(fvars)))
+    got = [sv_partition_test(f, a, s | set(OUTSIDE[:i % 3]),
+                             assume_justifying=True)
+           for i, s in enumerate(subsets)]
+    p = f._point
+    assert (p.verdicts is not None) == bool(fvars)  # batched from 2 subsets on
+    verdicts = dict(zip(subsets, got))
+    if len(fvars) > 6 and isinstance(p.t.flat[0], Exact):  # ~3 s for all
+        subsets = data.draw(st.lists(st.sampled_from(subsets), min_size=16,
+                                     max_size=16))
+    for s in subsets:
+        s_axes = [q for q, x in enumerate(fvars) if x in s]
+        assert verdicts[s] == per_subset_identity(p.t, p.kron, s_axes)
+
+
+def test_sweep_runs_the_batched_pass_once_per_point(monkeypatch):
+    counts = {"_all_restriction_identities": 0, "_restriction_identity": 0}
+    for name in counts:
+        def counted(*args, real=getattr(ml, name), name=name):
+            counts[name] += 1
+            return real(*args)
+        monkeypatch.setattr(ml, name, counted)
+    rng = make_rng(4)
+    for n_vars, batches in ((6, 2), (9, 0)):  # past 8 variables, per subset
+        f = random_multilinear_poly(rng, n_vars, n_vars + 4)
+        fvars = sorted(f.variables())
+        subsets = all_subsets(fvars)
+        for value in (2, 3):
+            a = {x: Exact(value) for x in fvars}
+            for subset in subsets:
+                sv_partition_test(f, a, subset, assume_justifying=True)
+        singles = 2 if batches else 2 * len(subsets)
+        assert counts == {"_all_restriction_identities": batches,
+                          "_restriction_identity": singles}
+        counts.update(dict.fromkeys(counts, 0))
+
+
 def definitional_justifying(f, a):
     """Every single-variable restriction of f at a has a nonzero linear
     coefficient, read off ``restrict`` in ``Exact`` arithmetic."""
@@ -366,14 +438,60 @@ def test_cached_form_reused_across_the_int64_bound(f, data):
     if fvars:
         assert not f._form.tensor.flags.writeable
         assert np.array_equal(f._form.tensor, fresh)
-        # a dict changed in place after a call is prepared again
+        # a dict changed in place mid-sweep is prepared again, and its
+        # verdicts are batched again
         moved = dict(small)
-        sv_partition_test(f, moved, subsets[0], assume_justifying=True)
+        for subset in subsets[:2]:
+            sv_partition_test(f, moved, subset, assume_justifying=True)
+        assert f._point.verdicts is not None
         moved[fvars[0]] = Exact(0 if moved[fvars[0]] != 0 else 3)
         for subset in subsets:
             got = sv_partition_test(f, moved, subset, assume_justifying=True)
             assert got == restriction_identity_oracle(f, moved, subset)
-        assert f._point[0][0] is moved[fvars[0]]
+        assert f._point.values[0] is moved[fvars[0]]
+
+
+#: sqrt2, i, (1+i)/sqrt2 and 1/3: each times an integer polynomial has
+#: integer ratios between its coefficients
+SCALES = [Exact(0, 1), Exact.I, Exact(0, Fraction(1, 2), 0, Fraction(1, 2)),
+          Exact(Fraction(1, 3))]
+
+
+@given(st.sampled_from(range(1, 9)).flatmap(lambda n: polys(VARS[:n], small_ints))
+       .filter(lambda f: not f.is_zero), st.sampled_from(SCALES), st.data())
+@settings(max_examples=60, deadline=None)
+def test_scaled_integer_polys_take_the_integer_route(f, scale, data):
+    g = f * scale
+    fvars = sorted(f.variables())
+    ints = dict(zip(_form(f).masks, _form(f).ints))
+    scaled = dict(zip(_form(g).masks, _form(g).ints))
+    lead = next(iter(ints))
+    assert all(scaled[m] * ints[lead] == c * scaled[lead] for m, c in ints.items())
+    assert _form(g).tensor is not None
+    assert variable_partition(g) == variable_partition(f)
+    a = {x: Exact(data.draw(st.integers(-3, 3))) for x in fvars}
+    assert is_justifying(g, a) == is_justifying(f, a)
+    for subset in all_subsets(fvars):
+        assert (sv_partition_test(g, a, subset, assume_justifying=True)
+                == sv_partition_test(f, a, subset, assume_justifying=True))
+    if fvars:
+        assert g._point.t.dtype == np.int64
+
+
+class Opaque:
+    """A coefficient that fails on any use but its type."""
+    def __getattr__(self, name):
+        raise AssertionError(f"read {name}")
+
+
+def test_integer_form_of_scalar_multiples():
+    assert _integers([Exact(2), Exact(4)]) == [2, 4]  # integers as they are
+    assert _integers([Exact(0, 2), Exact(0, 4), Exact(0, Fraction(2, 3))]) == [3, 6, 1]
+    assert _integers([Exact(0, 0, Fraction(-1, 2)), Exact.I]) == [1, -2]
+    assert _integers([Exact(1), Exact(0, 1)]) is None  # 1 + sqrt2 x
+    assert _integers([Exact(1, 1), Exact(0, 0, 1, 1)]) is None  # ratio i
+    assert _integers([Exact(0, 1), 0.5, Opaque()]) is None  # left at the float
+    assert _integers([0.5, Opaque()]) is None
 
 
 @given(st.fractions().filter(bool), st.fractions())
