@@ -45,7 +45,9 @@ from .qstate import (
     StateVector,
     basis_state,
     bit_index,
+    l2,
     ones_component_is_zero,
+    ones_projection_norm,
     tensor,
 )
 
@@ -63,22 +65,13 @@ class CircuitValidationError(ValueError):
         super().__init__(message)
 
 
-def _exact_mat(entries) -> np.ndarray:
-    m = np.empty((2, 2), dtype=object)
-    for i in range(2):
-        for j in range(2):
-            m[i, j] = entries[i][j]
-    return m
-
-
-_NAMED_1Q = {
-    "I": _exact_mat([[Exact.ONE, Exact.ZERO], [Exact.ZERO, Exact.ONE]]),
-    "X": _exact_mat([[Exact.ZERO, Exact.ONE], [Exact.ONE, Exact.ZERO]]),
-    "Y": _exact_mat([[Exact.ZERO, -Exact.I], [Exact.I, Exact.ZERO]]),
-    "Z": _exact_mat([[Exact.ONE, Exact.ZERO], [Exact.ZERO, Exact.MINUS_ONE]]),
-    "H": _exact_mat([[Exact.INV_SQRT2, Exact.INV_SQRT2],
-                     [Exact.INV_SQRT2, -Exact.INV_SQRT2]]),
-}
+_NAMED_1Q = {name: np.array(m, dtype=object) for name, m in {
+    "I": [[Exact.ONE, Exact.ZERO], [Exact.ZERO, Exact.ONE]],
+    "X": [[Exact.ZERO, Exact.ONE], [Exact.ONE, Exact.ZERO]],
+    "Y": [[Exact.ZERO, -Exact.I], [Exact.I, Exact.ZERO]],
+    "Z": [[Exact.ONE, Exact.ZERO], [Exact.ZERO, Exact.MINUS_ONE]],
+    "H": [[Exact.INV_SQRT2, Exact.INV_SQRT2], [Exact.INV_SQRT2, -Exact.INV_SQRT2]],
+}.items()}
 
 
 @dataclass(frozen=True)
@@ -113,13 +106,8 @@ class Gate1q:
 
     def compose_after(self, first: "Gate1q") -> "Gate1q":
         """Gate equal to applying ``first`` and then self."""
-        a, b = self.mat, first.mat
         if self.is_exact and first.is_exact:
-            out = np.empty((2, 2), dtype=object)
-            for i in range(2):
-                for j in range(2):
-                    out[i, j] = a[i, 0] * b[0, j] + a[i, 1] * b[1, j]
-            return Gate1q(out)
+            return Gate1q(self.mat @ first.mat)
         return Gate1q(self.float_mat() @ first.float_mat())
 
     def __repr__(self):
@@ -209,16 +197,24 @@ def _gain(*mats) -> int:
 
 def _gate_1q(psi: StateVector, qubit: int, gate: Gate1q) -> StateVector:
     """psi after a 1-qubit gate, exactly if psi is exact (then so is the
-    gate): each entry acts on the numerators as a ``_times`` matrix over
-    its own denominator, which the state's absorbs."""
-    lo, hi = bit_index(psi.r, (qubit,), 0), bit_index(psi.r, (qubit,), 1)
+    gate).  Float amplitudes form a (2^q, 2, rest) view with qubit q in
+    the middle, and the 2x2 gate m acts in one matmul picked by shape:
+    ``m @ view`` batched over 2^q <= rest blocks, ``view @ m.T`` on the
+    rows of the last qubit, else m times the view with its middle axis
+    moved to the front.  Exact numerators: each entry acts as a
+    ``_times`` matrix over its own denominator, which the state's absorbs."""
     if not psi.is_exact:
-        src, m = psi.axes(), gate.float_mat()
-        a0, a1 = src[lo], src[hi]
-        out = np.empty_like(src)
-        out[lo] = a0 * m[0, 0] + a1 * m[0, 1]
-        out[hi] = a0 * m[1, 0] + a1 * m[1, 1]
-        return StateVector(psi.r, out.reshape(-1), psi.normalized)
+        m, lead, rest = gate.float_mat(), 1 << qubit, 1 << (psi.r - 1 - qubit)
+        view = psi.amps.reshape(lead, 2, rest)
+        if rest == 1:
+            out = view.reshape(lead, 2) @ m.T
+        elif lead <= rest:
+            out = m @ view
+        else:
+            out = (m @ view.transpose(1, 0, 2).reshape(2, -1)).reshape(
+                2, lead, rest).transpose(1, 0, 2)
+        return StateVector._of(psi.r, out.reshape(-1), psi.normalized)
+    lo, hi = bit_index(psi.r, (qubit,), 0), bit_index(psi.r, (qubit,), 1)
     nums, g = numerators(gate.mat.flat)
     m00, m01, m10, m11 = (_times(nums[k:k + 4]) for k in range(0, 16, 4))
     rows = [(m00, m01), (m10, m11)]
@@ -236,8 +232,8 @@ def _gate_multi(psi: StateVector, gate: MultiGate) -> StateVector:
     ones = bit_index(psi.r, gate.qubits, 1)
     if not psi.is_exact:
         out = psi.axes().copy()
-        out[ones] = out[ones] * to_float(gate.eta)
-        return StateVector(psi.r, out.reshape(-1), psi.normalized)
+        out[ones] *= to_float(gate.eta)
+        return StateVector._of(psi.r, out.reshape(-1), psi.normalized)
     e, g = numerators([gate.eta])
     m = _times(e)
     t = widened(psi.num, max(g, _gain(m))).reshape([4] + [2] * psi.r)
@@ -404,14 +400,6 @@ DISAPPEARS = SimplificationOutcome("disappears")
 NO_SIMPLIFICATION = SimplificationOutcome("none")
 
 
-def _pinned_to_one(psi: StateVector, qubit: int, tol: Tolerance) -> bool:
-    """True iff every amplitude with a 0 at the qubit vanishes."""
-    zeros = bit_index(psi.r, (qubit,), 0)
-    if psi.is_exact:
-        return not psi.support()[zeros].any()
-    return bool(np.linalg.norm(psi.axes()[zeros]) <= tol.threshold(psi.norm()))
-
-
 def classify_simplification(s, psi: StateVector,
                             tol: Tolerance = DEFAULT_TOL) -> SimplificationOutcome:
     """How a phase gate on the qubit set S acts on psi.
@@ -420,12 +408,21 @@ def classify_simplification(s, psi: StateVector,
     acts exactly like the gate on T = S minus the qubits pinned to |1>;
     the maximal pinned set is removed, so the returned T is minimal.
     T = empty set reports a pure global phase.  Exact states are decided
-    exactly.
+    exactly; on floats a qubit is pinned when the l2 norm of its 0 half
+    is at most ``tol.threshold(psi.norm())``, as is the S-ones component
+    of a gate that disappears.
     """
     s = frozenset(s)
-    if ones_component_is_zero(psi, s, tol):
-        return DISAPPEARS
-    pinned = frozenset(q for q in s if _pinned_to_one(psi, q, tol))
+    if psi.is_exact:
+        if ones_component_is_zero(psi, s):
+            return DISAPPEARS
+        support = psi.support()
+        pinned = frozenset(q for q in s if not support[bit_index(psi.r, (q,), 0)].any())
+    else:
+        bound, t = tol.threshold(psi.norm()), psi.axes()
+        if ones_projection_norm(psi, s) <= bound:
+            return DISAPPEARS
+        pinned = frozenset(q for q in s if l2(t[bit_index(psi.r, (q,), 0)]) <= bound)
     if pinned:
         return SimplificationOutcome("simplifies", s - pinned)
     return NO_SIMPLIFICATION
@@ -511,7 +508,7 @@ def computes_parity_on_basis(circuit: Circuit,
         if final.is_exact:
             ok = not final.support()[wrong].any()
         else:
-            ok = np.linalg.norm(final.axes()[wrong]) <= tol.threshold(1.0)
+            ok = l2(final.axes()[wrong]) <= tol.threshold(1.0)
         if not ok:
             return False, x
     return True, None

@@ -17,6 +17,7 @@ Exit codes: 0 success / suite pass, 1 check failed / suite violation,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -178,6 +179,7 @@ def _cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qaclab",

@@ -64,11 +64,16 @@ def parity_basis(r: int, b: int) -> list[str]:
 def subset_parity_mass(psi: StateVector, qubits, b: int) -> float:
     """Probability mass of basis components whose bits at ``qubits`` have
     parity b."""
+    return _parity_masses(psi, qubits, (b,))[0]
+
+
+def _parity_masses(psi: StateVector, qubits, parities=(0, 1)) -> list[float]:
+    """``subset_parity_mass`` for each of ``parities``, read off one array."""
     r = psi.r
     sel = sum(1 << (r - 1 - q) for q in set(qubits))
     parity = (np.bitwise_count(np.arange(1 << r) & sel) & 1).reshape([2] * r)
     probs = np.abs(psi.to_float().axes()) ** 2
-    return float(np.sum(probs, where=parity == b))
+    return [float(np.sum(probs, where=parity == b)) for b in parities]
 
 
 def has_pure_parity(psi: StateVector, b: int, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -226,7 +231,7 @@ def verify_certificate(cert: RefutationCertificate, circuit: Circuit,
         if q is None or q not in inputs:
             return False, "flip qubit must be an input qubit"
         # the flip then moves the input register to the other parity
-        if min(subset_parity_mass(cert.states[0], inputs, b) for b in (0, 1)) > thr**2:
+        if min(_parity_masses(cert.states[0], inputs)) > thr**2:
             return False, "input register has no definite parity"
         flipped = apply_1q(cert.states[0], q, GATE_X)
         if not flipped.approx_equal(cert.states[1], tol):

@@ -5,7 +5,9 @@ amplitude of |q0 q1 ... q_{r-1}> sits at index int(bits, 2).  Equivalently,
 qubit q is axis q of ``amps.reshape([2] * r)`` (``StateVector.axes``):
 gates, projections and tensor products are slices, outer products and
 axis moves on that view, never loops over the 2^r indices.  A float
-state holds complex128 amplitudes.  An exact state holds amplitude j as
+state holds complex128 amplitudes, which its kernels reshape to the few
+axes a call needs (a 1-qubit gate sees (2^q, 2, rest)); ``l2`` is their
+norm.  An exact state holds amplitude j as
 (n0 + n1 sqrt2 + i (n2 + n3 sqrt2)) / den, column j of an integer array
 ``num`` over one den > 0, in lowest terms (equal states, equal arrays):
 int64 while every entry is below 2^62, Python ints past it.  Gates,
@@ -38,6 +40,7 @@ any cut that passes the singular-value rule could make it; see
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -119,6 +122,14 @@ class StateVector:
             self._amps = amps.astype(complex)
 
     @classmethod
+    def _of(cls, r: int, amps: np.ndarray, normalized: bool = True) -> "StateVector":
+        """A float state keeping ``amps``, a fresh complex array, uncopied."""
+        psi = object.__new__(cls)
+        psi.r, psi.normalized, psi._amps = r, normalized, amps
+        psi.num = psi.den = None
+        return psi
+
+    @classmethod
     def from_numerators(cls, r: int, num: np.ndarray, den: int = 1,
                         normalized: bool = True) -> "StateVector":
         """The exact state num / den from a (4, 2^r) integer array in
@@ -181,8 +192,8 @@ class StateVector:
     def to_float(self) -> "StateVector":
         if not self.is_exact:
             return self
-        return StateVector(self.r, numerators_to_complex(self.num, self.den),
-                           self.normalized)
+        return StateVector._of(self.r, numerators_to_complex(self.num, self.den),
+                               self.normalized)
 
     def norm_sq(self):
         if self.is_exact:
@@ -223,6 +234,14 @@ class StateVector:
         entries = ", ".join(f"|{b}>:{to_float(a):.4g}"
                             for b, a in list(self.nonzero_items())[:6])
         return f"<state r={self.r} {entries}>"
+
+
+def l2(x: np.ndarray) -> float:
+    """The l2 norm of an array, bit for bit as ``np.linalg.norm`` sums it
+    (real and imaginary dot products of the flattened entries)."""
+    x = x.ravel(order="K")
+    re, im = x.real, x.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 def basis_state(r: int, bits, exact: bool = True) -> StateVector:
@@ -270,12 +289,13 @@ def product_state(pieces, normalized: bool = True) -> StateVector:
         else:
             x = st.to_float().amps[None]
             prod = x if prod is None else (prod[:, :, None] * x).reshape(1, -1)
-    moved = np.moveaxis(prod.reshape([len(prod)] + [2] * len(labels)),
-                        range(1, len(labels) + 1), [q + 1 for q in labels])
+    order = sorted(range(len(labels)), key=labels.__getitem__)
+    moved = prod.reshape([len(prod)] + [2] * len(labels)).transpose(
+        [0] + [k + 1 for k in order])
     if exact:
         num, den = lowest_terms(moved.reshape(4, -1), den)
         return StateVector.from_numerators(len(labels), num, den, normalized)
-    return StateVector(len(labels), moved.reshape(-1), normalized)
+    return StateVector._of(len(labels), moved.flatten(), normalized)
 
 
 # ---- tensor structure ---------------------------------------------------
@@ -292,11 +312,12 @@ def tensor(u: StateVector, v: StateVector, placement=None) -> StateVector:
     if placement is None:
         placement = range(u.r)
     placement = sorted(placement)
+    taken = set(placement)
     if len(placement) != u.r or any(p < 0 or p >= r for p in placement):
         raise ValueError("placement must list u.r distinct labels within range")
-    if len(set(placement)) != u.r:
+    if len(taken) != u.r:
         raise ValueError("placement labels must be distinct")
-    others = [q for q in range(r) if q not in set(placement)]
+    others = [q for q in range(r) if q not in taken]
     return product_state([(placement, u), (others, v)],
                          u.normalized and v.normalized)
 
@@ -446,8 +467,7 @@ def is_S_separable(psi: StateVector, s, tol: Tolerance = DEFAULT_TOL):
 
 def ones_projection_norm(psi: StateVector, s) -> float:
     """l2 norm of the projection onto basis states with 1s throughout S."""
-    ones = psi.to_float().axes()[bit_index(psi.r, s, 1)]
-    return float(np.linalg.norm(ones.astype(complex)))
+    return l2(psi.to_float().axes()[bit_index(psi.r, s, 1)])
 
 
 def ones_component_is_zero(psi: StateVector, s, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -462,10 +482,10 @@ def remove_ones_component(psi: StateVector, s) -> StateVector:
     """Project out the S-ones component and renormalize (floating backend)."""
     out = psi.to_float().amps.copy()
     out.reshape([2] * psi.r)[bit_index(psi.r, s, 1)] = 0
-    n = np.linalg.norm(out)
+    n = l2(out)
     if n < _EMPTY_NORM:
         raise ValueError("state is entirely supported on the S-ones subspace")
-    return StateVector(psi.r, out / n)
+    return StateVector._of(psi.r, out / n)
 
 
 def target_density(psi: StateVector) -> np.ndarray:
@@ -480,8 +500,9 @@ def random_state(r: int, rng: np.random.Generator) -> StateVector:
     """Normalized Gaussian (Haar-like) state; register capped at 12."""
     if r > MAX_QUBITS:
         raise RegisterSizeError(f"register cap is {MAX_QUBITS} qubits")
-    amps = rng.standard_normal(1 << r) + 1j * rng.standard_normal(1 << r)
-    return StateVector(r, amps / np.linalg.norm(amps))
+    amps = np.empty(1 << r, dtype=complex)
+    amps.real, amps.imag = rng.standard_normal(1 << r), rng.standard_normal(1 << r)
+    return StateVector._of(r, amps / l2(amps))
 
 
 def random_product_state(a, b, rng: np.random.Generator) -> StateVector:

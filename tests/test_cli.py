@@ -227,6 +227,31 @@ def test_replay_line_reproduces_the_config(capsys):
     assert args.instance == 1
 
 
+def test_one_parser_serves_every_call(capsys):
+    calls = [["verify", "bogus-suite"],
+             ["simulate", "-c", str(PARITY3), "-i", "0110"],
+             ["verify", "kill-parity", "--trials", "3", "--format", "machine"]]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(run(argv))
+    build_parser.cache_clear()
+    shared = [run(argv) for argv in calls]
+    assert build_parser.cache_info().misses == 1
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [2, 0, 0]
+    assert "invalid choice" in shared[0][2] and "violations=0" in shared[2][1]
+
+
 def test_verify_unknown_suite_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "bogus-suite"])

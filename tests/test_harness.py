@@ -130,8 +130,10 @@ def test_entanglement_exact_backend():
 
 REPORTS = Path(__file__).parent / "data" / "reports"
 
-#: Machine reports pinned byte for byte: configs that print violation
-#: lines, and both backends of the suites that have two, at 30 trials.
+#: Machine reports pinned byte for byte at 30 trials: configs that print
+#: violation lines, both backends of the suites that have two, and the
+#: float-only suites of the state kernels (their reports hold counts only,
+#: so they guard against verdict flips and crashes, not amplitude bits).
 PINNED = [
     ("sv-vs-rank-float-1e-15", "sv-vs-rank",
      dict(backend="float", abs_eps=1e-15, rel_eps=1e-15)),
@@ -140,7 +142,9 @@ PINNED = [
     ("sv-vs-rank-exact", "sv-vs-rank", dict(backend="exact")),
     ("entanglement-lemma-float", "entanglement-lemma", dict(backend="float")),
     ("entanglement-lemma-exact", "entanglement-lemma", dict(backend="exact")),
-]
+] + [(suite, suite, {}) for suite in (
+    "no-zero-divisors", "simplify-lemma", "depth-reduce", "depth1-refute",
+    "kill-parity", "topology-6qubit")]
 
 
 @pytest.mark.parametrize("name,suite,overrides", PINNED,

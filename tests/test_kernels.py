@@ -8,24 +8,32 @@ Exact results must be equal under ``==``; float results agree within
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from qaclab.circuit import (
+    DISAPPEARS,
+    GATE_H,
+    NO_SIMPLIFICATION,
     Circuit,
     Gate1q,
     MultiGate,
+    SimplificationOutcome,
     apply_1q,
     apply_cnot,
     apply_multi,
     classify_simplification,
     simulate,
 )
-from qaclab.numerics import DEFAULT_TOL, Exact, random_unitary
+from qaclab.numerics import DEFAULT_TOL, Exact, Tolerance, random_unitary
 from qaclab.parity import product_initial, subset_parity_mass
 from qaclab.qstate import (
     StateVector,
+    bit_index,
+    l2,
     ones_component_is_zero,
     ones_projection_norm,
+    product_state,
     remove_ones_component,
     tensor,
 )
@@ -147,6 +155,84 @@ def test_apply_1q(psi, data):
     got = apply_1q(psi, q, gate)
     assert got.is_exact == exact
     assert_same(got.amps, reference_1q(a, r, q, m))
+
+
+@pytest.mark.parametrize("r", (8, 10, 12))
+def test_apply_1q_on_wide_float_states(r):
+    # the float kernel picks its matmul by where the qubit sits, so every
+    # qubit of a wide register is tried, the last one included
+    rng = np.random.default_rng(r)
+    psi = StateVector(r, make_amps(rng, r, False, 0.0), normalized=False)
+    a = [complex(x) for x in psi.amps]
+    for gate in (Gate1q(random_unitary(2, rng)), GATE_H):
+        for q in range(r):
+            got = apply_1q(psi, q, gate)
+            assert not got.is_exact
+            assert_same(got.amps, reference_1q(a, r, q, gate.float_mat()))
+
+
+@given(states(exact=False), st.data())
+@settings(max_examples=60, deadline=None)
+def test_l2_is_numpy_norm(psi, data):
+    qubits = data.draw(subsets(psi.r))
+    t = psi.axes()
+    half = t[bit_index(psi.r, qubits, data.draw(st.integers(0, 1)))]
+    for x in (psi.amps, t, t.real, half):
+        assert l2(x) == np.linalg.norm(x)
+
+
+def reference_classify(s, psi, tol):
+    """The float rule of ``classify_simplification``, the threshold taken
+    anew for the S-ones test and for each qubit's zero half."""
+    t = psi.axes()
+
+    def vanishes(qubits, b):
+        norm = np.linalg.norm(t[bit_index(psi.r, qubits, b)])
+        return norm <= tol.threshold(psi.norm())
+
+    if vanishes(s, 1):
+        return DISAPPEARS
+    pinned = frozenset(q for q in s if vanishes((q,), 0))
+    return SimplificationOutcome("simplifies", frozenset(s) - pinned) if pinned \
+        else NO_SIMPLIFICATION
+
+
+@st.composite
+def pinned_and_avoiding(draw):
+    """A float state of pinned qubits (|1> plus noise on |0>), maybe a
+    2-qubit factor avoiding |11> (plus noise there) and a random rest,
+    placed on shuffled labels and scaled; noise sizes straddle the
+    thresholds of ``tol`` below."""
+    r = draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    labels = draw(st.permutations(range(r)))
+    n_pinned = draw(st.integers(0, r))
+    avoiding = r - n_pinned >= 2 and draw(st.booleans())
+    pieces = []
+    for q in labels[:n_pinned]:
+        noise = draw(st.sampled_from((0.0, 1e-9, 1e-8, 1e-7)))
+        pieces.append(([q], StateVector(1, [noise, 1.0], normalized=False)))
+    rest = labels[n_pinned:]
+    if avoiding:
+        amps = make_amps(rng, 2, False, 0.0)
+        amps[3] = draw(st.sampled_from((0.0, 1e-9, 1e-8, 1e-7)))
+        pieces.append((rest[:2], StateVector(2, amps, normalized=False)))
+        rest = rest[2:]
+    if rest:
+        amps = make_amps(rng, len(rest), False, 0.0)
+        pieces.append((rest, StateVector(len(rest), amps, normalized=False)))
+    psi = product_state(pieces, normalized=False)
+    scale = draw(st.sampled_from((1.0, 1e-3, 40.0)))
+    s = draw(st.lists(st.integers(0, r - 1), unique=True, min_size=1, max_size=r))
+    return s, StateVector(r, psi.amps * scale, normalized=False)
+
+
+@given(pinned_and_avoiding())
+@settings(max_examples=120, deadline=None)
+def test_float_classify_matches_per_qubit_rule(case):
+    s, psi = case
+    tol = Tolerance(abs_eps=1e-8, rel_eps=1e-8)
+    assert classify_simplification(s, psi, tol) == reference_classify(s, psi, tol)
 
 
 @given(states(), st.data())
