@@ -71,6 +71,9 @@ _NAMED_1Q = {name: np.array(m, dtype=object) for name, m in {
     "Y": [[Exact.ZERO, -Exact.I], [Exact.I, Exact.ZERO]],
     "Z": [[Exact.ONE, Exact.ZERO], [Exact.ZERO, Exact.MINUS_ONE]],
     "H": [[Exact.INV_SQRT2, Exact.INV_SQRT2], [Exact.INV_SQRT2, -Exact.INV_SQRT2]],
+    "S": [[Exact.ONE, Exact.ZERO], [Exact.ZERO, Exact.I]],
+    "T": [[Exact.ONE, Exact.ZERO],
+          [Exact.ZERO, Exact.INV_SQRT2 * (Exact.ONE + Exact.I)]],
 }.items()}
 
 

@@ -18,7 +18,7 @@
 
 Header first (``qubits`` = 1 + inputs + ancillas), then ``layer`` blocks
 with strictly increasing half-integer labels.  Half-integer layers hold
-1-qubit entries ``u <qubit> <I|X|Y|Z|H>`` or
+1-qubit entries ``u <qubit> <I|X|Y|Z|H|S|T>`` or
 ``u <qubit> matrix <re im re im re im re im>`` (row-major); integer
 layers hold ``cz <q>...`` or ``geta <re> <im> <q>...``.  ``#`` starts a
 comment.  The serializer emits a canonical form (sorted entries, empty
@@ -37,7 +37,7 @@ the error class:
     bad-qubit           non-integer or out-of-range qubit
     duplicate-qubit     qubit listed twice in one gate or layer
     layer-kind-mismatch u on an integer layer / cz-geta on a half layer
-    unknown-gate-name   1-qubit name outside I X Y Z H
+    unknown-gate-name   1-qubit name outside I X Y Z H S T
     bad-matrix          matrix entry count or value malformed
     non-unitary         explicit matrix fails the unitarity check
     bad-eta             geta phase malformed

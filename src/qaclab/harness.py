@@ -95,8 +95,12 @@ class SuiteConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise SuiteConfigError("trials must be >= 1")
-        if not 1 <= self.max_qubits <= 12:
-            raise SuiteConfigError("max_qubits must be within 1..12")
+        if self.seed < 0:
+            raise SuiteConfigError("seed must be >= 0")
+        low = _MIN_QUBITS.get(self.suite, 1)
+        if not low <= self.max_qubits <= 12:
+            raise SuiteConfigError(f"suite {self.suite} takes max_qubits "
+                                   f"within {low}..12")
         backends = _BACKENDS.get(self.suite, ("float",))
         if self.backend not in backends:
             raise SuiteConfigError(f"suite {self.suite} takes backend "
@@ -112,6 +116,10 @@ class SuiteConfig:
 _BACKENDS = {"tight-parity3": ("exact",),
              "entanglement-lemma": ("float", "exact"),
              "sv-vs-rank": ("float", "exact")}
+
+#: The smallest register a suite draws, where it is more than one qubit.
+_MIN_QUBITS = {"sv-vs-rank": 3, "simplify-lemma": 3, "entanglement-lemma": 2,
+               "kill-parity": 2, "no-zero-divisors": 2}
 
 _DEFAULTS = {
     "tight-parity3": dict(trials=1, max_qubits=4, backend="exact"),

@@ -27,8 +27,12 @@ bitmasks and, for coefficients that are one scalar (such as sqrt2, i
 or 1/3) times integers, those integers and their int64 coefficient
 tensor, shared by every later call.  ``decompose`` tests
 only the subsets that are unions of pair-link classes
-(``qstate.linked_classes`` on that tensor), which never skips the
-minimal split.
+(``qstate.linked_classes``), which never skips the minimal split.  It
+runs on the int64 tensor from start to finish where there is one, with
+the factors built once at the end; floats, other ``Exact``
+coefficients, integers past the int64 bound and f past 16 variables
+take the sparse route of ``bipartition_rank_oracle`` and
+``_extract_factors``.
 """
 from __future__ import annotations
 
@@ -36,7 +40,7 @@ import functools
 import math
 import operator
 import re
-from itertools import combinations
+from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -52,7 +56,7 @@ from .numerics import (
     scalar_is_zero,
     to_float,
 )
-from .qstate import cut_matrix, linked_classes
+from .qstate import cut_matrix, dense_rank_le_1, linked_classes
 from .textio import ParseError, content_lines, format_complexes, parse_complexes
 
 
@@ -731,18 +735,80 @@ def _extract_factors(f: MultilinearPoly, subset: frozenset):
 
 
 def _link_classes(f: MultilinearPoly, tol: Tolerance):
-    """``linked_classes`` of f's cached int64 tensor, or of its complex
-    tensor for float coefficients, as variable sets; None past 16
-    variables, past the int64 bound and for ``Exact`` coefficients that
-    are not one scalar times integers."""
+    """``linked_classes`` of f's complex coefficient tensor, as sets of
+    positions in its sorted variables, for float coefficients on at most
+    16 variables; None for exact f (integer f is linked on its int64
+    tensor in ``_decompose_tensor``) and past 16 variables."""
+    if all(map(is_exact, f.terms.values())):
+        return None
     form = _form(f)
-    t = form.tensor
-    if (form.ints is None and len(form.fvars) <= _DENSE_MAX_VARS
-            and not all(map(is_exact, f.terms.values()))):
-        t = _dense(form.masks, list(map(to_float, f.terms.values())),
-                   len(form.fvars), complex)
-    return None if t is None else [
-        frozenset(form.fvars[q] for q in c) for c in linked_classes(t, tol)]
+    if len(form.fvars) > _DENSE_MAX_VARS:
+        return None
+    t = _dense(form.masks, list(map(to_float, f.terms.values())),
+               len(form.fvars), complex)
+    return linked_classes(t, tol)
+
+
+def _anchored_unions(classes: list, n: int):
+    """The proper subsets of range(n) that hold 0 and are unions of
+    ``classes`` (a partition of range(n)), by size and within a size in
+    ``combinations`` order, lexicographic in the sorted positions.
+
+    Classes are picked in order of their least position, so two unions
+    of one size first differ at the least position of a class that only
+    the earlier one holds, which is where their sorted positions first
+    differ too.
+    """
+    if n < 2:
+        return
+    first, *rest = sorted(classes, key=min)
+
+    def unions(start, need, held):
+        if not need:
+            yield held
+            return
+        for c in range(start, len(rest)):
+            if len(rest[c]) <= need:
+                yield from unions(c + 1, need - len(rest[c]), held | rest[c])
+
+    for size in range(len(first), n):
+        yield from unions(0, size - len(first), first)
+
+
+def _decompose_tensor(f: MultilinearPoly, form: _Form) -> list[MultilinearPoly]:
+    """``decompose`` on f's int64 coefficient tensor: each candidate is
+    decided by ``dense_rank_le_1`` on its cut matrix, and the search goes
+    on in the pivot row.  Every entry it meets is one of f's integers,
+    so no product of two passes l1^2 < 2^63."""
+    t, axes = form.tensor, list(range(len(form.fvars)))
+    classes, pieces = linked_classes(t), []
+    while True:
+        n, local = len(axes), {q: p for p, q in enumerate(axes)}
+        for s in _anchored_unions([frozenset(map(local.get, c))
+                                   for c in classes if min(c) in local], n):
+            rest = [q for q in range(n) if q not in s]
+            m = cut_matrix(t, s, rest)
+            if dense_rank_le_1(m):
+                break
+        else:
+            pieces.append((axes, t.ravel()))
+            break
+        i, j = divmod(int(np.flatnonzero(m)[0]), m.shape[1])
+        pieces.append(([axes[q] for q in sorted(s)], m[:, j]))
+        axes, t = [axes[q] for q in rest], m[i].reshape([2] * len(rest))
+
+    factors, leads, others = [], frozenset(), frozenset()
+    for ax, vec in pieces[1:]:
+        k, nonzero = len(ax), np.flatnonzero(vec)
+        terms = {frozenset(form.fvars[ax[q]] for q in range(k)
+                           if x >> (k - 1 - q) & 1): c
+                 for x, c in zip(nonzero.tolist(), vec[nonzero].tolist())}
+        lead = min(terms, key=_mono_key)
+        factors.append(MultilinearPoly(
+            {m: Exact(Fraction(c, terms[lead])) for m, c in terms.items()}))
+        leads, others = leads | lead, others | {form.fvars[q] for q in ax}
+    return [MultilinearPoly({m - leads: c for m, c in f.terms.items()
+                             if m & others == leads}), *factors]
 
 
 def decompose(f: MultilinearPoly,
@@ -751,49 +817,50 @@ def decompose(f: MultilinearPoly,
     """Variable-disjoint indecomposable factors of f.
 
     Exhaustive minimal-bipartition search (exponential in the variable
-    count, capped at ``max_vars``).  Pair-linked variables lie in one
-    factor, so only subsets that are unions of ``_link_classes`` are
-    tested, in the same order: the factors are those of the full search.
-    Integer f is linked once (quotients keep its classes), float f at
-    every level.  Factors are normalized so that the leading-monomial
-    coefficient is 1, with the residual scalar attached to the first
-    factor; their product equals f up to that convention.
+    count, capped at ``max_vars``): the first factor holds the least
+    variable and the smallest subset holding it whose split has rank
+    <= 1, and the search goes on in the quotient.  Pair-linked variables
+    lie in one factor, so only subsets that are unions of link classes
+    are tested (``_anchored_unions``), in the order of the full search:
+    the factors are those of the full search.
+
+    Factors are normalized so that the leading-monomial coefficient is
+    1, with the residual scalar attached to the first factor; their
+    product equals f.  So factor i >= 1 is any scalar multiple of it
+    over its leading coefficient, and factor 0 is f's coefficients at
+    the other factors' leading monomials: the tensor route builds them
+    so, once, at the end.
+
+    f with an int64 coefficient tensor (``_form``) is linked once and
+    decided on it from start to finish (``_decompose_tensor``).  The
+    others take the sparse route, ``bipartition_rank_oracle`` on each
+    candidate and ``_extract_factors`` on the split found: float f is
+    linked again in each quotient, and every variable is its own class
+    for other ``Exact`` coefficients, integers past the int64 bound and
+    f past 16 variables.
     """
     if f.is_zero:
         raise ValueError("cannot decompose the zero polynomial")
-    fvars = sorted(f.variables())
-    if len(fvars) > max_vars:
+    form = _form(f)
+    if len(form.fvars) > max_vars:
         raise DecompositionBudgetError(
-            f"{len(fvars)} variables exceeds the {max_vars}-variable cap")
-    relink = not all(map(is_exact, f.terms.values()))
+            f"{len(form.fvars)} variables exceeds the {max_vars}-variable cap")
+    if form.tensor is not None:
+        return _decompose_tensor(f, form)
 
-    factors = []
-
-    def split(g: MultilinearPoly, links):
-        gvars = sorted(g.variables())
-        if len(gvars) <= 1:
-            factors.append(g)
-            return
-        anchor = gvars[0]
-        others = gvars[1:]
-        # smallest subset containing the anchor whose split has rank <= 1
-        for size in range(0, len(others)):
-            found = None
-            for combo in combinations(others, size):
-                subset = frozenset((anchor, *combo))
-                if links and not is_union_of_classes(subset, links):
-                    continue
-                if bipartition_rank_oracle(g, subset, tol):
-                    found = subset
-                    break
-            if found is not None:
-                left, right = _extract_factors(g, found)
-                factors.append(left)  # minimal split: left is one class
-                split(right, _link_classes(right, tol) if relink else links)
-                return
-        factors.append(g)
-
-    split(f, _link_classes(f, tol))
+    factors, g = [], f
+    while len(gvars := sorted(g.variables())) > 1:
+        classes = (_link_classes(g, tol)
+                   or [frozenset([q]) for q in range(len(gvars))])
+        subsets = (frozenset(gvars[q] for q in s)
+                   for s in _anchored_unions(classes, len(gvars)))
+        found = next((s for s in subsets
+                      if bipartition_rank_oracle(g, s, tol)), None)
+        if found is None:
+            break
+        left, g = _extract_factors(g, found)
+        factors.append(left)  # minimal split: left is one class
+    factors.append(g)
 
     # normalize: unit leading coefficients, residual scalar on factor 0
     residual = None

@@ -88,14 +88,19 @@ def _field_outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.stack(field_mul(x[:, :, None], y.astype(x.dtype)[:, None, :]))
 
 
-def _rank_le_1(m: np.ndarray) -> bool:
-    """Whether the field matrix with numerators m (4, rows, cols) has rank
-    at most 1: every entry times the pivot (its first nonzero entry)
-    equals the pivot row's entry times the pivot column's."""
-    nonzero = np.flatnonzero((m != 0).any(axis=0))
+def dense_rank_le_1(m: np.ndarray) -> bool:
+    """Whether a dense exact matrix has rank at most 1: every entry times
+    the pivot (its first nonzero entry) equals the pivot row's entry
+    times the pivot column's.  m is an integer matrix (rows, cols), whose
+    products of two entries the caller keeps inside its dtype, or the
+    numerators (4, rows, cols) of a field matrix."""
+    field = m.ndim == 3
+    nonzero = np.flatnonzero((m != 0).any(axis=0) if field else m)
     if not nonzero.size:
         return True
-    i, j = divmod(int(nonzero[0]), m.shape[2])
+    i, j = divmod(int(nonzero[0]), m.shape[-1])
+    if not field:
+        return np.array_equal(m * m[i, j], np.outer(m[:, j], m[i]))
     m = widened(m, 6 * int(np.abs(m).max()))
     scaled = field_mul(m, m[:, i, j][:, None, None])
     crossed = field_mul(m[:, :, j][:, :, None], m[:, i, :][:, None, :])
@@ -346,8 +351,8 @@ def separates_at(psi: StateVector, a, b, tol: Tolerance = DEFAULT_TOL):
     to phase; the yes/no decision itself is exact for exact states.
     """
     a, b = validate_bipartition(psi.r, a, b)
-    if psi.is_exact and not _rank_le_1(np.stack([cut_matrix(t, a, b)
-                                                 for t in psi.stack()])):
+    if psi.is_exact and not dense_rank_le_1(
+            np.stack([cut_matrix(t, a, b) for t in psi.stack()])):
         return False, None
     u, s, vh = np.linalg.svd(cut_matrix(psi.to_float().axes(), a, b))
     if not psi.is_exact and len(s) > 1 and s[1] > tol.threshold(s[0]):

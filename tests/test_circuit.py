@@ -126,6 +126,26 @@ def test_named_gates_square_to_identity():
         assert sq.mat[0, 1].is_zero and sq.mat[1, 0].is_zero
 
 
+def test_s_and_t_are_exact_roots_of_z():
+    s, t = Gate1q.named("S"), Gate1q.named("T")
+    assert s.is_exact and t.is_exact
+    assert (s.compose_after(s).mat == GATE_Z.mat).all()
+    assert (t.compose_after(t).mat == s.mat).all()
+
+
+def test_simulate_with_s_and_t_matches_floats():
+    s, t = Gate1q.named("S"), Gate1q.named("T")
+    c = Circuit(3, 2, 0,
+                single_layers=[{q: GATE_H for q in range(3)},
+                               {0: t, 1: s, 2: GATE_H}, {0: GATE_H, 2: t}],
+                multi_layers=[[cz(0, 1)], [cz(0, 1, 2)]])
+    for bits in ("000", "011", "110"):
+        exact = simulate(c, basis_state(3, bits))
+        assert exact.is_exact and exact.norm_sq() == 1
+        assert exact.approx_equal(simulate(c, basis_state(3, bits).to_float()),
+                                  DEFAULT_TOL)
+
+
 def test_simulate_empty_circuit_is_identity():
     c = Circuit(2, 1, 0, single_layers=[{}], multi_layers=[])
     rng = make_rng(61)

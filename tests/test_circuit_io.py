@@ -41,6 +41,15 @@ def test_matrix_and_geta_round_trip():
     assert serialize_circuit(parse_circuit(serialize_circuit(c))) == serialize_circuit(c)
 
 
+def test_s_and_t_round_trip():
+    text = ("qubits 3\ninputs 2\nancillas 0\nlayer 0.5\nu 0 H\nu 1 S\n"
+            "layer 1\ncz 0 1\nlayer 1.5\nu 0 T\nu 2 S\n")
+    c = parse_circuit(text)
+    assert [c.gate1(0, 1).name, c.gate1(1, 0).name] == ["S", "T"]
+    assert serialize_circuit(c) == text
+    assert parse_circuit(serialize_circuit(c)) == c
+
+
 def test_comments_and_blank_lines_ignored():
     text = GOLDEN.read_text().replace("layer 1\n", "layer 1  # first gates\n\n")
     c = parse_circuit(text)

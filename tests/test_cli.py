@@ -210,6 +210,19 @@ def test_verify_backend_without_a_route_is_usage_error(capsys, tmp_path,
     assert out == "" and not rpath.exists()
 
 
+@pytest.mark.parametrize("suite,option,value", [
+    ("sv-vs-rank", "--qubits", "2"), ("simplify-lemma", "--qubits", "2"),
+    ("entanglement-lemma", "--qubits", "1"), ("kill-parity", "--qubits", "1"),
+    ("no-zero-divisors", "--qubits", "1"), ("sv-vs-rank", "--seed", "-5")])
+def test_verify_config_that_cannot_be_drawn_is_usage_error(capsys, tmp_path,
+                                                          suite, option, value):
+    rpath = tmp_path / "report.txt"
+    code, out, err = run_cli(capsys, "verify", suite, option, value,
+                             "--format", "machine", "--report", str(rpath))
+    assert code == 2 and ("seed" in err or "max_qubits" in err)
+    assert out == "" and not rpath.exists()
+
+
 def test_replay_line_reproduces_the_config(capsys):
     report = harness.run_suite("entanglement-lemma", trials=3, backend="exact",
                                max_qubits=4)

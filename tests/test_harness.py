@@ -44,6 +44,24 @@ def test_backend_without_a_route_rejected(suite, backend):
         default_config(suite, backend=backend)
 
 
+@pytest.mark.parametrize("suite,overrides", [
+    ("sv-vs-rank", dict(max_qubits=2)), ("simplify-lemma", dict(max_qubits=2)),
+    ("entanglement-lemma", dict(max_qubits=1)), ("kill-parity", dict(max_qubits=1)),
+    ("no-zero-divisors", dict(max_qubits=1)), ("sv-vs-rank", dict(seed=-5))])
+def test_config_that_cannot_be_drawn_rejected(suite, overrides):
+    with pytest.raises(SuiteConfigError, match="seed|max_qubits"):
+        run_suite(suite, trials=1, **overrides)
+    with pytest.raises(SuiteConfigError, match="seed|max_qubits"):
+        default_config(suite, **overrides)
+
+
+@pytest.mark.parametrize("suite,qubits", [
+    ("sv-vs-rank", 3), ("simplify-lemma", 3), ("entanglement-lemma", 2),
+    ("kill-parity", 2), ("no-zero-divisors", 2), ("depth1-refute", 1)])
+def test_smallest_register_runs(suite, qubits):
+    assert run_suite(suite, trials=3, max_qubits=qubits).passed
+
+
 def test_default_configs_cover_all_suites():
     for name in SUITES:
         cfg = default_config(name)
@@ -131,9 +149,9 @@ def test_entanglement_exact_backend():
 REPORTS = Path(__file__).parent / "data" / "reports"
 
 #: Machine reports pinned byte for byte at 30 trials: configs that print
-#: violation lines, both backends of the suites that have two, and the
-#: float-only suites of the state kernels (their reports hold counts only,
-#: so they guard against verdict flips and crashes, not amplitude bits).
+#: violation lines and every accepted (suite, backend) pair.  Reports hold
+#: counts and violation lines only, so they guard against verdict flips
+#: and crashes, not amplitude bits.
 PINNED = [
     ("sv-vs-rank-float-1e-15", "sv-vs-rank",
      dict(backend="float", abs_eps=1e-15, rel_eps=1e-15)),
@@ -143,8 +161,9 @@ PINNED = [
     ("entanglement-lemma-float", "entanglement-lemma", dict(backend="float")),
     ("entanglement-lemma-exact", "entanglement-lemma", dict(backend="exact")),
 ] + [(suite, suite, {}) for suite in (
-    "no-zero-divisors", "simplify-lemma", "depth-reduce", "depth1-refute",
-    "kill-parity", "topology-6qubit")]
+    "tight-parity3", "irreducibility-family", "no-zero-divisors",
+    "simplify-lemma", "depth-reduce", "depth1-refute", "kill-parity",
+    "topology-6qubit")]
 
 
 @pytest.mark.parametrize("name,suite,overrides", PINNED,

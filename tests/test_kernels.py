@@ -88,7 +88,7 @@ PHASES = (Exact.I, -Exact.I, Exact(0, Fraction(1, 2), 0, Fraction(1, 2)),
           Exact(Fraction(3, 5), 0, Fraction(4, 5)))
 
 #: Factors of the exact products: the named gates and the phase gates.
-FACTORS = [Gate1q.named(name) for name in "IXYZH"] + [phase_gate(e) for e in PHASES]
+FACTORS = [Gate1q.named(name) for name in "IXYZHST"] + [phase_gate(e) for e in PHASES]
 
 
 @st.composite
@@ -96,7 +96,7 @@ def exact_gates(draw):
     """A named gate, or a product of up to four exact factors; products
     have entries such as (1 +- i)/2 and (3 + 4i)/(5 sqrt2)."""
     if draw(st.booleans()):
-        return Gate1q.named(draw(st.sampled_from("IXYZH")))
+        return Gate1q.named(draw(st.sampled_from("IXYZHST")))
     product = draw(st.lists(st.sampled_from(FACTORS), min_size=2, max_size=4))
     gate = product[0]
     for factor in product[1:]:

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -636,33 +637,95 @@ float_coeffs = st.complex_numbers(min_magnitude=0.1, max_magnitude=10,
                                   allow_nan=False, allow_infinity=False)
 
 
+#: Exact scalings of integer products: one scalar times integers each.
+SCALINGS = [Exact.SQRT2, Exact.I, Exact(0, Fraction(1, 2), 0, Fraction(1, 2)),
+            Exact(Fraction(1, 3))]
+
+#: Scaling an integer f with l1 = sum|c| by INT64_L1 // l1 keeps l1^2
+#: below 2^63, the int64 route's bound, and by one more reaches it.
+INT64_L1 = math.isqrt(2 ** 63 - 1)
+
+
 @st.composite
 def decompose_cases(draw):
     """Products of up to three variable-disjoint factors with integer,
-    sqrt2-scaled or float coefficients, a float product possibly nudged
-    off rank 1 by a term near the tolerance."""
-    kind = draw(st.sampled_from(["int", "sqrt2", "float"]))
+    scaled or float coefficients: an integer content, a factor whose
+    coefficients sum to zero (which hides the other factors' pair
+    links), integers scaled to either side of the int64 bound, and a
+    float product possibly nudged off rank 1 by a term near the
+    tolerance."""
+    kind = draw(st.sampled_from(["int", "scaled", "zero-sum", "int64-edge",
+                                 "float"]))
     coeff = float_coeffs if kind == "float" else small_ints
     n = draw(st.integers(1, 8))
     cuts = sorted(draw(st.lists(st.integers(0, n), max_size=2)))
     parts = [VARS[lo:hi] for lo, hi in zip([0, *cuts], [*cuts, n])]
-    f = poly({(): Exact.ONE})
-    for part in parts:
-        f = f * draw(polys(part, coeff))
-    if kind == "sqrt2":
-        f = f * Exact.SQRT2
+    f = poly({(): Exact(draw(st.sampled_from([1, 1, -2, 6])))})
+    for k, part in enumerate(parts):
+        g = draw(polys(part, coeff))
+        if kind == "zero-sum" and k == 0:
+            g = g - sum(g.terms.values(), Exact.ZERO)
+        f = f * g
+    if kind == "scaled":
+        f = f * draw(st.sampled_from(SCALINGS))
+    if kind == "int64-edge" and not f.is_zero:
+        f = f * Exact(INT64_L1 // _form(f).l1 + draw(st.sampled_from([0, 1])))
     if kind == "float" and draw(st.booleans()):
         eps = draw(st.sampled_from([1e-13, 1e-10, 1e-8, 1e-6]))
         f = f + poly({draw(st.sampled_from(monomials(VARS[:n]))): eps})
     return f
 
 
+ZERO_SUM = poly({(VARS[0],): Exact(1), (VARS[1],): Exact(-1),
+                 (VARS[0], VARS[2]): Exact(2), (VARS[1], VARS[2]): Exact(-2)})
+
+#: A product with l1 = 6, scaled below to either side of the int64 bound.
+EDGE = poly({(): Exact(2), (VARS[0],): Exact.ONE}) * poly(
+    {(): Exact.ONE, (VARS[1],): Exact.ONE})
+
+
 @given(decompose_cases())
-@settings(max_examples=200, deadline=None)
+@example(ZERO_SUM * poly({(VARS[3],): Exact(3), (VARS[4],): Exact.ONE,
+                          (VARS[3], VARS[4]): Exact(2), (): Exact(-1)}))
+@example(poly({(): Exact.ONE, (VARS[0],): Exact(2)})
+         * poly({(VARS[1],): Exact(3), (VARS[2],): Exact(-1),
+                 (VARS[1], VARS[2]): Exact(4)}))
+@example(EDGE * Exact(INT64_L1 // 6))
+@example(EDGE * Exact(INT64_L1 // 6 + 1))
+@settings(max_examples=300, deadline=None)
 def test_decompose_matches_unpruned_search(f):
     if f.is_zero:
         return
     assert decompose(f) == unpruned_decompose(f)
+
+
+def counted(monkeypatch, names):
+    """Count the calls to these multilinear functions from now on."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def wrapper(*args, _fn=getattr(ml, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(ml, name, wrapper)
+    return calls
+
+
+def test_integer_decompose_stays_on_the_tensor(monkeypatch):
+    g = poly({(VARS[0],): Exact(2), (): Exact.ONE}) * poly(
+        {(VARS[1],): Exact(-3), (): Exact.ONE})
+    h = poly({(VARS[2],): Exact.ONE, (VARS[3],): Exact(5)})
+    # floats, and Exact coefficients that are not one scalar times
+    # integers, take the sparse route
+    cases = [g * h * Exact.SQRT2, g * h * 0.5,
+             g * (h + poly({(VARS[2],): Exact.I}))]
+    want = [unpruned_decompose(f) for f in cases]
+    calls = counted(monkeypatch, ["rank_le_1", "_extract_factors"])
+    assert decompose(cases[0]) == want[0]
+    assert calls == {"rank_le_1": 0, "_extract_factors": 0}
+    assert decompose(cases[1]) == want[1]
+    assert calls == {"rank_le_1": 0, "_extract_factors": 2}
+    assert decompose(cases[2]) == want[2]
+    assert calls["rank_le_1"] > 0 and calls["_extract_factors"] == 4
 
 
 def test_evaluate_and_restrict_ignore_the_hash_seed():
