@@ -79,8 +79,9 @@ def poly_of_state(psi: StateVector, bp: BlockPartition) -> MultilinearPoly:
                     for p, q in enumerate(sorted(qs)))
         names = [VarId(lbl, format(k, f"0{len(qs)}b")) for k in range(1 << len(qs))]
         factors.append([names[k] for k in value.tolist()])
-    amps = psi.amps
-    return MultilinearPoly({frozenset(m): amps[i] for i, *m in zip(idx, *factors)})
+    # support() has dropped the zero amplitudes, so no term needs pruning
+    return MultilinearPoly._of(dict(zip(map(frozenset, zip(*factors)),
+                                        psi.amps[idx].tolist())))
 
 
 def state_of_poly(f: MultilinearPoly, bp: BlockPartition) -> StateVector:

@@ -26,6 +26,7 @@ lies in Q(i, sqrt2), and those of H/X/Y/Z, CZ and the phases +-i and
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import product
 
@@ -102,10 +103,13 @@ class Gate1q:
         return self.mat.dtype == object
 
     def float_mat(self) -> np.ndarray:
-        if not self.is_exact:
-            return self.mat
-        return np.array([[to_float(self.mat[i, j]) for j in range(2)]
-                         for i in range(2)], dtype=complex)
+        return self._float_mat if self.is_exact else self.mat
+
+    @functools.cached_property
+    def _float_mat(self) -> np.ndarray:
+        m = self.mat.astype(complex)
+        m.flags.writeable = False
+        return m
 
     def compose_after(self, first: "Gate1q") -> "Gate1q":
         """Gate equal to applying ``first`` and then self."""

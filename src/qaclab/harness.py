@@ -242,8 +242,8 @@ def _random_factor_avoiding_ones(rng, size, ones_local):
 def _random_factor_pinned(rng, size, pinned_local):
     """Random state with the given local positions pinned to |1>."""
     free = size - len(pinned_local)
-    base = random_state(free, rng) if free else basis_state(0, 0).to_float()
-    ones = basis_state(len(pinned_local), "1" * len(pinned_local)).to_float()
+    base = random_state(free, rng) if free else basis_state(0, 0, exact=False)
+    ones = basis_state(len(pinned_local), "1" * len(pinned_local), exact=False)
     return tensor(ones, base, placement=pinned_local)
 
 
@@ -542,7 +542,7 @@ def _suite_depth_reduce(cfg, k):
         return
     for xi in range(1 << n):
         bits = "0" + format(xi, f"0{n}b") + "0" * m
-        initial = basis_state(circuit.r, bits).to_float()
+        initial = basis_state(circuit.r, bits, exact=False)
         rho_full = target_density(simulate(circuit, initial))
         rho_red = target_density(simulate(reduced, initial))
         gap = float(np.max(np.abs(rho_full - rho_red)))
@@ -572,7 +572,7 @@ def _suite_topology(cfg, k):
     rng = _rng(cfg, k)
     circuit = _topology_circuit(rng)
     bits = format(int(rng.integers(0, 64)), "06b")
-    initial = basis_state(6, bits).to_float()
+    initial = basis_state(6, bits, exact=False)
     _, steps = simulate(circuit, initial, trace=True)
     phi = next(st for lbl, st in steps if lbl == 1.5)
     outcome = classify_simplification(middle, phi, cfg.tol)

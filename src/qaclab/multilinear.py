@@ -54,6 +54,7 @@ from .numerics import (
     random_scalar,
     rank_le_1,
     scalar_is_zero,
+    sv_rank_le_1,
     to_float,
 )
 from .qstate import cut_matrix, dense_rank_le_1, linked_classes
@@ -117,6 +118,14 @@ class MultilinearPoly:
     # ---- constructors -------------------------------------------------
 
     @classmethod
+    def _of(cls, terms: dict) -> "MultilinearPoly":
+        """A polynomial keeping ``terms``, a fresh {frozenset: nonzero
+        coefficient} dict, unchecked and uncopied."""
+        f = object.__new__(cls)
+        f.terms, f._form, f._point = terms, None, None
+        return f
+
+    @classmethod
     def constant(cls, c) -> "MultilinearPoly":
         return cls({frozenset(): c})
 
@@ -138,10 +147,7 @@ class MultilinearPoly:
         return self.terms.get(frozenset(), 0)
 
     def variables(self) -> frozenset:
-        out = set()
-        for m in self.terms:
-            out.update(m)
-        return frozenset(out)
+        return frozenset().union(*self.terms)
 
     def coefficient(self, m: Monomial):
         return self.terms.get(frozenset(m), 0)
@@ -347,7 +353,7 @@ def _form(f: MultilinearPoly) -> _Form:
         fvars = sorted(f.variables())
         v = len(fvars)
         bit = {x: 1 << (v - 1 - q) for q, x in enumerate(fvars)}
-        masks = [sum(bit[x] for x in m) for m in f.terms]
+        masks = [sum(map(bit.__getitem__, m)) for m in f.terms]
         ints, l1, tensor = _integers(list(f.terms.values())), 0, None
         if ints is not None:
             l1 = sum(map(abs, ints))
@@ -639,18 +645,31 @@ def _coefficient_matrix(f: MultilinearPoly, subset: frozenset):
     return rows
 
 
-def _rank_le_1_float(rows, tol: Tolerance) -> bool:
-    row_keys = sorted(rows, key=_mono_key)
-    col_keys = sorted({c for r in rows.values() for c in r}, key=_mono_key)
-    col_pos = {c: i for i, c in enumerate(col_keys)}
-    mat = np.zeros((len(row_keys), len(col_keys)), dtype=complex)
-    for i, rk in enumerate(row_keys):
-        for ck, c in rows[rk].items():
-            mat[i, col_pos[ck]] = to_float(c)
-    s = np.linalg.svd(mat, compute_uv=False)
-    if len(s) < 2:
-        return True
-    return s[1] <= tol.threshold(s[0])
+def _float_cut_matrix(f: MultilinearPoly, subset) -> np.ndarray:
+    """The coefficient matrix of ``_coefficient_matrix`` as complex128,
+    rows and columns in ``_mono_key`` order.  On f's term bitmasks that
+    order is by bit count, then by decreasing mask (variable 0 is the
+    most significant bit), so the matrix is filled in one assignment."""
+    form = _form(f)
+    v = len(form.fvars)
+    sub = sum(1 << (v - 1 - q) for q, x in enumerate(form.fvars) if x in subset)
+    rows = [m & sub for m in form.masks]
+    cols = [m ^ row for m, row in zip(form.masks, rows)]
+    row_pos, col_pos = _mask_positions(rows), _mask_positions(cols)
+    mat = np.zeros((len(row_pos), len(col_pos)), dtype=complex)
+    flat = [row_pos[row] * len(col_pos) + col_pos[col] for row, col in zip(rows, cols)]
+    mat.reshape(-1)[flat] = list(f.terms.values())
+    return mat
+
+
+def _mask_positions(masks: list) -> dict:
+    ordered = sorted(set(masks), key=lambda m: (m.bit_count(), -m))
+    return {m: i for i, m in enumerate(ordered)}
+
+
+def _rank_le_1_float(f: MultilinearPoly, subset, tol: Tolerance) -> bool:
+    s = np.linalg.svd(_float_cut_matrix(f, subset), compute_uv=False)
+    return sv_rank_le_1(s, tol)
 
 
 def bipartition_rank_oracle(f: MultilinearPoly,
@@ -663,10 +682,10 @@ def bipartition_rank_oracle(f: MultilinearPoly,
     use singular values with the numerical-rank threshold
     ``s_i <= rel_eps * s_1 + abs_eps``.
     """
-    rows = _coefficient_matrix(f, frozenset(subset))
-    if all(is_exact(c) for r in rows.values() for c in r.values()):
-        return rank_le_1(rows)
-    return _rank_le_1_float(rows, tol)
+    subset = frozenset(subset)
+    if all(map(is_exact, f.terms.values())):
+        return rank_le_1(_coefficient_matrix(f, subset))
+    return _rank_le_1_float(f, subset, tol)
 
 
 def indecomposable_at_every_split(f: MultilinearPoly,

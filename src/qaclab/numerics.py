@@ -258,6 +258,12 @@ def rank_le_1(rows, tol: Tolerance = DEFAULT_TOL) -> bool:
     return True
 
 
+def sv_rank_le_1(s: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
+    """The floating rank-<=1 rule on singular values s in descending order:
+    every one past the first is at most ``tol.threshold(s[0])``."""
+    return len(s) < 2 or bool(s[1] <= tol.threshold(s[0]))
+
+
 # ---- integer numerators ------------------------------------------------
 # Field values as integer arrays: a (4, ...) array of the numerators of
 # the components of 1, sqrt2, i and i sqrt2 over one denominator.
@@ -341,7 +347,24 @@ def random_scalar(rng: np.random.Generator) -> complex:
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via QR with phase correction."""
+    """Haar-distributed unitary: Q of the QR decomposition of a complex
+    Gaussian matrix z, with the phases of R's diagonal moved into Q so
+    that R's diagonal is positive (Mezzadri, Notices AMS 2007).
+
+    For dim = 2 that Q is written out from the same eight normals: its
+    first column is z's over its norm n, its second the unit vector
+    orthogonal to the first whose inner product with z's second column,
+    |det z| / n, is positive.
+    """
+    if dim == 2:
+        x = rng.standard_normal(8).tolist()
+        a, b, c, d = map(complex, x[:4], x[4:])  # z = [[a, b], [c, d]]
+        n = math.sqrt(a.real * a.real + a.imag * a.imag
+                      + c.real * c.real + c.imag * c.imag)
+        det = a * d - b * c
+        phase = det / (abs(det) * n)
+        return np.array([[a / n, -c.conjugate() * phase],
+                         [c / n, a.conjugate() * phase]])
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(z)
     phases = np.diag(r).copy()

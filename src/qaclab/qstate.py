@@ -40,6 +40,7 @@ any cut that passes the singular-value rule could make it; see
 """
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from itertools import combinations
@@ -56,6 +57,7 @@ from .numerics import (
     numerators,
     numerators_to_complex,
     numerators_to_exact,
+    sv_rank_le_1,
     to_float,
     widened,
 )
@@ -210,7 +212,9 @@ class StateVector:
         return float(np.sum(np.abs(self._amps) ** 2))
 
     def norm(self) -> float:
-        return float(np.sqrt(to_float(self.norm_sq()).real))
+        if self.is_exact:
+            return float(np.sqrt(to_float(self.norm_sq()).real))
+        return l2(self._amps)
 
     def amp(self, bits: str):
         if len(bits) != self.r:
@@ -285,22 +289,20 @@ def product_state(pieces, normalized: bool = True) -> StateVector:
     is exact when every piece is, else complex.
     """
     labels = [q for qs, _ in pieces for q in qs]
-    exact = all(st.is_exact for _, st in pieces)
+    order = sorted(range(len(labels)), key=labels.__getitem__)
+    if not all(st.is_exact for _, st in pieces):
+        prod = functools.reduce(np.multiply.outer,
+                                [st.to_float().amps for _, st in pieces])
+        if order != list(range(len(labels))):
+            prod = prod.reshape([2] * len(labels)).transpose(order)
+        return StateVector._of(len(labels), prod.flatten(), normalized)
     prod, den = None, 1
     for _, st in pieces:
-        if exact:
-            x, den = st.num, den * st.den
-            prod = x if prod is None else _field_outer(prod, x).reshape(4, -1)
-        else:
-            x = st.to_float().amps[None]
-            prod = x if prod is None else (prod[:, :, None] * x).reshape(1, -1)
-    order = sorted(range(len(labels)), key=labels.__getitem__)
-    moved = prod.reshape([len(prod)] + [2] * len(labels)).transpose(
-        [0] + [k + 1 for k in order])
-    if exact:
-        num, den = lowest_terms(moved.reshape(4, -1), den)
-        return StateVector.from_numerators(len(labels), num, den, normalized)
-    return StateVector._of(len(labels), moved.flatten(), normalized)
+        den *= st.den
+        prod = st.num if prod is None else _field_outer(prod, st.num).reshape(4, -1)
+    moved = prod.reshape([4] + [2] * len(labels)).transpose([0] + [k + 1 for k in order])
+    num, den = lowest_terms(moved.reshape(4, -1), den)
+    return StateVector.from_numerators(len(labels), num, den, normalized)
 
 
 # ---- tensor structure ---------------------------------------------------
@@ -355,7 +357,7 @@ def separates_at(psi: StateVector, a, b, tol: Tolerance = DEFAULT_TOL):
             np.stack([cut_matrix(t, a, b) for t in psi.stack()])):
         return False, None
     u, s, vh = np.linalg.svd(cut_matrix(psi.to_float().axes(), a, b))
-    if not psi.is_exact and len(s) > 1 and s[1] > tol.threshold(s[0]):
+    if not psi.is_exact and not sv_rank_le_1(s, tol):
         return False, None
     return True, (StateVector(len(a), u[:, 0]), StateVector(len(b), vh[0, :]))
 

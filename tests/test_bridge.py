@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -13,10 +15,11 @@ from qaclab.bridge import (
 from qaclab.circuit import GATE_H, apply_1q, apply_cz
 from qaclab.family import BlockSpec, build_family_P
 from qaclab.multilinear import MultilinearPoly, VarId, bipartition_rank_oracle
-from qaclab.numerics import Exact, make_rng, to_float
+from qaclab.numerics import Exact, make_rng, scalar_is_zero, to_float
 from qaclab.qstate import (
     StateVector,
     basis_state,
+    random_exact_state,
     random_product_state,
     random_state,
     tensor,
@@ -129,3 +132,59 @@ def test_separable_implies_rank_one_sweep():
         # for this correspondence the converse holds as well: the
         # coefficient matrix is exactly the reshaped amplitude matrix
         assert report.equivalence_holds
+
+
+def reference_poly_of_state(psi, bp):
+    """poly_of_state term by term: one monomial per basis index, the
+    pruning constructor dropping the zero amplitudes."""
+    terms = {}
+    for i, c in enumerate(psi.amps):
+        bits = format(i, f"0{psi.r}b")
+        terms[frozenset(VarId(lbl, "".join(bits[q] for q in sorted(qs)))
+                        for lbl, qs in bp.blocks)] = c
+    return MultilinearPoly(terms)
+
+
+def random_blocks(r, rng):
+    """One to four blocks (at most r) over a random permutation of the qubits."""
+    k = int(rng.integers(1, min(4, r) + 1))
+    qubits = [int(q) for q in rng.permutation(r)]
+    cuts = sorted(int(c) for c in rng.choice(np.arange(1, r), k - 1, replace=False))
+    return block_partition(*((lbl, tuple(qubits[lo:hi])) for lbl, lo, hi in
+                             zip("xyzw", [0, *cuts], [*cuts, r])))
+
+
+def sparse_state(r, rng, exact):
+    """A state with about half its amplitudes zero (at least one not)."""
+    keep = rng.random(1 << r) < 0.5
+    keep[int(rng.integers(0, 1 << r))] = True
+    if exact:
+        amps = random_exact_state(r, rng).amps.copy()
+        amps[~keep] = Exact.ZERO
+        if all(a == Exact.ZERO for a in amps):
+            amps[np.flatnonzero(keep)[0]] = Exact(1, 1, 0, Fraction(1, 3))
+        return StateVector(r, amps, normalized=False)
+    amps = (rng.standard_normal(1 << r) + 1j * rng.standard_normal(1 << r)) * keep
+    return StateVector(r, amps, normalized=False)
+
+
+def test_poly_of_state_matches_term_by_term_reference():
+    rng = make_rng(54)
+    seen_blocks = set()
+    for k in range(300):
+        r = int(rng.integers(1, 7))
+        exact = k % 2 == 0
+        psi = sparse_state(r, rng, exact)
+        bp = random_blocks(r, rng)
+        seen_blocks.add(len(bp.blocks))
+        f = poly_of_state(psi, bp)
+        want = reference_poly_of_state(psi, bp)
+        assert f.terms == want.terms
+        assert len(f.terms) == int(psi.support().sum())
+        assert not any(scalar_is_zero(c) for c in f.terms.values())
+        assert all(isinstance(c, Exact) == exact for c in f.terms.values())
+        if exact:
+            back = state_of_poly(f, bp)
+            assert back.den == psi.den and np.array_equal(back.num, psi.num)
+    assert seen_blocks == {1, 2, 3, 4}
+

@@ -566,6 +566,45 @@ def test_rank_oracle_agrees_with_sv(subtests=None):
                     assert split
 
 
+def reference_cut_matrix(f, subset):
+    """The float oracle's matrix filled entry by entry from
+    ``_coefficient_matrix``, rows and columns in ``_mono_key`` order."""
+    rows = ml._coefficient_matrix(f, subset)
+    row_keys = sorted(rows, key=ml._mono_key)
+    col_keys = sorted({c for r in rows.values() for c in r}, key=ml._mono_key)
+    mat = np.zeros((len(row_keys), len(col_keys)), dtype=complex)
+    for i, rk in enumerate(row_keys):
+        for j, ck in enumerate(col_keys):
+            if ck in rows[rk]:
+                mat[i, j] = to_float(rows[rk][ck])
+    return mat
+
+
+def test_float_cut_matrix_matches_entrywise_fill():
+    rng = make_rng(17)
+    cases = [random_multilinear_poly(rng, int(rng.integers(1, 8)),
+                                     int(rng.integers(1, 30)), exact=False,
+                                     block="xz"[k % 2])
+             for k in range(120)]
+    # mixed Exact and float coefficients, variables from two blocks
+    cases.append(poly({(X0, Z0): Exact(1, 2, 0, Fraction(1, 3)), (X1,): 0.25 - 2j,
+                       (X2, Z1): Exact.MINUS_ONE, (): 1e-13, (X0, X1, Z1): Exact.I}))
+    outside = var("y", "0")  # in no monomial: splits nothing
+    for f in cases:
+        fvars = sorted(f.variables())
+        for _ in range(6):
+            subset = frozenset(x for x in fvars if rng.random() < 0.5)
+            if rng.random() < 0.3:
+                subset |= {outside}
+            got = ml._float_cut_matrix(f, subset)
+            want = reference_cut_matrix(f, subset)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            if got.size:
+                s_got = np.linalg.svd(got, compute_uv=False)
+                s_want = np.linalg.svd(want, compute_uv=False)
+                assert s_got.tobytes() == s_want.tobytes()
+
+
 def test_decompose_examples():
     expanded = poly({(X0, Z0): Exact.ONE, (X0, Z1): Exact.ONE,
                      (X1, Z0): Exact.ONE, (X1, Z1): Exact.ONE})

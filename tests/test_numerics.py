@@ -13,6 +13,7 @@ from qaclab.numerics import (
     random_scalar,
     random_unitary,
     rank_le_1,
+    sv_rank_le_1,
     to_float,
 )
 
@@ -124,6 +125,33 @@ def test_random_unitary_is_unitary():
     for dim in (2, 4, 8):
         u = random_unitary(dim, rng)
         assert np.max(np.abs(u @ u.conj().T - np.eye(dim))) < 1e-10
+
+
+def qr_haar(rng):
+    """The QR-with-phase draw from the same eight normals."""
+    z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    q, r = np.linalg.qr(z)
+    phases = np.diag(r).copy()
+    return q * (phases / np.abs(phases))
+
+
+def test_closed_form_2x2_haar_matches_qr_with_phase():
+    for seed in range(4):
+        rng, ref = make_rng(70, seed), make_rng(70, seed)
+        for _ in range(250):
+            u = random_unitary(2, rng)
+            assert np.max(np.abs(u @ u.conj().T - np.eye(2))) <= 1e-12
+            assert np.max(np.abs(u - qr_haar(ref))) <= 1e-12
+        # the generator is left where the QR draw leaves it
+        assert random_unitary(2, rng).tobytes() == random_unitary(2, ref).tobytes()
+        assert rng.standard_normal() == ref.standard_normal()
+
+
+def test_sv_rank_le_1():
+    tol = Tolerance(abs_eps=1e-10, rel_eps=1e-9)
+    assert sv_rank_le_1(np.array([]), tol) and sv_rank_le_1(np.array([3.0]), tol)
+    assert sv_rank_le_1(np.array([2.0, 1e-10 + 2e-9, 0.0]), tol)
+    assert not sv_rank_le_1(np.array([2.0, 1e-10 + 2.1e-9]), tol)
 
 
 # ---- rank <= 1 on sparse rows --------------------------------------------------

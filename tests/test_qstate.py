@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -427,6 +427,38 @@ def test_remove_ones_component():
     out = remove_ones_component(psi, {0, 2})
     assert ones_projection_norm(out, {0, 2}) < 1e-12
     assert abs(out.norm() - 1) < 1e-12
+
+
+def test_float_product_state_matches_index_loop():
+    # every arrangement of labels over pieces of sizes (2, 1, 1), among
+    # them involutions such as [1, 0, ...], whose argsort is themselves
+    rng = make_rng(38)
+    pieces_states = [random_state(2, rng), random_state(1, rng),
+                     basis_state(1, "1")]  # an exact piece is taken as floats
+    for perm in map(list, permutations(range(4))):
+        pieces = [(perm[:2], pieces_states[0]), (perm[2:3], pieces_states[1]),
+                  (perm[3:], pieces_states[2])]
+        # each piece's amplitude at every index, multiplied as arrays:
+        # numpy scalar products can round differently from array ones
+        factors = [np.array([st_.to_float().amps[int("".join(bits[q] for q in qs), 2)]
+                             for bits in (format(idx, "04b") for idx in range(16))])
+                   for qs, st_ in pieces]
+        want = factors[0] * factors[1] * factors[2]
+        got = product_state(pieces)
+        assert not got.is_exact and got.amps.tobytes() == want.tobytes()
+    # one piece in order: the state's amplitudes, not shared with it
+    psi = random_state(3, rng)
+    one = product_state([([0, 1, 2], psi)])
+    assert one.amps.tobytes() == psi.amps.tobytes()
+    assert not np.shares_memory(one.amps, psi.amps)
+
+
+def test_float_norm_is_l2():
+    rng = make_rng(39)
+    for r in range(1, 6):
+        psi = StateVector(r, 3 * random_state(r, rng).amps, normalized=False)
+        assert psi.norm() == qstate.l2(psi.amps)
+        assert abs(psi.norm() - np.sqrt(np.sum(np.abs(psi.amps) ** 2))) <= 1e-14
 
 
 def test_random_state_norm_and_cap():
