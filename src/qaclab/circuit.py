@@ -19,9 +19,11 @@ gate on T = S minus the qubits pinned to |1> when such qubits exist; and
 otherwise it does not simplify.
 
 Gates on an exact state run on its integer numerators over one shared
-denominator (``StateVector.num``; ``_gate_1q``, ``_gate_multi``), with
-no conversion to or from ``Exact`` amplitudes: every exact gate entry
-lies in Q(i, sqrt2), and those of H/X/Y/Z, CZ and the phases +-i and
+denominator (``StateVector.num``), with no conversion to or from
+``Exact`` amplitudes: each exact gate caches its integer operator on the
+numerator components (``_exact_op``, ``_phase_op``), which ``_gate_1q``
+and ``_gate_multi`` apply in one matmul.  Every exact gate entry lies in
+Q(i, sqrt2), and those of H/X/Y/Z, CZ and the phases +-i and
 (1+-i)/sqrt2 even in Z[1/sqrt2, i] (Giles and Selinger, PRA 2013).
 """
 from __future__ import annotations
@@ -34,6 +36,7 @@ import numpy as np
 
 from .numerics import (
     DEFAULT_TOL,
+    INT64_SAFE,
     Exact,
     Tolerance,
     is_exact,
@@ -86,6 +89,7 @@ class Gate1q:
     name: str | None = None
 
     @classmethod
+    @functools.cache  # one gate per name, so its operators are built once
     def named(cls, name: str) -> "Gate1q":
         if name not in _NAMED_1Q:
             raise CircuitValidationError(f"unknown gate {name!r}", "unknown-gate-name")
@@ -110,6 +114,13 @@ class Gate1q:
         m = self.mat.astype(complex)
         m.flags.writeable = False
         return m
+
+    @functools.cached_property
+    def _exact_op(self) -> tuple:
+        """``_operator`` of the gate on (component, bit) pairs 2 c + b."""
+        nums, g = numerators(self.mat.flat)
+        blocks = np.array([_times(nums[k:k + 4]) for k in range(0, 16, 4)], object)
+        return _operator(blocks.reshape(2, 2, 4, 4).transpose(2, 0, 3, 1).reshape(8, 8), g)
 
     def compose_after(self, first: "Gate1q") -> "Gate1q":
         """Gate equal to applying ``first`` and then self."""
@@ -196,10 +207,26 @@ def _times(n) -> list:
             [n3, n2, n1, n0]]
 
 
-def _gain(*mats) -> int:
-    """Largest absolute row sum of the matrices placed side by side: the
-    factor by which one output entry can exceed the largest input."""
-    return max(sum(abs(x) for m in mats for x in m[k]) for k in range(4))
+def _gain(m) -> int:
+    """Largest absolute row sum of m: the most an output exceeds max|input| by."""
+    return max(sum(map(abs, row)) for row in m)
+
+
+def _operator(op: np.ndarray, g: int, gain: int = 1) -> tuple:
+    """(op, g, gain) for an integer matrix over g, its gain at least
+    ``gain``: op read-only, int64 unless the gain reaches ``INT64_SAFE``."""
+    gain = max(gain, _gain(op))
+    op = op if gain >= INT64_SAFE else op.astype(np.int64)
+    op.flags.writeable = False
+    return op, g, gain
+
+
+@functools.lru_cache(maxsize=64)
+def _phase_op(eta) -> tuple:
+    """``_operator`` of an exact phase, once per value (None for CZ's -1,
+    a key with no ``Exact`` hash to take); other amplitudes scale by g."""
+    e, g = numerators([Exact.MINUS_ONE if eta is None else eta])
+    return _operator(np.array(_times(e), dtype=object), g, g)
 
 
 def _gate_1q(psi: StateVector, qubit: int, gate: Gate1q) -> StateVector:
@@ -208,8 +235,8 @@ def _gate_1q(psi: StateVector, qubit: int, gate: Gate1q) -> StateVector:
     the middle, and the 2x2 gate m acts in one matmul picked by shape:
     ``m @ view`` batched over 2^q <= rest blocks, ``view @ m.T`` on the
     rows of the last qubit, else m times the view with its middle axis
-    moved to the front.  Exact numerators: each entry acts as a
-    ``_times`` matrix over its own denominator, which the state's absorbs."""
+    moved to the front.  Exact numerators: the gate's cached 8x8 operator
+    acts on their (component, bit) pairs over a g the state's den absorbs."""
     if not psi.is_exact:
         m, lead, rest = gate.float_mat(), 1 << qubit, 1 << (psi.r - 1 - qubit)
         view = psi.amps.reshape(lead, 2, rest)
@@ -221,32 +248,25 @@ def _gate_1q(psi: StateVector, qubit: int, gate: Gate1q) -> StateVector:
             out = (m @ view.transpose(1, 0, 2).reshape(2, -1)).reshape(
                 2, lead, rest).transpose(1, 0, 2)
         return StateVector._of(psi.r, out.reshape(-1), psi.normalized)
-    lo, hi = bit_index(psi.r, (qubit,), 0), bit_index(psi.r, (qubit,), 1)
-    nums, g = numerators(gate.mat.flat)
-    m00, m01, m10, m11 = (_times(nums[k:k + 4]) for k in range(0, 16, 4))
-    rows = [(m00, m01), (m10, m11)]
-    t = widened(psi.num, max(_gain(*row) for row in rows)).reshape([4] + [2] * psi.r)
-    parts = [(slice(None),) + lo, (slice(None),) + hi]
-    out = np.empty_like(t)
-    for part, row in zip(parts, rows):
-        out[part] = sum(np.tensordot(np.array(m, dtype=t.dtype), t[src], 1)
-                        for m, src in zip(row, parts) if any(map(any, m)))
+    op, g, gain = gate._exact_op
+    t = widened(psi.num, gain).reshape(4, 1 << qubit, 2, -1).transpose(0, 2, 1, 3)
+    out = (op @ t.reshape(8, -1)).reshape(t.shape).transpose(0, 2, 1, 3)
     return psi.restacked(out, psi.den * g)
 
 
 def _gate_multi(psi: StateVector, gate: MultiGate) -> StateVector:
-    """psi after a phase gate, exactly if psi is exact (then so is eta)."""
+    """psi after a phase gate, exactly if psi is exact (then so is eta):
+    eta's cached operator on the S-ones numerators, the rest times g."""
     ones = bit_index(psi.r, gate.qubits, 1)
     if not psi.is_exact:
         out = psi.axes().copy()
         out[ones] *= to_float(gate.eta)
         return StateVector._of(psi.r, out.reshape(-1), psi.normalized)
-    e, g = numerators([gate.eta])
-    m = _times(e)
-    t = widened(psi.num, max(g, _gain(m))).reshape([4] + [2] * psi.r)
-    out = t * g
+    op, g, gain = _phase_op(None if gate.kind == "cz" else gate.eta)
+    t = widened(psi.num, gain).reshape([4] + [2] * psi.r)
+    out = t.copy() if g == 1 else t * np.array(g)  # object past int64: no wrap
     ones = (slice(None),) + ones
-    out[ones] = np.tensordot(np.array(m, dtype=t.dtype), t[ones], 1)
+    out[ones] = (op @ t[ones].reshape(4, -1)).reshape(out[ones].shape)
     return psi.restacked(out, psi.den * g)
 
 
@@ -341,13 +361,8 @@ class Circuit:
 
     @property
     def is_exact(self) -> bool:
-        for layer in self.single_layers:
-            if any(not g.is_exact for g in layer.values()):
-                return False
-        for layer in self.multi_layers:
-            if any(not is_exact(g.eta) for g in layer):
-                return False
-        return True
+        return (all(g.is_exact for layer in self.single_layers for g in layer.values())
+                and all(is_exact(g.eta) for layer in self.multi_layers for g in layer))
 
     def input_qubits(self) -> range:
         return range(1, 1 + self.n_inputs)
@@ -512,10 +527,8 @@ def computes_parity_on_basis(circuit: Circuit,
         final = simulate(circuit, initial)
         # the component with target != parity(x) must vanish
         wrong = bit_index(circuit.r, (0,), 1 - x.count("1") % 2)
-        if final.is_exact:
-            ok = not final.support()[wrong].any()
-        else:
-            ok = l2(final.axes()[wrong]) <= tol.threshold(1.0)
+        ok = (not final.support()[wrong].any() if final.is_exact
+              else l2(final.axes()[wrong]) <= tol.threshold(1.0))
         if not ok:
             return False, x
     return True, None

@@ -336,11 +336,12 @@ def _is_integer(s) -> bool:
 
 
 class _Form(NamedTuple):
-    """Sorted variables and a bitmask per term (bit v-1-q for ``fvars[q]``);
-    for coefficients that are one scalar times integers (``_integers``)
-    those ints, l1 = sum|c| and, if v <= 16 and l1^2 < 2^63, the
-    read-only int64 [2]*v coefficient tensor."""
+    """Sorted variables, the bit of each (v-1-q for ``fvars[q]``) and a
+    bitmask per term; for coefficients that are one scalar times
+    integers (``_integers``) those ints, l1 = sum|c| and, if v <= 16 and
+    l1^2 < 2^63, the read-only int64 [2]*v coefficient tensor."""
     fvars: list
+    bit: dict
     masks: list
     ints: list | None
     l1: int
@@ -360,7 +361,7 @@ def _form(f: MultilinearPoly) -> _Form:
             if v <= _DENSE_MAX_VARS and l1 * l1 < _INT64_LIMIT:
                 tensor = _dense(masks, ints, v, np.int64)
                 tensor.flags.writeable = False
-        f._form = _Form(fvars, masks, ints, l1, tensor)
+        f._form = _Form(fvars, bit, masks, ints, l1, tensor)
     return f._form
 
 
@@ -559,19 +560,16 @@ def sv_partition_test(f: MultilinearPoly,
     """
     if not assume_justifying and not is_justifying(f, a):
         raise NotJustifyingError("assignment is not justifying for f")
-    subset = frozenset(subset)
     form = _form(f)
-    for v in form.fvars:
-        if v not in a:
-            raise MissingVariableError(f"assignment is missing {v}")
-
-    prepared = _prepared(f, form, [a[x] for x in form.fvars])
+    try:
+        point = [a[x] for x in form.fvars]
+    except KeyError as exc:
+        raise MissingVariableError(f"assignment is missing {exc.args[0]}") from None
+    prepared = _prepared(f, form, point)
     if prepared is not None:
-        v = len(form.fvars)
-        return prepared.verdict(sum(1 << (v - 1 - q) for q, x in
-                                    enumerate(form.fvars) if x in subset))
+        return prepared.verdict(sum(map(form.bit.get, form.bit.keys() & subset)))
 
-    fvars = f.variables()
+    subset, fvars = frozenset(subset), f.variables()
     left = restrict(f, subset & fvars, a)
     right = restrict(f, fvars - subset, a)
     rng = rng or np.random.default_rng(0)
@@ -651,8 +649,7 @@ def _float_cut_matrix(f: MultilinearPoly, subset) -> np.ndarray:
     order is by bit count, then by decreasing mask (variable 0 is the
     most significant bit), so the matrix is filled in one assignment."""
     form = _form(f)
-    v = len(form.fvars)
-    sub = sum(1 << (v - 1 - q) for q, x in enumerate(form.fvars) if x in subset)
+    sub = sum(b for x, b in form.bit.items() if x in subset)
     rows = [m & sub for m in form.masks]
     cols = [m ^ row for m, row in zip(form.masks, rows)]
     row_pos, col_pos = _mask_positions(rows), _mask_positions(cols)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qaclab import circuit as circuit_mod, harness
 from qaclab.circuit import (
     DISAPPEARS,
     GATE_H,
@@ -19,13 +20,21 @@ from qaclab.circuit import (
     Gate1q,
     MultiGate,
     SimplificationOutcome,
+    _phase_op,
     apply_1q,
     apply_cnot,
     apply_multi,
     classify_simplification,
     simulate,
 )
-from qaclab.numerics import DEFAULT_TOL, Exact, Tolerance, random_unitary
+from qaclab.numerics import (
+    DEFAULT_TOL,
+    INT64_SAFE,
+    Exact,
+    Tolerance,
+    random_unitary,
+    widened,
+)
 from qaclab.parity import product_initial, subset_parity_mass
 from qaclab.qstate import (
     StateVector,
@@ -339,6 +348,114 @@ def test_exact_simulation_matches_oracle_on_1000_circuits():
                 for gate in multis[i]:
                     a = reference_multi(a, r, gate.qubits, gate.eta)
         assert_same(simulate(circuit, StateVector(r, amps)).amps, a)
+
+
+#: The four units of the numerator components 1, sqrt2, i, i sqrt2.
+UNITS = [Exact(*(int(k == c) for k in range(4))) for c in range(4)]
+
+#: (3+4i)/5 to the 30th: a unit phase over 5^30 > 2^64, whose operators
+#: hold Python ints.
+BIG_PHASE = Exact(1)
+for _ in range(30):
+    BIG_PHASE = BIG_PHASE * PHASES[3]
+
+
+def components(x):
+    return [x.a, x.b, x.c, x.d]
+
+
+def named_and_phase_gates():
+    return [Gate1q.named(name) for name in "IXYZHST"] + [phase_gate(e) for e in PHASES]
+
+
+def test_operator_table_matches_exact_products():
+    # column (c, b) of a gate's operator is the gate applied to the unit
+    # c on bit b, its components over g; a phase's 4x4 operator is eta
+    # times each unit
+    for gate in named_and_phase_gates():
+        op, g, gain = gate._exact_op
+        assert op.dtype == np.int64 and not op.flags.writeable
+        assert gain == max(sum(abs(int(x)) for x in row) for row in op)
+        for c, b in np.ndindex(4, 2):
+            for row in range(2):
+                parts = components(gate.mat[row, b] * UNITS[c])
+                assert [op[2 * k + row, 2 * c + b] for k in range(4)] == [
+                    x * g for x in parts]
+    for key in (None,) + PHASES:  # None keys CZ's -1
+        eta = Exact.MINUS_ONE if key is None else key
+        op, g, gain = _phase_op(key)
+        assert op.dtype == np.int64 and not op.flags.writeable
+        assert gain == max(g, *(sum(abs(int(x)) for x in row) for row in op))
+        for c in range(4):
+            assert list(op[:, c]) == [x * g for x in components(eta * UNITS[c])]
+
+
+def near_int64_state(rng, r):
+    """An exact int64 state with numerators up to 3 * 2^60 + 3, within a
+    factor 2 of ``INT64_SAFE``: a gate of gain >= 2 works on them as
+    Python ints, and one of gain >= 3 can leave int64."""
+    num = rng.integers(-3, 4, size=(4, 1 << r)) * (INT64_SAFE // 4)
+    num += rng.integers(-3, 4, size=num.shape)
+    num[rng.integers(4), rng.integers(1 << r)] = 3 * (INT64_SAFE // 4) + 1
+    psi = StateVector.from_numerators(r, num, 1, normalized=False)
+    assert psi.num.dtype == np.int64
+    return psi
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_gates_past_int64_match_index_loops(data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    r = data.draw(st.integers(1, 3))
+    for gate in named_and_phase_gates() + [data.draw(exact_gates()), phase_gate(BIG_PHASE)]:
+        psi = near_int64_state(rng, r)
+        assert (widened(psi.num, gate._exact_op[2]).dtype == object) == (
+            gate._exact_op[2] > 1)
+        q = int(rng.integers(r))
+        assert_same(apply_1q(psi, q, gate).amps, reference_1q(psi.amps, r, q, gate.mat))
+    qubits = frozenset(q for q in range(r) if rng.random() < 0.6)
+    for eta in (Exact.MINUS_ONE, BIG_PHASE) + PHASES:
+        psi = near_int64_state(rng, r)
+        got = apply_multi(psi, MultiGate(qubits, "cz") if eta is Exact.MINUS_ONE
+                          else MultiGate(qubits, "geta", eta))
+        assert_same(got.amps, reference_multi(psi.amps, r, qubits, eta))
+
+
+def test_zero_state_under_large_gain_gates():
+    # the operators of BIG_PHASE do not fit int64; the zero state's int64
+    # numerators neither wrap nor turn into nonzero entries
+    assert _phase_op(BIG_PHASE)[0].dtype == object
+    assert phase_gate(BIG_PHASE)._exact_op[0].dtype == object
+    zero = StateVector(3, [Exact.ZERO] * 8, normalized=False)
+    outs = [apply_1q(zero, q, phase_gate(BIG_PHASE)) for q in range(3)]
+    outs.append(apply_multi(zero, MultiGate(frozenset({0, 2}), "geta", BIG_PHASE)))
+    for out in outs:
+        assert out.num.dtype == np.int64 and not out.num.any() and out.den == 1
+        assert all(a == Exact.ZERO for a in out.amps)
+
+
+def test_tight_parity3_builds_each_operator_once(monkeypatch):
+    # across the 16 basis inputs numerators runs at most once per
+    # distinct gate object, however many times each gate is applied
+    calls, circuits = [], []
+
+    def counted(xs):
+        calls.append(1)
+        return numerators(xs)
+
+    def recorded():
+        circuits.append(parity3_circuit())
+        return circuits[-1]
+
+    numerators, parity3_circuit = circuit_mod.numerators, harness.parity3_circuit
+    GATE_H.__dict__.pop("_exact_op", None)
+    _phase_op.cache_clear()
+    monkeypatch.setattr(circuit_mod, "numerators", counted)
+    monkeypatch.setattr(harness, "parity3_circuit", recorded)
+    assert harness.run_suite("tight-parity3").passed
+    gates = {id(g) for c in circuits for layer in c.single_layers for g in layer.values()}
+    gates |= {id(g) for c in circuits for layer in c.multi_layers for g in layer}
+    assert len(circuits) == 16 and 0 < len(calls) <= len(gates)
 
 
 def test_exact_zero_tests_never_call_exact_bool(monkeypatch):

@@ -198,6 +198,21 @@ def test_sv_requires_justifying():
         sv_partition_test(f, {X0: Exact.ZERO, X1: Exact.ZERO}, {X0})
 
 
+def test_sv_subset_forms_and_missing_variable():
+    # a list with repeats, a generator and variables outside f all name
+    # the same subset; a missing variable is named in the error
+    f = poly({(X0, X1): Exact.ONE, (X2,): Exact(2)})
+    a = {X0: Exact.ONE, X1: Exact(3), X2: Exact.ONE}
+    for subset in ({X0}, {X2}, {X0, X1}):
+        want = sv_partition_test(f, a, frozenset(subset), assume_justifying=True)
+        forms = (list(subset) * 2, (x for x in subset), set(subset) | {Z0})
+        assert all(sv_partition_test(f, a, s, assume_justifying=True) == want
+                   for s in forms)
+    with pytest.raises(MissingVariableError, match="missing"):
+        sv_partition_test(f, {X0: Exact.ONE, X2: Exact.ONE}, {X0},
+                          assume_justifying=True)
+
+
 def test_sv_cross_polynomial_never_splits():
     rng = make_rng(10)
     a = find_justifying_assignment(CROSS, rng)
