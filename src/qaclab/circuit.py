@@ -81,9 +81,10 @@ _NAMED_1Q = {name: np.array(m, dtype=object) for name, m in {
 }.items()}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Gate1q:
-    """A 2x2 unitary; named gates carry exact entries."""
+    """A 2x2 unitary; named gates carry exact entries.  Gates with equal
+    entries are equal, whatever their names (``Exact`` == its float)."""
 
     mat: np.ndarray
     name: str | None = None
@@ -127,6 +128,14 @@ class Gate1q:
         if self.is_exact and first.is_exact:
             return Gate1q(self.mat @ first.mat)
         return Gate1q(self.float_mat() @ first.float_mat())
+
+    def __eq__(self, other):
+        if not isinstance(other, Gate1q):
+            return NotImplemented
+        return bool((self.mat == other.mat).all())
+
+    def __hash__(self):
+        return hash(tuple(self.float_mat().ravel().tolist()))
 
     def __repr__(self):
         return f"Gate1q({self.name or 'matrix'})"

@@ -6,33 +6,21 @@ with degree at most one).  Variables are tagged with a block letter and
 a bitstring index, e.g. ``x[01]``, so that polynomials read off quantum
 states keep their register structure visible.
 
-The decomposability machinery has two independent routes:
-
-* ``sv_partition_test`` checks the restriction identity
-  ``f(a) * f == f|_I * f|_complement(I)`` at a justifying assignment,
-  which holds exactly when I is a union of variable-partition classes.
-  Exact inputs are decided as one check on the split matrix of the
-  dense [2]*v coefficient tensor (the bit-axis layout of ``qstate``):
-  in int64 when no entry can overflow, on object arrays of Python
-  ints or ``Exact`` scalars otherwise.  A sweep asking about a second
-  subset at one point (v <= 8) gets every subset's verdict from one
-  batched pass over the [3]*v table of partial evaluations, and later
-  calls at that point look theirs up;
-* ``bipartition_rank_oracle`` checks whether the coefficient matrix of
-  the split has rank <= 1, i.e. whether f factors as g(I) * h(rest).
-
-They are used to cross-check each other in the verification suites.
-Each polynomial keeps a form (``_form``) built on first use: its term
-bitmasks and, for coefficients that are one scalar (such as sqrt2, i
-or 1/3) times integers, those integers and their int64 coefficient
-tensor, shared by every later call.  ``decompose`` tests
-only the subsets that are unions of pair-link classes
-(``qstate.linked_classes``), which never skips the minimal split.  It
-runs on the int64 tensor from start to finish where there is one, with
-the factors built once at the end; floats, other ``Exact``
-coefficients, integers past the int64 bound and f past 16 variables
-take the sparse route of ``bipartition_rank_oracle`` and
-``_extract_factors``.
+Exact f on at most 16 variables has one coefficient form (``_form``):
+its numerators over their common denominator as a [k, 2, ..., 2] stack,
+variable q on axis q + 1 as qubit q of ``StateVector.stack``, with
+k = 1 for real rationals and k = 4 (the components of 1, sqrt2, i and
+i sqrt2) otherwise.  Every exact decision runs on it, in int64 while no
+entry can overflow and on Python ints past that, never float:
+``sv_partition_test`` checks the restriction identity
+``f(a) * f == f|_I * f|_complement(I)``, which at a justifying a holds
+exactly when I is a union of variable-partition classes, and
+``is_justifying`` the partial derivatives, both at an exact point
+prepared once; ``decompose`` tests rank <= 1 on the splits that are
+unions of pair-link classes (``qstate.linked_classes``).
+``bipartition_rank_oracle`` decides splits on the sparse terms, which
+is all there is for float coefficients and exact f past 16 variables;
+the suites cross-check the two.
 """
 from __future__ import annotations
 
@@ -40,24 +28,28 @@ import functools
 import math
 import operator
 import re
-from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from .numerics import (
     DEFAULT_TOL,
+    INT64_SAFE,
     Exact,
     Tolerance,
     approx_eq,
+    four_components,
     is_exact,
+    numerator_stack,
     random_scalar,
     rank_le_1,
     scalar_is_zero,
+    stack_mul,
+    stack_size,
     sv_rank_le_1,
     to_float,
 )
-from .qstate import cut_matrix, dense_rank_le_1, linked_classes
+from .qstate import cut_stack, dense_rank_le_1, linked_classes
 from .textio import ParseError, content_lines, format_complexes, parse_complexes
 
 
@@ -263,32 +255,23 @@ def is_justifying(f: MultilinearPoly, a: Assignment,
     """True iff every single-variable restriction of f at a is non-constant.
 
     Each restriction is univariate multilinear, c0 + c1*v; it counts as
-    non-constant when c1 is nonzero (exactly for exact scalars, above
-    the tolerance relative to the restriction's own scale for floats,
-    so that an assignment annihilating a whole factor is rejected even
-    when rounding leaves residues of order 1e-17).  When f's form has
-    integers (coefficients one scalar times them) and the point is real
-    integers, c1 = df/dv(a), up to that scalar, comes for every v from
-    one pass over the integer terms instead.
+    non-constant when c1 = df/dv(a) is nonzero: exactly for exact f, on
+    the prepared point if f has a form stack, and for floats above the
+    tolerance relative to the restriction's own scale, so that an
+    assignment annihilating a whole factor is rejected even when
+    rounding leaves residues of order 1e-17.
     """
     form = _form(f)
-    point = [a.get(x) for x in form.fvars]
-    if form.ints is not None and all(map(_is_integer, point)):
-        point, n = [x.a.numerator for x in point], len(point)
-        c1 = [0] * n
-        for mask, c in zip(form.masks, form.ints):
-            axes = [q for q in range(n) if mask >> (n - 1 - q) & 1]
-            for q in axes:
-                c1[q] += c * math.prod(point[p] for p in axes if p != q)
-        return all(c1)
+    prepared = _prepared(f, form, [a.get(x) for x in form.fvars])
+    if prepared is not None:
+        return prepared.justifying()
     fvars = f.variables()
     for v in fvars:
         g = restrict(f, fvars - {v}, a)
-        c1 = g.coefficient(mono(v))
-        if is_exact(c1):
-            if c1.is_zero:
-                return False
-        else:
+        c1 = g.terms.get(mono(v))
+        if c1 is None:  # pruned: exactly zero
+            return False
+        if not is_exact(c1):
             scale = max(1.0, abs(to_float(g.constant_value())))
             if abs(to_float(c1)) <= tol.threshold(scale):
                 return False
@@ -317,11 +300,8 @@ def find_justifying_assignment(f: MultilinearPoly,
         f"no justifying assignment in {attempts} attempts")
 
 
-#: Exact inputs on more variables are tested at random points.
+#: Exact f on more variables has no form stack.
 _DENSE_MAX_VARS = 16
-
-#: The int64 route needs every compared entry below this in magnitude.
-_INT64_LIMIT = 1 << 63
 
 #: A pivot coefficient at most this large counts as zero when
 #: ``_solve_single_variable_zero`` solves along one variable.
@@ -331,21 +311,16 @@ _PIVOT_EPS = 1e-12
 _ROOT_EPS = 1e-9
 
 
-def _is_integer(s) -> bool:
-    return is_exact(s) and not (s.b or s.c or s.d) and s.a.denominator == 1
-
-
 class _Form(NamedTuple):
-    """Sorted variables, the bit of each (v-1-q for ``fvars[q]``) and a
-    bitmask per term; for coefficients that are one scalar times
-    integers (``_integers``) those ints, l1 = sum|c| and, if v <= 16 and
-    l1^2 < 2^63, the read-only int64 [2]*v coefficient tensor."""
+    """Sorted variables, the bit of each (v-1-q for ``fvars[q]``), a
+    bitmask per term and, for exact f on at most 16 variables, its
+    read-only ``numerator_stack`` and l1, the sum of its ``stack_size``;
+    the denominator is dropped, as no decision on the stack needs it."""
     fvars: list
     bit: dict
     masks: list
-    ints: list | None
-    l1: int
     tensor: np.ndarray | None
+    l1: int
 
 
 def _form(f: MultilinearPoly) -> _Form:
@@ -355,49 +330,20 @@ def _form(f: MultilinearPoly) -> _Form:
         v = len(fvars)
         bit = {x: 1 << (v - 1 - q) for q, x in enumerate(fvars)}
         masks = [sum(map(bit.__getitem__, m)) for m in f.terms]
-        ints, l1, tensor = _integers(list(f.terms.values())), 0, None
-        if ints is not None:
-            l1 = sum(map(abs, ints))
-            if v <= _DENSE_MAX_VARS and l1 * l1 < _INT64_LIMIT:
-                tensor = _dense(masks, ints, v, np.int64)
-                tensor.flags.writeable = False
-        f._form = _Form(fvars, bit, masks, ints, l1, tensor)
+        coeffs, tensor, l1 = list(f.terms.values()), None, 0
+        if v <= _DENSE_MAX_VARS and all(map(is_exact, coeffs)):
+            num, _ = numerator_stack(coeffs)
+            l1, tensor = sum(stack_size(num)), _dense(masks, num, v)
+            tensor.flags.writeable = False
+        f._form = _Form(fvars, bit, masks, tensor, l1)
     return f._form
 
 
-def _integers(coeffs: list) -> list | None:
-    """The coefficients as ints, if they are real integers; else, if each
-    is a real rational multiple of the first, those ratios as coprime
-    ints; else None.
-
-    A common nonzero scalar changes none of the results the ints serve:
-    the restriction identity is homogeneous of degree 2, and zero
-    partials and zero pair determinants stay zero.
-    """
-    if all(map(_is_integer, coeffs)):
-        return [c.a.numerator for c in coeffs]
-    ratios = []
-    for c in coeffs:
-        if not is_exact(c):
-            return None
-        parts = (c.a, c.b, c.c, c.d)
-        if not ratios:
-            first = parts
-            j = next(k for k, y in enumerate(first) if y)
-        q = parts[j] / first[j]
-        if any(y != q * z for y, z in zip(parts, first)):
-            return None
-        ratios.append(q)
-    # ints[0] is den, and each prime p of den divides den / d for no
-    # ratio n / d that holds all of den's factors p: the ints are coprime
-    den = math.lcm(*(q.denominator for q in ratios))
-    return [q.numerator * (den // q.denominator) for q in ratios]
-
-
-def _dense(masks, values, v: int, dtype, zero=0) -> np.ndarray:
-    t = np.full(1 << v, zero, dtype=dtype)
-    t[masks] = values
-    return t.reshape([2] * v)
+def _dense(masks, values: np.ndarray, v: int) -> np.ndarray:
+    """The (k, terms) values at their masks in a zero [k, 2, ..., 2] stack."""
+    t = np.zeros((len(values), 1 << v), dtype=values.dtype)
+    t[:, masks] = values
+    return t.reshape([len(values)] + [2] * v)
 
 
 #: A sweep on at most this many variables is decided for every subset in
@@ -405,90 +351,100 @@ def _dense(masks, values, v: int, dtype, zero=0) -> np.ndarray:
 _BATCH_MAX_VARS = 8
 
 #: The batched pass compares this many entries at a time: whole-table
-#: transients (2^15 entries at v = 8) raised the peak RSS of a sweep
-#: run by about 0.9 MB.
+#: transients (2^15 at v = 8) raised a sweep run's peak RSS by 0.9 MB.
 _BATCH_BLOCK = 1 << 12
 
 
 class _Point:
     """An exact point prepared for f (``_prepared``): the values it was
-    built from, f's coefficient tensor t, the point's scalars a_q, the
-    [2]*v Kronecker product of (1, a_q), the bitmask of the first subset
-    asked about and, once a second one is asked, every subset's verdict."""
+    built from, f's stack t, the point's denominator D, its (k, v) stack
+    of numerators n_q and the [k, 2, ..., 2] Kronecker product of the
+    axis weights (D, n_q); then the first subset's bitmask, every
+    subset's verdict and justifying-ness once asked for."""
 
-    __slots__ = ("values", "t", "scalars", "kron", "first", "verdicts")
+    __slots__ = ("values", "t", "den", "num", "kron", "first", "verdicts", "justified")
 
-    def __init__(self, values, t, scalars, kron):
-        self.values, self.t, self.scalars, self.kron = values, t, scalars, kron
-        self.first = self.verdicts = None
+    def __init__(self, values, t, den, num, kron):
+        self.values, self.t, self.den, self.num, self.kron = values, t, den, num, kron
+        self.first = self.verdicts = self.justified = None
 
     def verdict(self, mask: int) -> bool:
-        """The restriction identity at the subset with this bitmask (bit
-        v-1-q for axis q): one subset alone at first, then every subset in
-        one batch when a second distinct one is asked about (v <= 8)."""
+        """The restriction identity at the subset of this bitmask: alone at
+        first, then every subset in one batch at a second one (v <= 8)."""
         if self.verdicts is None:
             if (self.first is None or self.first == mask
-                    or self.t.ndim > _BATCH_MAX_VARS):
+                    or len(self.values) > _BATCH_MAX_VARS):
                 self.first = mask
                 return _restriction_identity(self.t, self.kron, mask)
-            self.verdicts = _all_restriction_identities(self.t, self.scalars)
+            self.verdicts = _all_restriction_identities(self.t, self.den, self.num)
         return self.verdicts[mask]
+
+    def justifying(self) -> bool:
+        """Whether every partial derivative of f is nonzero here: along
+        axis q, the sum over x holding q of t[x] times kron at x less q
+        (``_axis_pairs``), where q weighs D, not n_q: scaled by D^v."""
+        if self.justified is None:
+            has, lacks = _axis_pairs(len(self.values))
+            part = stack_mul(self.t.reshape(len(self.t), -1)[:, has],
+                             self.kron.reshape(len(self.kron), -1)[:, lacks])
+            self.justified = bool(part.sum(axis=2).any(axis=0).all())
+        return self.justified
+
+
+@functools.cache
+def _axis_pairs(v: int) -> tuple:
+    """Row q: the flat indices of a [2]*v array whose bit for axis q
+    (v-1-q) is set, in order, and the same with that bit clear."""
+    x, bit = np.arange(1 << v), 1 << np.arange(v - 1, -1, -1)[:, None]
+    has = np.nonzero(x & bit)[1].reshape(v, (1 << v) // 2)
+    has.flags.writeable = False
+    return has, has ^ bit
 
 
 def _prepared(f: MultilinearPoly, form: _Form, point: list) -> _Point | None:
-    """f prepared at an exact point with v <= 16, else None.
-
-    Form integers and a real-integer point use f's int64 tensor if
-    B^2 < 2^63, with B = sum|c| * prod_q max(1, |a_q|) bounding every
-    entry computed (also every entry of the batched pass), and object
-    ints past it; other ``Exact`` scalars an object tensor of them.
-    The last point is kept on f, keyed on the identity of its values
-    (immutable, and held, so no other object takes their ids): a subset
-    sweep prepares a point once, and a dict changed in place is prepared
-    again, with no verdicts."""
+    """f prepared at an exact point, else None (no stack, or a point not
+    exact throughout).  The point is a stack over its denominator D, so
+    axis q weighs f by (D, n_q), not (1, n_q / D): a partial evaluation
+    is scaled by D per axis it substitutes.  B = l1 prod_q max(D, size
+    of n_q) bounds every entry computed, so they run in int64 if
+    B^2 < ``INT64_SAFE``, else on Python ints.  The last point is kept on
+    f, keyed on the identity of its values (immutable, and held, so no
+    other object takes their ids): a sweep prepares a point once, and a
+    dict changed in place is prepared again, with no verdicts."""
     if f._point is not None and all(map(operator.is_, f._point.values, point)):
         return f._point
-    n = len(point)
-    if n > _DENSE_MAX_VARS:
+    if form.tensor is None or not all(map(is_exact, point)):
         return None
-    if form.ints is not None and all(map(_is_integer, point)):
-        one, scalars = 1, [x.a.numerator for x in point]
-        bound = form.l1 * math.prod(max(1, abs(x)) for x in scalars)
-        t = (form.tensor if bound * bound < _INT64_LIMIT
-             else _dense(form.masks, form.ints, n, object))
-    elif all(map(is_exact, [*f.terms.values(), *point])):
-        one, scalars = Exact.ONE, point
-        t = _dense(form.masks, list(f.terms.values()), n, object, Exact.ZERO)
-    else:
-        return None
-    kron = [one]
-    for x in scalars:
-        kron = [y * z for y in kron for z in (one, x)]
-    f._point = _Point(point, t, scalars,
-                      np.array(kron, dtype=t.dtype).reshape([2] * n))
+    num, den = numerator_stack(point)
+    bound = form.l1 * math.prod(max(den, s) for s in stack_size(num))
+    dtype = np.int64 if bound * bound < INT64_SAFE else object
+    t, k, num = form.tensor.astype(dtype, copy=False), len(num), num.astype(dtype)
+    if k == 4:
+        t = four_components(t)
+    kron = np.eye(k, 1, dtype=dtype)  # the value 1; axis 0 comes last, on top
+    for n_q in num.T[::-1, :, None]:
+        kron = np.concatenate([kron * den, stack_mul(kron, n_q)], axis=1)
+    f._point = _Point(point, t, den, num, kron.reshape([k] + [2] * len(point)))
     return f._point
 
 
 def _restriction_identity(t: np.ndarray, kron: np.ndarray, mask: int) -> bool:
-    """f(a) * f == f|_S * f|_rest on the coefficient tensor t of f, for
-    the subset S of axes q with bit v-1-q of mask set.
-
-    With M the cut matrix (rows: monomials in S) and u, w the Kronecker
-    products of (1, a_q) over S and over the rest (the first column and
-    row of ``kron``'s cut matrix, where the other side's bits are 0),
-    M w is f with the rest substituted, u^T M is f with S substituted and
-    f(a) = u^T M w, so the identity reads f(a) M == outer(M w, u^T M),
-    compared exactly.
-    """
-    v = t.ndim
+    """f(a) * f == f|_S * f|_rest on the stack t of f, for the subset S
+    of axes q with bit v-1-q of mask set.  With M the cut matrix (rows:
+    monomials in S) and u, w the first column and row of ``kron``'s
+    (the weights over S, over the rest, and D each on the other side),
+    M w is f|_rest, u^T M is f|_S and u^T M w is f(a), each scaled by
+    D^v: the identity reads f(a) M == outer(M w, u^T M), exactly."""
+    v = t.ndim - 1
     s_axes = [q for q in range(v) if mask >> (v - 1 - q) & 1]
     rest = [q for q in range(v) if not mask >> (v - 1 - q) & 1]
-    m = cut_matrix(t, s_axes, rest)
-    k = cut_matrix(kron, s_axes, rest)
-    u, w = k[:, 0], k[0, :]
-    right = m @ w
-    left = u @ m
-    return bool(np.array_equal((left @ w) * m, np.multiply.outer(right, left)))
+    m = cut_stack(t, s_axes, rest)
+    k = cut_stack(kron, s_axes, rest)
+    u, w = k[:, :, :1], k[:, :1, :]
+    right = stack_mul(m, w).sum(axis=2, keepdims=True)
+    left = stack_mul(u, m).sum(axis=1, keepdims=True)
+    fa = stack_mul(left, w).sum(axis=2, keepdims=True)
+    return np.array_equal(stack_mul(fa, m), stack_mul(right, left))
 
 
 @functools.cache
@@ -509,28 +465,31 @@ def _ternary_index(v: int) -> np.ndarray:
     return table
 
 
-def _all_restriction_identities(t: np.ndarray, scalars: list) -> list:
+def _all_restriction_identities(t: np.ndarray, den: int, num: np.ndarray) -> list:
     """``_restriction_identity`` for every subset S, indexed by its mask.
 
     T3 is the [3]*v table of partial evaluations: digit 2 on axis q holds
-    t[.., 0, ..] + a_q t[.., 1, ..].  f|_rest is T3 with digit 2 off S,
+    D t[.., 0, ..] + n_q t[.., 1, ..].  f|_rest is T3 with digit 2 off S,
     f|_S with digit 2 on S and f(a) is T3[2, .., 2], so at S the identity
-    reads f(a) t[x] == T3[x on S, 2 off S] * T3[x off S, 2 on S] for all
-    x.  S and its complement swap the two factors: the rows of the first
-    half of the masks decide every subset.
+    reads f(a) t[x] == T3[x on S, 2 off S] * T3[x off S, 2 on S], both
+    sides scaled by D^v.  S and its complement swap the two factors: the
+    rows of the first half of the masks decide every subset.
     """
-    t3 = t.reshape(1, -1)
-    for q, x in enumerate(scalars):
-        t3 = t3.reshape(3 ** q, 2, -1)
-        lo, hi = t3[:, 0], t3[:, 1]
-        t3 = np.stack([lo, hi, lo + hi * x], axis=1)
-    t3, table = t3.ravel(), _ternary_index(t.ndim)
-    fa_t, n = t.ravel() * t3[-1], len(table)
+    k, v = len(t), t.ndim - 1
+    t3 = t.reshape(k, 1, -1)
+    for q, n_q in enumerate(num.T[:, :, None, None]):
+        t3 = t3.reshape(k, 3 ** q, 2, -1)
+        lo, hi = t3[:, :, 0], t3[:, :, 1]
+        t3 = np.stack([lo, hi, (lo * den if den != 1 else lo) + stack_mul(hi, n_q)],
+                      axis=2)
+    t3, table = t3.reshape(k, -1), _ternary_index(v)
+    fa_t, n = stack_mul(t.reshape(k, 1, -1), t3[:, None, -1:]), len(table)
     ok, step = [], _BATCH_BLOCK // n
     for i in range(0, (n + 1) // 2, step):
         rows = table[i:i + step]
         comp = table[n - i - len(rows):n - i][::-1]
-        ok += (fa_t == t3[rows] * t3[comp]).all(axis=1).tolist()
+        same = fa_t == stack_mul(t3.take(rows, axis=1), t3.take(comp, axis=1))
+        ok += same.all(axis=(0, 2)).tolist()
     return ok + ok[::-1][n % 2:]  # the one subset of v = 0 is its own complement
 
 
@@ -544,19 +503,14 @@ def sv_partition_test(f: MultilinearPoly,
     """Decide whether f(a)*f == f|_subset * f|_rest as polynomials.
 
     With a justifying a this holds iff subset is a union of classes of
-    the variable-partition of f.  Exact inputs with at most 16 variables
-    are decided exactly on the dense coefficient tensor: with M its split
-    matrix along the subset (``qstate.cut_matrix``) and u, w the
-    Kronecker products of (1, a_q) on either side, the identity reads
-    f(a) M == outer(M w, u^T M), in int64 when no entry can overflow,
-    else on Python ints or ``Exact`` objects, never float (``_prepared``,
-    which keeps the last point on f).  The first call at a point checks
-    its subset alone.  At the second distinct subset, for v <= 8, one
-    batched pass decides every subset (``_all_restriction_identities``)
-    and keeps the 2^v verdicts with the point, so the rest of a sweep
-    only looks them up.  Everything else is tested at random points.
+    the variable-partition of f.  Exact f and a are decided exactly: on
+    f's form stack at the point prepared from a (``_prepared``), where
+    the first call checks its subset alone and the second distinct one,
+    for v <= 8, gets every subset's verdict in one batched pass
+    (``_all_restriction_identities``); past 16 variables, on the sparse
+    terms.  Float coefficients or points are tested at random points.
     Callers sweeping many subsets against one assignment can verify it
-    once themselves and pass ``assume_justifying``.
+    once and pass ``assume_justifying``.
     """
     if not assume_justifying and not is_justifying(f, a):
         raise NotJustifyingError("assignment is not justifying for f")
@@ -572,6 +526,8 @@ def sv_partition_test(f: MultilinearPoly,
     subset, fvars = frozenset(subset), f.variables()
     left = restrict(f, subset & fvars, a)
     right = restrict(f, fvars - subset, a)
+    if all(map(is_exact, [*f.terms.values(), *point])):
+        return evaluate(f, a) * f == left * right
     rng = rng or np.random.default_rng(0)
     fa = to_float(evaluate(f, a))
     for _ in range(trials):
@@ -750,21 +706,6 @@ def _extract_factors(f: MultilinearPoly, subset: frozenset):
     return g, h
 
 
-def _link_classes(f: MultilinearPoly, tol: Tolerance):
-    """``linked_classes`` of f's complex coefficient tensor, as sets of
-    positions in its sorted variables, for float coefficients on at most
-    16 variables; None for exact f (integer f is linked on its int64
-    tensor in ``_decompose_tensor``) and past 16 variables."""
-    if all(map(is_exact, f.terms.values())):
-        return None
-    form = _form(f)
-    if len(form.fvars) > _DENSE_MAX_VARS:
-        return None
-    t = _dense(form.masks, list(map(to_float, f.terms.values())),
-               len(form.fvars), complex)
-    return linked_classes(t, tol)
-
-
 def _anchored_unions(classes: list, n: int):
     """The proper subsets of range(n) that hold 0 and are unions of
     ``classes`` (a partition of range(n)), by size and within a size in
@@ -792,10 +733,8 @@ def _anchored_unions(classes: list, n: int):
 
 
 def _decompose_tensor(f: MultilinearPoly, form: _Form) -> list[MultilinearPoly]:
-    """``decompose`` on f's int64 coefficient tensor: each candidate is
-    decided by ``dense_rank_le_1`` on its cut matrix, and the search goes
-    on in the pivot row.  Every entry it meets is one of f's integers,
-    so no product of two passes l1^2 < 2^63."""
+    """``decompose`` on f's form stack: ``dense_rank_le_1`` decides each
+    candidate cut, and the search goes on in the pivot row."""
     t, axes = form.tensor, list(range(len(form.fvars)))
     classes, pieces = linked_classes(t), []
     while True:
@@ -803,28 +742,28 @@ def _decompose_tensor(f: MultilinearPoly, form: _Form) -> list[MultilinearPoly]:
         for s in _anchored_unions([frozenset(map(local.get, c))
                                    for c in classes if min(c) in local], n):
             rest = [q for q in range(n) if q not in s]
-            m = cut_matrix(t, s, rest)
+            m = cut_stack(t, s, rest)
             if dense_rank_le_1(m):
                 break
         else:
-            pieces.append((axes, t.ravel()))
+            pieces.append((axes, t.reshape(len(t), -1)))
             break
-        i, j = divmod(int(np.flatnonzero(m)[0]), m.shape[1])
-        pieces.append(([axes[q] for q in sorted(s)], m[:, j]))
-        axes, t = [axes[q] for q in rest], m[i].reshape([2] * len(rest))
+        i, j = divmod(int(np.flatnonzero(m.any(axis=0))[0]), m.shape[2])
+        pieces.append(([axes[q] for q in sorted(s)], m[:, :, j]))
+        axes, t = [axes[q] for q in rest], m[:, i].reshape([len(m)] + [2] * len(rest))
 
     factors, leads, others = [], frozenset(), frozenset()
     for ax, vec in pieces[1:]:
-        k, nonzero = len(ax), np.flatnonzero(vec)
+        k = len(ax)
         terms = {frozenset(form.fvars[ax[q]] for q in range(k)
-                           if x >> (k - 1 - q) & 1): c
-                 for x, c in zip(nonzero.tolist(), vec[nonzero].tolist())}
+                           if x >> (k - 1 - q) & 1): Exact(*c)
+                 for x, c in enumerate(vec.T.tolist()) if any(c)}
         lead = min(terms, key=_mono_key)
-        factors.append(MultilinearPoly(
-            {m: Exact(Fraction(c, terms[lead])) for m, c in terms.items()}))
+        inv = Exact.ONE / terms[lead]
+        factors.append(MultilinearPoly._of({m: c * inv for m, c in terms.items()}))
         leads, others = leads | lead, others | {form.fvars[q] for q in ax}
-    return [MultilinearPoly({m - leads: c for m, c in f.terms.items()
-                             if m & others == leads}), *factors]
+    return [MultilinearPoly._of({m - leads: c for m, c in f.terms.items()
+                                 if m & others == leads}), *factors]
 
 
 def decompose(f: MultilinearPoly,
@@ -844,16 +783,11 @@ def decompose(f: MultilinearPoly,
     1, with the residual scalar attached to the first factor; their
     product equals f.  So factor i >= 1 is any scalar multiple of it
     over its leading coefficient, and factor 0 is f's coefficients at
-    the other factors' leading monomials: the tensor route builds them
-    so, once, at the end.
-
-    f with an int64 coefficient tensor (``_form``) is linked once and
-    decided on it from start to finish (``_decompose_tensor``).  The
-    others take the sparse route, ``bipartition_rank_oracle`` on each
-    candidate and ``_extract_factors`` on the split found: float f is
-    linked again in each quotient, and every variable is its own class
-    for other ``Exact`` coefficients, integers past the int64 bound and
-    f past 16 variables.
+    the other factors' leading monomials.  Exact f with a form stack is
+    decided on it (``_decompose_tensor``).  Float f and exact f past 16
+    variables take the sparse route, ``bipartition_rank_oracle`` on each
+    candidate and ``_extract_factors`` on the split found; float f on at
+    most 16 variables is linked on its complex tensor in each quotient.
     """
     if f.is_zero:
         raise ValueError("cannot decompose the zero polynomial")
@@ -866,8 +800,10 @@ def decompose(f: MultilinearPoly,
 
     factors, g = [], f
     while len(gvars := sorted(g.variables())) > 1:
-        classes = (_link_classes(g, tol)
-                   or [frozenset([q]) for q in range(len(gvars))])
+        form, classes = _form(g), [frozenset([q]) for q in range(len(gvars))]
+        if form.tensor is None and len(gvars) <= _DENSE_MAX_VARS:  # float g
+            values = np.array([list(map(to_float, g.terms.values()))])
+            classes = linked_classes(_dense(form.masks, values, len(gvars))[0], tol)
         subsets = (frozenset(gvars[q] for q in s)
                    for s in _anchored_unions(classes, len(gvars)))
         found = next((s for s in subsets
@@ -879,20 +815,14 @@ def decompose(f: MultilinearPoly,
     factors.append(g)
 
     # normalize: unit leading coefficients, residual scalar on factor 0
-    residual = None
-    normalized = []
+    residual, normalized = None, []
     for g in factors:
         lead = g.terms[g.leading_monomial()]
-        normalized.append(g * _invert_scalar(lead))
+        normalized.append(g * (Exact.ONE / lead if is_exact(lead)
+                               else 1.0 / to_float(lead)))
         residual = lead if residual is None else residual * lead
     normalized[0] = normalized[0] * residual
     return normalized
-
-
-def _invert_scalar(s):
-    if is_exact(s):
-        return Exact.ONE / s
-    return 1.0 / to_float(s)
 
 
 def variable_partition(f: MultilinearPoly,
@@ -969,7 +899,8 @@ def format_poly(f: MultilinearPoly) -> str:
 
 
 def parse_poly(text: str) -> MultilinearPoly:
-    """Read one term per line; repeated monomials are summed."""
+    """Read one term per line; repeated monomials are summed, and a
+    variable repeated within a term is an error."""
     terms = {}
     for ln, parts in content_lines(text):
         head, colon, tail = " ".join(parts).partition(":")
@@ -982,5 +913,8 @@ def parse_poly(text: str) -> MultilinearPoly:
             if not re.fullmatch(r"[xyzw]\[[01]+\]", tok):
                 raise PolyParseError(f"bad variable {tok!r}", ln, "bad-variable")
         m = frozenset(VarId(tok[0], tok[2:-1]) for tok in toks)
+        if len(m) < len(toks):  # x^2 is not multilinear
+            raise PolyParseError("variable repeated in a term", ln,
+                                 "repeated-variable")
         terms[m] = terms[m] + c if m in terms else c
     return MultilinearPoly(terms)

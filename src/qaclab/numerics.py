@@ -265,8 +265,9 @@ def sv_rank_le_1(s: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
 
 
 # ---- integer numerators ------------------------------------------------
-# Field values as integer arrays: a (4, ...) array of the numerators of
-# the components of 1, sqrt2, i and i sqrt2 over one denominator.
+# Field values as integer arrays, a stack: a (k, ...) array of the
+# numerators of their components over one denominator, k = 4 for the
+# components of 1, sqrt2, i and i sqrt2, or k = 1 for real rationals.
 
 #: Numerator arrays stay int64 while every entry an operation can
 #: produce is below this; int64 wraps silently, so bounds come first.
@@ -282,6 +283,44 @@ def numerators(xs) -> tuple[list, int]:
     flat = [c for x in xs for c in _PARTS(x)]
     den = math.lcm(*{c.denominator for c in flat})
     return [c.numerator * (den // c.denominator) for c in flat], den
+
+
+def numerator_stack(xs) -> tuple[np.ndarray, int]:
+    """The ``Exact`` values xs as a (k, len xs) stack over their least
+    common denominator, and that denominator: k = 1 if all are real
+    rationals; int64 below ``INT64_SAFE``, Python ints past it."""
+    if any(x.b or x.c or x.d for x in xs):
+        (nums, den), k = numerators(xs), 4
+    else:
+        ratios = [x.a.as_integer_ratio() for x in xs]
+        den = math.lcm(*{d for _, d in ratios})
+        nums, k = [n * (den // d) for n, d in ratios], 1
+    big = max(map(abs, nums), default=0)
+    num = np.array(nums, dtype=np.int64 if big < INT64_SAFE else object)
+    return num.reshape(-1, k).T, den
+
+
+def stack_size(num: np.ndarray) -> list:
+    """|a| + 2|b| + |c| + 2|d| per value of a (k, n) stack, as ints: a
+    product's components are at most the product of the sizes."""
+    rows = [[w * abs(x) for x in row] for w, row in zip((1, 2, 1, 2), num.tolist())]
+    return list(map(sum, zip(*rows)))
+
+
+def stack_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The products of the values of two stacks, broadcast over the axes
+    after the first: plain products when either is real (k = 1), else
+    ``field_mul``.  Each component is at most 6 max|x| max|y|."""
+    if len(x) == 1 or len(y) == 1:
+        return x * y
+    return np.stack(field_mul(x, y))
+
+
+def four_components(num: np.ndarray) -> np.ndarray:
+    """A stack with k = 4: ``num``, or a real one with zeros appended."""
+    if len(num) == 4:
+        return num
+    return np.concatenate([num, np.zeros((3, *num.shape[1:]), num.dtype)])
 
 
 def widened(num: np.ndarray, gain: int = 1) -> np.ndarray:

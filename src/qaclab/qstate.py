@@ -11,9 +11,12 @@ norm.  An exact state holds amplitude j as
 (n0 + n1 sqrt2 + i (n2 + n3 sqrt2)) / den, column j of an integer array
 ``num`` over one den > 0, in lowest terms (equal states, equal arrays):
 int64 while every entry is below 2^62, Python ints past it.  Gates,
-tensor products, pair links, cut and zero tests run on ``num``
-(``StateVector.stack``) with no rounding; ``amps`` of an exact state is
-an ``Exact`` view built on first use.
+tensor products, pair links, cut and zero tests run on ``num`` with no
+rounding; ``amps`` of an exact state is an ``Exact`` view built on
+first use.  ``StateVector.stack`` lays ``num`` out as [4, 2, ..., 2],
+qubit q on axis q + 1: the stack layout (``numerics``) that exact
+multilinear polynomials share as their coefficient form, so
+``linked_classes``, ``cut_stack`` and ``dense_rank_le_1`` serve both.
 
 Separation of a state at a bipartition {A, B} is decided through the
 Schmidt rank of the amplitude matrix reshaped along the cut: rank one
@@ -53,10 +56,12 @@ from .numerics import (
     Exact,
     Tolerance,
     field_mul,
+    four_components,
     lowest_terms,
-    numerators,
+    numerator_stack,
     numerators_to_complex,
     numerators_to_exact,
+    stack_mul,
     sv_rank_le_1,
     to_float,
     widened,
@@ -87,26 +92,20 @@ class RegisterSizeError(ValueError):
 def _field_outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The (4, len x, len y) outer product of (4, n) numerator arrays."""
     x = widened(x, 6 * int(np.abs(y).max()))
-    return np.stack(field_mul(x[:, :, None], y.astype(x.dtype)[:, None, :]))
+    return stack_mul(x[:, :, None], y.astype(x.dtype)[:, None, :])
 
 
 def dense_rank_le_1(m: np.ndarray) -> bool:
-    """Whether a dense exact matrix has rank at most 1: every entry times
-    the pivot (its first nonzero entry) equals the pivot row's entry
-    times the pivot column's.  m is an integer matrix (rows, cols), whose
-    products of two entries the caller keeps inside its dtype, or the
-    numerators (4, rows, cols) of a field matrix."""
-    field = m.ndim == 3
-    nonzero = np.flatnonzero((m != 0).any(axis=0) if field else m)
+    """Whether the exact matrix of a (k, rows, cols) stack has rank <= 1:
+    every entry times the pivot (its first nonzero entry) equals the
+    pivot row's entry times the pivot column's."""
+    nonzero = np.flatnonzero(m.any(axis=0))
     if not nonzero.size:
         return True
     i, j = divmod(int(nonzero[0]), m.shape[-1])
-    if not field:
-        return np.array_equal(m * m[i, j], np.outer(m[:, j], m[i]))
     m = widened(m, 6 * int(np.abs(m).max()))
-    scaled = field_mul(m, m[:, i, j][:, None, None])
-    crossed = field_mul(m[:, :, j][:, :, None], m[:, i, :][:, None, :])
-    return all(map(np.array_equal, scaled, crossed))
+    return bool((stack_mul(m, m[:, i, j, None, None])
+                 == stack_mul(m[:, :, j, None], m[:, None, i, :])).all())
 
 
 class StateVector:
@@ -122,8 +121,8 @@ class StateVector:
                              f"got shape {amps.shape}")
         self.r, self.normalized = r, normalized
         if amps.dtype == object:
-            nums, den = numerators(amps.tolist())
-            self._set_exact(np.array(nums, dtype=object).reshape(-1, 4).T, den)
+            num, den = numerator_stack(amps.tolist())
+            self._set_exact(four_components(num), den)
         else:
             self.num, self.den = None, None
             self._amps = amps.astype(complex)
@@ -345,6 +344,12 @@ def cut_matrix(t: np.ndarray, a, b) -> np.ndarray:
     return t.transpose(perm).reshape(1 << len(a), 1 << len(b))
 
 
+def cut_stack(t: np.ndarray, a, b) -> np.ndarray:
+    """``cut_matrix`` of each component of a [k, 2, ..., 2] stack."""
+    perm = [0] + [q + 1 for q in sorted(a) + sorted(b)]
+    return t.transpose(perm).reshape(len(t), 1 << len(a), 1 << len(b))
+
+
 def separates_at(psi: StateVector, a, b, tol: Tolerance = DEFAULT_TOL):
     """Schmidt-rank-1 test across {A, B}; factors returned on success.
 
@@ -353,8 +358,7 @@ def separates_at(psi: StateVector, a, b, tol: Tolerance = DEFAULT_TOL):
     to phase; the yes/no decision itself is exact for exact states.
     """
     a, b = validate_bipartition(psi.r, a, b)
-    if psi.is_exact and not dense_rank_le_1(
-            np.stack([cut_matrix(t, a, b) for t in psi.stack()])):
+    if psi.is_exact and not dense_rank_le_1(cut_stack(psi.stack(), a, b)):
         return False, None
     u, s, vh = np.linalg.svd(cut_matrix(psi.to_float().axes(), a, b))
     if not psi.is_exact and not sv_rank_le_1(s, tol):
@@ -384,15 +388,14 @@ def bipartitions(r: int, require_split=None):
 
 
 def linked_classes(t, tol: Tolerance = DEFAULT_TOL):
-    """Classes of the axes of a [2]*v array, or of the qubits of a state,
-    joined by pair links.
+    """Classes of the axes of a [2]*v array or stack, or of the qubits of
+    a state, joined by pair links.
 
     Axes i and j are linked when the 2x2 matrix M left after summing
-    ``t`` over every other axis has det M != 0.  Object and integer
-    arrays are exact: they link when det M is exactly nonzero (int64
-    needs (sum|t|)^2 < 2^63, which bounds |det M|), and so are exact
-    states, summed on their numerators.  Float entries link only when
-    |det M| exceeds 2 k tau (|M|_F + k tau), with
+    ``t`` over every other axis has det M != 0.  Exact input, a stack of
+    integer numerators (exact states and [2]*v arrays of ``Exact`` are
+    read through theirs), links when det M is exactly nonzero.  Float
+    entries link only when |det M| exceeds 2 k tau (|M|_F + k tau), with
     tau = tol.threshold(|t|_F) and k = 2^((v-2)/2): a cut between i and
     j that passes the singular-value rule s_2 <= tol.threshold(s_1) (of
     ``separates_at`` and ``multilinear.bipartition_rank_oracle``)
@@ -404,13 +407,12 @@ def linked_classes(t, tol: Tolerance = DEFAULT_TOL):
     separate, so the classes returned, sorted by least axis, are never
     coarser than either.
     """
-    field = isinstance(t, StateVector) and t.is_exact
-    if field:
-        v, lead = t.r, 1
-        t = widened(t.stack(), 1 << v)
-    else:
-        t = t.axes() if isinstance(t, StateVector) else t
-        v, lead = t.ndim, 0
+    if isinstance(t, StateVector):
+        t = t.stack() if t.is_exact else t.axes()
+    elif t.dtype == object and isinstance(t.flat[0], Exact):
+        t = numerator_stack(t.ravel().tolist())[0].reshape((-1,) + t.shape)
+    exact = t.dtype.kind in "Oiu"
+    v = t.ndim - exact
     parent = list(range(v))
 
     def find(q):
@@ -419,29 +421,39 @@ def linked_classes(t, tol: Tolerance = DEFAULT_TOL):
             q = parent[q]
         return q
 
-    exact = field or t.dtype.kind in "Oiu"
-    if not exact:
+    if exact:  # det M = s b_ij - r_i r_j from t's moments (``_moment_bits``)
+        flat, bits = widened(t, 1 << v).reshape(len(t), -1), _moment_bits(v)
+        mom = (flat[:, :, None] * bits).transpose(0, 2, 1) @ bits
+        (s, *r), *both = four_components(mom).transpose(1, 2, 0).tolist()
+    else:
         k = 2.0 ** ((v - 2) / 2)
         k_tau = k * tol.threshold(float(np.linalg.norm(t)))
     for i, j in combinations(range(v), 2):
         if find(i) == find(j):
             continue
-        m = t.sum(axis=tuple(q + lead for q in range(v) if q != i and q != j))
-        if field:
-            m = m.transpose(1, 2, 0).tolist()
-            det = [x - y for x, y in zip(field_mul(m[0][0], m[1][1]),
-                                         field_mul(m[0][1], m[1][0]))]
-            linked = any(det)
+        if exact:
+            linked = field_mul(s, both[i][j + 1]) != field_mul(r[i], r[j])
         else:
+            m = t.sum(axis=tuple(q for q in range(v) if q != i and q != j))
             det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-            linked = det != 0 if exact else \
-                abs(det) > 2 * k_tau * (np.linalg.norm(m) + k_tau)
+            linked = abs(det) > 2 * k_tau * (np.linalg.norm(m) + k_tau)
         if linked:
             parent[find(j)] = find(i)
     joined = {}
     for q in range(v):
         joined.setdefault(find(q), []).append(q)
     return [frozenset(c) for c in joined.values()]
+
+
+@functools.cache
+def _moment_bits(v: int) -> np.ndarray:
+    """Read-only (2^v, v + 1) table: 1, then the bit of each axis q
+    (v-1-q), per flat index of a [2]*v array.  t's moments over it are
+    its sum s, its sums r_i where axis i is 1 and b_ij where i and j are."""
+    bits = np.arange(1 << v)[:, None] >> np.arange(v, -1, -1) & 1
+    bits[:, 0] = 1
+    bits.flags.writeable = False
+    return bits
 
 
 def is_S_separable(psi: StateVector, s, tol: Tolerance = DEFAULT_TOL):

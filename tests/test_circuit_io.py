@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qaclab.circuit import Circuit, CircuitValidationError, cz
+from qaclab.circuit import GATE_H, GATE_X, Circuit, CircuitValidationError, Gate1q, cz
 from qaclab.circuit_io import CircuitParseError, parse_circuit, serialize_circuit
 from qaclab.numerics import make_rng, random_unitary
 
@@ -39,6 +39,26 @@ def test_matrix_and_geta_round_trip():
     g = c.multi_at(1, 0)
     assert g.kind == "geta" and abs(g.eta - complex(0.6, 0.8)) < 1e-12
     assert serialize_circuit(parse_circuit(serialize_circuit(c))) == serialize_circuit(c)
+
+
+def test_round_trip_compares_equal():
+    c = parse_circuit(GOLDEN.read_text())
+    assert parse_circuit(serialize_circuit(c)) == c
+    singles = [{0: GATE_H, 1: Gate1q(random_unitary(2, make_rng(71)))}, {}]
+    c = Circuit(3, 2, 0, singles, [[cz(0, 2)]])
+    back = parse_circuit(serialize_circuit(c))
+    assert back == c and back.gate1(0, 1) is not c.gate1(0, 1)
+    assert back != Circuit(3, 2, 0, [singles[0], {1: GATE_H}], [[cz(0, 2)]])
+
+
+def test_gates_compare_and_hash_by_value():
+    copy = Gate1q(GATE_X.mat.copy())
+    assert copy == GATE_X and hash(copy) == hash(GATE_X)
+    assert GATE_X != GATE_H and GATE_X != "X"
+    # an exact entry equals the complex number that is its float value
+    floats = Gate1q(GATE_H.float_mat().copy())
+    assert floats == GATE_H and hash(floats) == hash(GATE_H)
+    assert len({GATE_X, copy, GATE_H, floats}) == 2
 
 
 def test_s_and_t_round_trip():

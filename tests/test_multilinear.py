@@ -15,7 +15,6 @@ from qaclab import multilinear as ml
 from qaclab.multilinear import (
     _extract_factors,
     _form,
-    _integers,
     DecompositionBudgetError,
     MissingVariableError,
     MultilinearPoly,
@@ -39,7 +38,14 @@ from qaclab.multilinear import (
     variable_partition,
     variables_of,
 )
-from qaclab.numerics import DEFAULT_TOL, Exact, approx_eq, make_rng, to_float
+from qaclab.numerics import (
+    DEFAULT_TOL,
+    Exact,
+    approx_eq,
+    make_rng,
+    numerator_stack,
+    to_float,
+)
 from qaclab.qstate import cut_matrix
 
 X0, X1, X2 = var("x", "0"), var("x", "1"), var("x", "10")
@@ -352,12 +358,22 @@ def test_sv_partition_test_matches_symbolic_oracle(case):
     assert rng.bit_generator.state == before  # decided exactly, no random points
 
 
+def exact_values(stack):
+    """The values of a stack [k, ...] of numerators over 1, flattened."""
+    return [Exact(*c) for c in zip(*stack.reshape(len(stack), -1).tolist())]
+
+
 def per_subset_identity(t, kron, s_axes):
     """The identity at one subset as each call decided it before verdicts
-    were batched: f(a) M == outer(M w, u^T M) on the cut matrices."""
-    rest = [q for q in range(t.ndim) if q not in s_axes]
-    m = cut_matrix(t, s_axes, rest)
-    k = cut_matrix(kron, s_axes, rest)
+    were batched: f(a) M == outer(M w, u^T M) on the cut matrices, of the
+    integers of a real int64 stack and else of ``Exact`` values."""
+    def values(stack):
+        if len(stack) == 1 and stack.dtype != object:
+            return stack[0]
+        return np.array(exact_values(stack), dtype=object).reshape(stack.shape[1:])
+    rest = [q for q in range(t.ndim - 1) if q not in s_axes]
+    m = cut_matrix(values(t), s_axes, rest)
+    k = cut_matrix(values(kron), s_axes, rest)
     u, w = k[:, 0], k[0, :]
     right, left = m @ w, u @ m
     return bool(np.array_equal((left @ w) * m, np.multiply.outer(right, left)))
@@ -372,7 +388,7 @@ def all_subsets(fvars):
 @settings(max_examples=60, deadline=None)
 def test_sweep_matches_per_subset_identity(point, data):
     """A sweep of every subset of a point, in any order and with variables
-    outside f, gets each subset's per-subset verdict on the same tensor."""
+    outside f, gets each subset's per-subset verdict on the same stacks."""
     f, a = point
     fvars = sorted(f.variables())
     subsets = data.draw(st.permutations(all_subsets(fvars)))
@@ -382,7 +398,7 @@ def test_sweep_matches_per_subset_identity(point, data):
     p = f._point
     assert (p.verdicts is not None) == bool(fvars)  # batched from 2 subsets on
     verdicts = dict(zip(subsets, got))
-    if len(fvars) > 6 and isinstance(p.t.flat[0], Exact):  # ~3 s for all
+    if len(fvars) > 6 and (len(p.t) > 1 or p.t.dtype == object):  # ~3 s for all
         subsets = data.draw(st.lists(st.sampled_from(subsets), min_size=16,
                                      max_size=16))
     for s in subsets:
@@ -410,6 +426,32 @@ def test_sweep_runs_the_batched_pass_once_per_point(monkeypatch):
         assert counts == {"_all_restriction_identities": batches,
                           "_restriction_identity": singles}
         counts.update(dict.fromkeys(counts, 0))
+
+
+def test_exact_identity_past_16_variables_stays_exact(monkeypatch):
+    """Exact f on 17 variables has no form stack: the identity is decided
+    on its sparse terms, never at random points."""
+    rng = make_rng(17)
+    g = h = MultilinearPoly.constant(Exact.ONE)
+    while len(g.variables()) < 9:
+        g = random_multilinear_poly(rng, 9, 4, block="x")
+    while len(h.variables()) < 8:
+        h = random_multilinear_poly(rng, 8, 4, block="y")
+    f = g * h
+    assert _form(f).tensor is None
+
+    def refuse(*args):
+        raise AssertionError("drew a random point")
+    monkeypatch.setattr(ml, "random_scalar", refuse)
+    fvars = sorted(f.variables())
+    split = frozenset(fvars[::2])
+    for value in (Exact(2), Exact(Fraction(1, 3)), Exact(1, 0, 1)):
+        a = {x: value + i for i, x in enumerate(fvars)}
+        for subset in (g.variables(), h.variables(), split, frozenset()):
+            got = sv_partition_test(f, a, subset, assume_justifying=True)
+            assert got == restriction_identity_oracle(f, a, subset)
+        assert sv_partition_test(f, a, g.variables(), assume_justifying=True)
+        assert is_justifying(f, a) == definitional_justifying(f, a)
 
 
 def definitional_justifying(f, a):
@@ -467,8 +509,8 @@ def test_cached_form_reused_across_the_int64_bound(f, data):
         assert f._point.values[0] is moved[fvars[0]]
 
 
-#: sqrt2, i, (1+i)/sqrt2 and 1/3: each times an integer polynomial has
-#: integer ratios between its coefficients
+#: sqrt2, i, (1+i)/sqrt2 and 1/3: each times an integer polynomial keeps
+#: its integers in one component of the form stack, or all four
 SCALES = [Exact(0, 1), Exact.I, Exact(0, Fraction(1, 2), 0, Fraction(1, 2)),
           Exact(Fraction(1, 3))]
 
@@ -477,13 +519,17 @@ SCALES = [Exact(0, 1), Exact.I, Exact(0, Fraction(1, 2), 0, Fraction(1, 2)),
        .filter(lambda f: not f.is_zero), st.sampled_from(SCALES), st.data())
 @settings(max_examples=60, deadline=None)
 def test_scaled_integer_polys_take_the_integer_route(f, scale, data):
+    """Scaled integer polynomials are decided on an int64 form stack: one
+    component (the integers themselves) for a real rational scale, four
+    for a scale off the rationals, each a multiple of the integers."""
     g = f * scale
     fvars = sorted(f.variables())
-    ints = dict(zip(_form(f).masks, _form(f).ints))
-    scaled = dict(zip(_form(g).masks, _form(g).ints))
-    lead = next(iter(ints))
-    assert all(scaled[m] * ints[lead] == c * scaled[lead] for m, c in ints.items())
-    assert _form(g).tensor is not None
+    ints, scaled = _form(f).tensor, _form(g).tensor
+    assert len(ints) == 1 and len(scaled) == (4 if scale.b or scale.c else 1)
+    i = np.flatnonzero(ints)[0]
+    for row in scaled.reshape(len(scaled), -1):
+        assert np.array_equal(row * ints.flat[i], ints.ravel() * row[i])
+    assert scaled.dtype == np.int64
     assert variable_partition(g) == variable_partition(f)
     a = {x: Exact(data.draw(st.integers(-3, 3))) for x in fvars}
     assert is_justifying(g, a) == is_justifying(f, a)
@@ -501,13 +547,25 @@ class Opaque:
 
 
 def test_integer_form_of_scalar_multiples():
-    assert _integers([Exact(2), Exact(4)]) == [2, 4]  # integers as they are
-    assert _integers([Exact(0, 2), Exact(0, 4), Exact(0, Fraction(2, 3))]) == [3, 6, 1]
-    assert _integers([Exact(0, 0, Fraction(-1, 2)), Exact.I]) == [1, -2]
-    assert _integers([Exact(1), Exact(0, 1)]) is None  # 1 + sqrt2 x
-    assert _integers([Exact(1, 1), Exact(0, 0, 1, 1)]) is None  # ratio i
-    assert _integers([Exact(0, 1), 0.5, Opaque()]) is None  # left at the float
-    assert _integers([0.5, Opaque()]) is None
+    def stack(xs):
+        num, den = numerator_stack(xs)
+        return num.tolist(), den
+    assert stack([Exact(2), Exact(4)]) == ([[2, 4]], 1)  # integers as they are
+    assert stack([Exact(Fraction(1, 3)), Exact(2)]) == ([[1, 6]], 3)
+    assert stack([Exact(0, 2), Exact(0, Fraction(2, 3))]) == (
+        [[0, 0], [6, 2], [0, 0], [0, 0]], 3)
+    assert stack([Exact(0, 0, Fraction(-1, 2)), Exact.I]) == (
+        [[0, 0], [0, 0], [-1, 2], [0, 0]], 2)
+    assert stack([Exact(2 ** 70), Exact(1)])[0] == [[2 ** 70, 1]]  # Python ints
+    # the stack lays f out as a state's numerators: variable q on axis q + 1
+    f = poly({(X0,): Exact(Fraction(1, 2)), (X0, X1): Exact(0, 0, 3)})
+    t = _form(f).tensor
+    assert t.shape == (4, 2, 2) and not t.flags.writeable
+    assert [x * Fraction(1, 2) for x in exact_values(t)] == [
+        Exact.ZERO, Exact.ZERO, Exact(Fraction(1, 2)), Exact(0, 0, 3)]
+    # a float coefficient leaves f with no stack, before any other is read
+    assert _form(MultilinearPoly._of({mono(X0): 0.5, mono(X1): Opaque()})).tensor is None
+    assert _form(MultilinearPoly._of({mono(X0): Exact.ONE, mono(X1): 0.5})).tensor is None
 
 
 @given(st.fractions().filter(bool), st.fractions())
@@ -768,18 +826,17 @@ def test_integer_decompose_stays_on_the_tensor(monkeypatch):
     g = poly({(VARS[0],): Exact(2), (): Exact.ONE}) * poly(
         {(VARS[1],): Exact(-3), (): Exact.ONE})
     h = poly({(VARS[2],): Exact.ONE, (VARS[3],): Exact(5)})
-    # floats, and Exact coefficients that are not one scalar times
-    # integers, take the sparse route
-    cases = [g * h * Exact.SQRT2, g * h * 0.5,
-             g * (h + poly({(VARS[2],): Exact.I}))]
+    # every exact f stays on its form stack, mixed-field ones too; floats
+    # take the sparse route
+    cases = [g * h * Exact.SQRT2, g * (h + poly({(VARS[2],): Exact.I})),
+             g * h * 0.5]
     want = [unpruned_decompose(f) for f in cases]
     calls = counted(monkeypatch, ["rank_le_1", "_extract_factors"])
     assert decompose(cases[0]) == want[0]
-    assert calls == {"rank_le_1": 0, "_extract_factors": 0}
     assert decompose(cases[1]) == want[1]
-    assert calls == {"rank_le_1": 0, "_extract_factors": 2}
+    assert calls == {"rank_le_1": 0, "_extract_factors": 0}
     assert decompose(cases[2]) == want[2]
-    assert calls["rank_le_1"] > 0 and calls["_extract_factors"] == 4
+    assert calls == {"rank_le_1": 0, "_extract_factors": 2}
 
 
 def test_evaluate_and_restrict_ignore_the_hash_seed():

@@ -98,6 +98,14 @@ def test_token_parsers_raise_the_given_class():
         parse_bits("2", 1, 1, _Local)
 
 
+def test_poly_repeated_variable_names_its_line():
+    # x[0],x[0] is x0^2, not x0: multilinear terms hold each variable once
+    with pytest.raises(ParseError, match=r"^line 2: variable repeated in a term "
+                                         r"\[repeated-variable\]$") as err:
+        parse_poly("1 0 : x[0]\n1 0 : x[0],z[1],x[0]\n")
+    assert (err.value.line_no, err.value.kind) == (2, "repeated-variable")
+
+
 # ---- mutation fuzzing ---------------------------------------------------------
 
 REPLACEMENTS = ("nan", "inf", "-1", "x", "99999")
