@@ -335,19 +335,19 @@ def validate_bipartition(r: int, a, b) -> tuple[frozenset, frozenset]:
     return a, b
 
 
-def cut_matrix(t: np.ndarray, a, b) -> np.ndarray:
-    """A [2]*v array reshaped to 2^|A| x 2^|B| along the cut {A, B} of its
-    axes.  Rows run over the axes of A, columns over those of B, each in
-    increasing order with the least axis most significant; either side
-    may be empty (one row or one column)."""
-    perm = sorted(a) + sorted(b)
-    return t.transpose(perm).reshape(1 << len(a), 1 << len(b))
-
-
 def cut_stack(t: np.ndarray, a, b) -> np.ndarray:
-    """``cut_matrix`` of each component of a [k, 2, ..., 2] stack."""
+    """Each component of a [k, 2, ..., 2] stack reshaped to 2^|A| x 2^|B|
+    along the cut {A, B} of its axes after the first.  Rows run over the
+    axes of A, columns over those of B, each in increasing order with the
+    least axis most significant; either side may be empty (one row or
+    one column)."""
     perm = [0] + [q + 1 for q in sorted(a) + sorted(b)]
     return t.transpose(perm).reshape(len(t), 1 << len(a), 1 << len(b))
+
+
+def cut_matrix(t: np.ndarray, a, b) -> np.ndarray:
+    """``cut_stack`` of a single [2]*v array."""
+    return cut_stack(t[None], a, b)[0]
 
 
 def separates_at(psi: StateVector, a, b, tol: Tolerance = DEFAULT_TOL):
@@ -393,24 +393,26 @@ def linked_classes(t, tol: Tolerance = DEFAULT_TOL):
 
     Axes i and j are linked when the 2x2 matrix M left after summing
     ``t`` over every other axis has det M != 0.  Exact input, a stack of
-    integer numerators (exact states and [2]*v arrays of ``Exact`` are
-    read through theirs), links when det M is exactly nonzero.  Float
-    entries link only when |det M| exceeds 2 k tau (|M|_F + k tau), with
-    tau = tol.threshold(|t|_F) and k = 2^((v-2)/2): a cut between i and
-    j that passes the singular-value rule s_2 <= tol.threshold(s_1) (of
-    ``separates_at`` and ``multilinear.bipartition_rank_oracle``)
-    leaves t within tau of a product in the spectral norm, the two
-    summing maps have norm k together, and a 2x2 matrix within k tau of
-    a rank-1 one has |det| at most k tau (|M|_F + 2 k tau); the doubled
-    first term is slack for rounding.  Linked axes therefore lie in one
-    tensor factor, and on one side of every cut that the rule lets
-    separate, so the classes returned, sorted by least axis, are never
-    coarser than either.
+    integer numerators with k = 1 or 4 (not a bare [2]*v array; exact
+    states and [2]*v arrays of ``Exact`` are read through theirs), links
+    when det M is exactly nonzero.  Float entries link only when |det M|
+    exceeds 2 k tau (|M|_F + k tau), with tau = tol.threshold(|t|_F) and
+    k = 2^((v-2)/2): a cut between i and j that passes the singular-value
+    rule s_2 <= tol.threshold(s_1) (of ``separates_at`` and
+    ``multilinear.bipartition_rank_oracle``) leaves t within tau of a
+    product in the spectral norm, the two summing maps have norm k
+    together, and a 2x2 matrix within k tau of a rank-1 one has |det| at
+    most k tau (|M|_F + 2 k tau); the doubled first term is slack for
+    rounding.  Linked axes therefore lie in one tensor factor, and on one
+    side of every cut that the rule lets separate, so the classes
+    returned, sorted by least axis, are never coarser than either.
     """
     if isinstance(t, StateVector):
         t = t.stack() if t.is_exact else t.axes()
     elif t.dtype == object and isinstance(t.flat[0], Exact):
         t = numerator_stack(t.ravel().tolist())[0].reshape((-1,) + t.shape)
+    elif t.dtype.kind in "Oiu" and (t.ndim == 0 or len(t) not in (1, 4)):
+        raise ValueError("integer input must be a [k, 2, ..., 2] stack, k = 1 or 4")
     exact = t.dtype.kind in "Oiu"
     v = t.ndim - exact
     parent = list(range(v))
@@ -422,9 +424,8 @@ def linked_classes(t, tol: Tolerance = DEFAULT_TOL):
         return q
 
     if exact:  # det M = s b_ij - r_i r_j from t's moments (``_moment_bits``)
-        flat, bits = widened(t, 1 << v).reshape(len(t), -1), _moment_bits(v)
-        mom = (flat[:, :, None] * bits).transpose(0, 2, 1) @ bits
-        (s, *r), *both = four_components(mom).transpose(1, 2, 0).tolist()
+        t, row = widened(t, 1 << v), None
+        s, *r = four_components(t.reshape(len(t), -1) @ _moment_bits(v)).T.tolist()
     else:
         k = 2.0 ** ((v - 2) / 2)
         k_tau = k * tol.threshold(float(np.linalg.norm(t)))
@@ -432,7 +433,10 @@ def linked_classes(t, tol: Tolerance = DEFAULT_TOL):
         if find(i) == find(j):
             continue
         if exact:
-            linked = field_mul(s, both[i][j + 1]) != field_mul(r[i], r[j])
+            if row != i:  # b_ij, j > i: moments of the half where axis i is 1
+                half = np.take(t, 1, axis=i + 1).reshape(len(t), -1)
+                row, b = i, four_components(half @ _moment_bits(v - 1)).T.tolist()
+            linked = field_mul(s, b[j]) != field_mul(r[i], r[j])
         else:
             m = t.sum(axis=tuple(q for q in range(v) if q != i and q != j))
             det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
@@ -449,7 +453,8 @@ def linked_classes(t, tol: Tolerance = DEFAULT_TOL):
 def _moment_bits(v: int) -> np.ndarray:
     """Read-only (2^v, v + 1) table: 1, then the bit of each axis q
     (v-1-q), per flat index of a [2]*v array.  t's moments over it are
-    its sum s, its sums r_i where axis i is 1 and b_ij where i and j are."""
+    its sum s and its sums r_i where axis i is 1; those of t's half where
+    axis i is 1 over the table for v - 1 are r_i and the b_ij, j > i."""
     bits = np.arange(1 << v)[:, None] >> np.arange(v, -1, -1) & 1
     bits[:, 0] = 1
     bits.flags.writeable = False

@@ -248,6 +248,27 @@ def test_linked_classes_threshold():
     assert linked_classes(psi.axes()) == [frozenset({0, 1})]
 
 
+def test_linked_classes_refuses_a_bare_integer_array():
+    # an integer [2]*v array would read axis 0 as the component axis
+    t = np.ones([2] * 3, dtype=np.int64)
+    with pytest.raises(ValueError, match="stack"):
+        linked_classes(t)
+    t[1, 1, 1] = 2  # every pair's summed matrix is [[2, 2], [2, 3]]
+    assert linked_classes(t[None]) == [frozenset(range(3))]
+    assert linked_classes(np.ones([1] + [2] * 3, dtype=object)) == \
+        [frozenset({q}) for q in range(3)]
+
+
+def test_exact_links_widen_past_the_int64_bound():
+    # a product with entries near 2^60: its sum (2^21 + 1)^3 passes 2^63,
+    # and a wrapped sum would make every pair determinant nonzero
+    u = np.array([1 << 20, (1 << 20) + 1], dtype=np.int64)
+    t = np.multiply.outer(np.multiply.outer(u, u), u)
+    assert linked_classes(t[None]) == [frozenset({q}) for q in range(3)]
+    t[1, 1, 1] += 1
+    assert linked_classes(t[None]) == [frozenset(range(3))]
+
+
 def test_float_links_never_hide_a_separating_cut():
     # |00>(c|0> - s|1>) + 1e-9 |11>|+>: the cut {0} | {1, 2} passes the
     # singular-value rule, so det = 1.4e-10 at the all-ones point of the
@@ -383,6 +404,20 @@ def object_rank_le_1(mat):
     return rank_le_1(rows)
 
 
+def summed_link_classes(t):
+    """Pair links by their definition on an array of ``Exact``: sum t over
+    every other axis and link i and j when that 2x2 determinant is not
+    zero; the classes are the components of the links."""
+    classes = [{q} for q in range(t.ndim)]
+    for i, j in combinations(range(t.ndim), 2):
+        m = t.sum(axis=tuple(q for q in range(t.ndim) if q not in (i, j)))
+        ci, cj = (next(c for c in classes if q in c) for q in (i, j))
+        if ci is not cj and not (m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]).is_zero:
+            ci |= cj
+            classes.remove(cj)
+    return sorted(map(frozenset, classes), key=min)
+
+
 @settings(deadline=None, max_examples=120)
 @given(st.integers(2, 6), st.sampled_from([1, 2**40, 2**70]),
        st.integers(0, 2**32 - 1))
@@ -398,7 +433,8 @@ def test_exact_kernels_match_object_arrays(r, scale, seed):
                        sorted(a) + sorted(frozenset(range(r)) - a))
     assert psi.is_exact and all(x == y for x, y in zip(psi.amps, want.reshape(-1)))
     for state in (psi, field_exact_state(r, rng, scale)):
-        assert linked_classes(state) == linked_classes(state.axes())
+        assert linked_classes(state) == linked_classes(state.axes()) == \
+            summed_link_classes(state.axes())
         for c, d in bipartitions(r):
             assert separates_at(state, c, d)[0] == \
                 object_rank_le_1(cut_matrix(state.axes(), c, d))
