@@ -18,9 +18,9 @@ exactly when I is a union of variable-partition classes, and
 ``is_justifying`` the partial derivatives, both at an exact point
 prepared once; ``decompose`` tests rank <= 1 on the splits that are
 unions of pair-link classes (``qstate.linked_classes``).
-``bipartition_rank_oracle`` decides splits on the sparse terms, which
-is all there is for float coefficients and exact f past 16 variables;
-the suites cross-check the two.
+``bipartition_rank_oracle`` decides a split by one rule per field
+(exact minors, float singular values), which the sweep
+``indecomposable_at_every_split`` follows; the suites cross-check both.
 """
 from __future__ import annotations
 
@@ -42,14 +42,13 @@ from .numerics import (
     is_exact,
     numerator_stack,
     random_scalar,
-    rank_le_1,
     scalar_is_zero,
     stack_mul,
     stack_size,
     sv_rank_le_1,
     to_float,
 )
-from .qstate import cut_stack, dense_rank_le_1, linked_classes
+from .qstate import cut_stack, dense_rank_le_1, first_nonzero, linked_classes
 from .textio import ParseError, content_lines, format_complexes, parse_complexes
 
 
@@ -313,12 +312,13 @@ _ROOT_EPS = 1e-9
 
 class _Form(NamedTuple):
     """Sorted variables, the bit of each (v-1-q for ``fvars[q]``), a
-    bitmask per term and, for exact f on at most 16 variables, its
-    read-only ``numerator_stack`` and l1, the sum of its ``stack_size``;
-    the denominator is dropped, as no decision on the stack needs it."""
+    bitmask per term; for exact f its (k, terms) ``numerator_stack`` less
+    the denominator, which no decision needs, and on at most 16 variables
+    that stack read-only as [k, 2, ..., 2] and l1, its ``stack_size``."""
     fvars: list
     bit: dict
     masks: list
+    values: np.ndarray | None
     tensor: np.ndarray | None
     l1: int
 
@@ -330,20 +330,21 @@ def _form(f: MultilinearPoly) -> _Form:
         v = len(fvars)
         bit = {x: 1 << (v - 1 - q) for q, x in enumerate(fvars)}
         masks = [sum(map(bit.__getitem__, m)) for m in f.terms]
-        coeffs, tensor, l1 = list(f.terms.values()), None, 0
-        if v <= _DENSE_MAX_VARS and all(map(is_exact, coeffs)):
-            num, _ = numerator_stack(coeffs)
-            l1, tensor = sum(stack_size(num)), _dense(masks, num, v)
-            tensor.flags.writeable = False
-        f._form = _Form(fvars, bit, masks, tensor, l1)
+        coeffs, values, tensor, l1 = list(f.terms.values()), None, None, 0
+        if all(map(is_exact, coeffs)):
+            values, _ = numerator_stack(coeffs)
+            if v <= _DENSE_MAX_VARS:
+                l1, tensor = sum(stack_size(values)), _dense(masks, values, [2] * v)
+                tensor.flags.writeable = False
+        f._form = _Form(fvars, bit, masks, values, tensor, l1)
     return f._form
 
 
-def _dense(masks, values: np.ndarray, v: int) -> np.ndarray:
-    """The (k, terms) values at their masks in a zero [k, 2, ..., 2] stack."""
-    t = np.zeros((len(values), 1 << v), dtype=values.dtype)
-    t[:, masks] = values
-    return t.reshape([len(values)] + [2] * v)
+def _dense(flat, values: np.ndarray, shape) -> np.ndarray:
+    """The (k, n) values at their flat indices in a zero (k, *shape) stack."""
+    t = np.zeros((len(values), math.prod(shape)), dtype=values.dtype)
+    t[:, flat] = values
+    return t.reshape(len(values), *shape)
 
 
 #: A sweep on at most this many variables is decided for every subset in
@@ -588,71 +589,82 @@ def find_zero_justifying_assignment(f: MultilinearPoly,
 
 # ---- rank-based splitting ----------------------------------------------
 
-def _coefficient_matrix(f: MultilinearPoly, subset: frozenset):
-    """Terms regrouped as {row: {col: coeff}} with row = monomial part in
-    subset and col = part outside it."""
-    rows = {}
-    for m, c in f.terms.items():
-        r = m & subset
-        col = m - subset
-        rows.setdefault(r, {})[col] = c
-    return rows
-
-
-def _float_cut_matrix(f: MultilinearPoly, subset) -> np.ndarray:
-    """The coefficient matrix of ``_coefficient_matrix`` as complex128,
-    rows and columns in ``_mono_key`` order.  On f's term bitmasks that
-    order is by bit count, then by decreasing mask (variable 0 is the
-    most significant bit), so the matrix is filled in one assignment."""
+def _cut_matrix(f: MultilinearPoly, subset) -> np.ndarray:
+    """f's coefficient matrix at the split (subset, rest), a (k, rows,
+    cols) stack of ``_form``'s numerators or (k = 1) complex floats; rows
+    and columns in ``_mono_key`` order, which on term bitmasks is by bit
+    count, then by decreasing mask (variable 0 is the top bit)."""
     form = _form(f)
+    values = (form.values if form.values is not None
+              else np.array([list(f.terms.values())], dtype=complex))
     sub = sum(b for x, b in form.bit.items() if x in subset)
     rows = [m & sub for m in form.masks]
     cols = [m ^ row for m, row in zip(form.masks, rows)]
-    row_pos, col_pos = _mask_positions(rows), _mask_positions(cols)
-    mat = np.zeros((len(row_pos), len(col_pos)), dtype=complex)
+    row_pos, col_pos = (
+        {m: i for i, m in enumerate(sorted(set(x), key=lambda m: (m.bit_count(), -m)))}
+        for x in (rows, cols))
     flat = [row_pos[row] * len(col_pos) + col_pos[col] for row, col in zip(rows, cols)]
-    mat.reshape(-1)[flat] = list(f.terms.values())
-    return mat
-
-
-def _mask_positions(masks: list) -> dict:
-    ordered = sorted(set(masks), key=lambda m: (m.bit_count(), -m))
-    return {m: i for i, m in enumerate(ordered)}
-
-
-def _rank_le_1_float(f: MultilinearPoly, subset, tol: Tolerance) -> bool:
-    s = np.linalg.svd(_float_cut_matrix(f, subset), compute_uv=False)
-    return sv_rank_le_1(s, tol)
+    return _dense(flat, values, (len(row_pos), len(col_pos)))
 
 
 def bipartition_rank_oracle(f: MultilinearPoly,
                             subset: Iterable[VarId],
                             tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True iff f factors as g(subset) * h(complement), decided by whether
-    the coefficient matrix of the split has rank <= 1.
+    """True iff f factors as g(subset) * h(complement): the coefficient
+    matrix of the split (``_cut_matrix``) has rank <= 1, by vanishing 2x2
+    minors on exact numerators (``dense_rank_le_1``) and by
+    ``sv_rank_le_1``, s_2 <= rel_eps * s_1 + abs_eps, on floats."""
+    m = _cut_matrix(f, subset)
+    if m.dtype.kind == "c":
+        return sv_rank_le_1(np.linalg.svd(m[0], compute_uv=False), tol)
+    return dense_rank_le_1(m)
 
-    Exact coefficients are decided exactly (vanishing 2x2 minors); floats
-    use singular values with the numerical-rank threshold
-    ``s_i <= rel_eps * s_1 + abs_eps``.
-    """
-    subset = frozenset(subset)
-    if all(map(is_exact, f.terms.values())):
-        return rank_le_1(_coefficient_matrix(f, subset))
-    return _rank_le_1_float(f, subset, tol)
+
+def _pivot_minors(rows):
+    """The minors M[r, c] p - M[r, c0] M[0, c] of sparse rows {column:
+    nonzero entry} against p = M[0, c0], the first entry (others are 0)."""
+    others = iter(rows)
+    pivot = next(others)
+    c0, p = next(iter(pivot.items()))
+    for other in others:
+        q = other.get(c0, 0)
+        for col, x in other.items():
+            yield x * p - q * pivot.get(col, 0)
+        if q and other.keys() != pivot.keys():
+            for col in pivot.keys() - other.keys():
+                yield -q * pivot[col]
+
+
+def _float_bounds(norm: float, n: int, tol: Tolerance) -> tuple[float, float]:
+    """Slack rho = 4 n eps F and no-split bound F (tau(F + rho) + rho), n entries, norm F."""
+    rho = 4 * n * math.ulp(1.0) * norm
+    return rho, norm * (tol.threshold(norm + rho) + rho)
+
+
+def _split_bound(rows, norm: float, n: int, tol: Tolerance) -> bool:
+    """Whether float rows (n entries, norm F) split: their minors against
+    p have l2 norm at most |p| (tau(|p| - rho) - rho) - rho (|p| + F)."""
+    rho, _ = _float_bounds(norm, n, tol)
+    p = abs(next(iter(next(iter(rows)).values())))
+    return (math.hypot(*map(abs, _pivot_minors(rows))) * (1 + math.ulp(1.0))
+            + rho * (p + norm) <= p * (tol.threshold(p - rho) - rho))
 
 
 def indecomposable_at_every_split(f: MultilinearPoly,
                                   tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Exhaustive sweep: no nontrivial variable bipartition has rank <= 1.
+    """Exhaustive sweep: no nontrivial variable bipartition passes
+    ``bipartition_rank_oracle``.
 
-    Every nonempty proper subset is tested with ``rank_le_1`` on its
-    coefficient matrix, with monomials packed into bitmasks so the sweep
-    stays fast for the family suites.  Exact coefficients are decided
-    exactly, as ``bipartition_rank_oracle`` does.  Otherwise every
-    coefficient is converted to float and each 2x2 minor against the
-    pivot is compared with ``tol.close``; the oracle instead compares
-    singular values, ``s_2 <= rel_eps * s_1 + abs_eps``, so the two can
-    disagree on nearly rank-1 float splits.
+    Each subset holding the least variable is tested on the sparse
+    coefficient matrix M of its split (monomials as bitmasks) by its
+    minors against the pivot p (``_pivot_minors``): exact f splits where
+    all vanish.  On floats they settle the oracle's rule s_2 <= tau(s_1),
+    tau = tol.threshold: no split if one exceeds F tau(F), as a minor is
+    at most s_1 s_2 and s_1 <= F, the l2 norm of the n coefficients; a
+    split if sqrt(sum |minor|^2) / |p| <= tau(|p|), as that is |M - R|_F
+    >= s_2 for the rank-1 R through p's row and column, and |p| <= s_1.
+    Both carry a slack rho = 4 n eps F for rounding, LAPACK's within a
+    small multiple of eps s_1; the oracle decides the rest.
     """
     fvars = sorted(f.variables())
     v = len(fvars)
@@ -660,49 +672,40 @@ def indecomposable_at_every_split(f: MultilinearPoly,
         return True
     if v > 24:
         raise DecompositionBudgetError(f"{v} variables exceeds the 24-variable cap")
-    pos = {x: i for i, x in enumerate(fvars)}
-    masks = []
-    coeffs = []
-    for m, c in f.terms.items():
-        bits = 0
-        for x in m:
-            bits |= 1 << pos[x]
-        masks.append(bits)
-        coeffs.append(c)
-    if not all(is_exact(c) for c in coeffs):
+    bit = {x: 1 << i for i, x in enumerate(fvars)}
+    masks = [sum(map(bit.__getitem__, m)) for m in f.terms]
+    coeffs = list(f.terms.values())
+    if not (exact := all(map(is_exact, coeffs))):
         coeffs = [to_float(c) for c in coeffs]
-    n_terms = len(masks)
-    full = (1 << v) - 1
-    # Subsets containing variable 0 enumerate each unordered bipartition once.
-    for sub in range(0, 1 << (v - 1)):
-        subset_mask = (sub << 1) | 1
-        if subset_mask == full:
-            continue
+        norm = math.hypot(*map(abs, coeffs))
+        _, no_split = _float_bounds(norm, len(coeffs), tol)
+    # Subsets holding variable 0 but not all enumerate each bipartition once.
+    for sub in range((1 << (v - 1)) - 1):
+        cut = sub << 1 | 1
         rows = {}
-        for i in range(n_terms):
-            r = masks[i] & subset_mask
-            rows.setdefault(r, {})[masks[i] & ~subset_mask] = coeffs[i]
-        if rank_le_1(rows, tol):
+        for m, c in zip(masks, coeffs):
+            rows.setdefault(m & cut, {})[m & ~cut] = c
+        rows = rows.values()
+        if exact:
+            if not any(_pivot_minors(rows)):
+                return False
+        elif not any(map(no_split.__lt__, map(abs, _pivot_minors(rows)))) and (
+                _split_bound(rows, norm, len(coeffs), tol) or bipartition_rank_oracle(
+                    f, [x for x in fvars if cut & bit[x]], tol)):
             return False
     return True
 
 
 def _extract_factors(f: MultilinearPoly, subset: frozenset):
-    """Split a rank-1 coefficient matrix into (g on subset, h on rest)."""
-    rows = _coefficient_matrix(f, subset)
-    row_keys = sorted(rows, key=_mono_key)
-    pivot_row = None
-    pivot_col = None
-    for rk in row_keys:
-        for ck in sorted(rows[rk], key=_mono_key):
-            pivot_row, pivot_col = rk, ck
-            break
-        if pivot_row is not None:
-            break
-    pivot_val = rows[pivot_row][pivot_col]
-    g = MultilinearPoly({rk: rows[rk].get(pivot_col, 0) for rk in rows
-                         if pivot_col in rows[rk]})
-    h = MultilinearPoly({ck: c / pivot_val for ck, c in rows[pivot_row].items()})
+    """Split f, of rank 1 at (subset, rest), into its pivot column g and
+    pivot row h over the pivot, the first entry in ``_mono_key`` order."""
+    rows = {}
+    for m, c in f.terms.items():
+        rows.setdefault(m & subset, {})[m - subset] = c
+    pivot = rows[min(rows, key=_mono_key)]
+    col = min(pivot, key=_mono_key)
+    g = MultilinearPoly({r: row[col] for r, row in rows.items() if col in row})
+    h = MultilinearPoly({c: x / pivot[col] for c, x in pivot.items()})
     return g, h
 
 
@@ -743,12 +746,12 @@ def _decompose_tensor(f: MultilinearPoly, form: _Form) -> list[MultilinearPoly]:
                                    for c in classes if min(c) in local], n):
             rest = [q for q in range(n) if q not in s]
             m = cut_stack(t, s, rest)
-            if dense_rank_le_1(m):
+            i, j = at = first_nonzero(m)
+            if dense_rank_le_1(m, at):
                 break
         else:
             pieces.append((axes, t.reshape(len(t), -1)))
             break
-        i, j = divmod(int(np.flatnonzero(m.any(axis=0))[0]), m.shape[2])
         pieces.append(([axes[q] for q in sorted(s)], m[:, :, j]))
         axes, t = [axes[q] for q in rest], m[:, i].reshape([len(m)] + [2] * len(rest))
 
@@ -803,7 +806,7 @@ def decompose(f: MultilinearPoly,
         form, classes = _form(g), [frozenset([q]) for q in range(len(gvars))]
         if form.tensor is None and len(gvars) <= _DENSE_MAX_VARS:  # float g
             values = np.array([list(map(to_float, g.terms.values()))])
-            classes = linked_classes(_dense(form.masks, values, len(gvars))[0], tol)
+            classes = linked_classes(_dense(form.masks, values, [2] * len(gvars))[0], tol)
         subsets = (frozenset(gvars[q] for q in s)
                    for s in _anchored_unions(classes, len(gvars)))
         found = next((s for s in subsets

@@ -238,26 +238,6 @@ def approx_eq(x, y, tol: Tolerance = DEFAULT_TOL) -> bool:
     return tol.close(to_float(x), to_float(y))
 
 
-def rank_le_1(rows, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Whether the sparse matrix ``{row: {col: entry}}`` has rank <= 1.
-
-    Absent entries are zero and stored entries must be nonzero, so in a
-    rank-1 matrix every row has the first (pivot) row's columns and every
-    2x2 minor against the pivot entry vanishes.  Minors are compared with
-    ``approx_eq``: exactly for ``Exact`` entries, ``tol.close`` otherwise.
-    """
-    it = iter(rows.values())
-    pivot = next(it, {})
-    c0 = next(iter(pivot), None)
-    for other in it:
-        if other.keys() != pivot.keys():
-            return False
-        for col, x in other.items():
-            if not approx_eq(x * pivot[c0], other[c0] * pivot[col], tol):
-                return False
-    return True
-
-
 def sv_rank_le_1(s: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
     """The floating rank-<=1 rule on singular values s in descending order:
     every one past the first is at most ``tol.threshold(s[0])``."""

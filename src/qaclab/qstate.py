@@ -95,14 +95,19 @@ def _field_outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return stack_mul(x[:, :, None], y.astype(x.dtype)[:, None, :])
 
 
-def dense_rank_le_1(m: np.ndarray) -> bool:
-    """Whether the exact matrix of a (k, rows, cols) stack has rank <= 1:
-    every entry times the pivot (its first nonzero entry) equals the
-    pivot row's entry times the pivot column's."""
+def first_nonzero(m: np.ndarray) -> tuple[int, int] | None:
+    """(row, column) of a (k, rows, cols) stack's first nonzero, or None."""
     nonzero = np.flatnonzero(m.any(axis=0))
-    if not nonzero.size:
+    return divmod(int(nonzero[0]), m.shape[-1]) if nonzero.size else None
+
+
+def dense_rank_le_1(m: np.ndarray, at: tuple[int, int] | None = None) -> bool:
+    """Whether the exact matrix of a (k, rows, cols) stack has rank <= 1:
+    every entry times the pivot (``at``, by default ``first_nonzero(m)``)
+    equals the pivot row's entry times the pivot column's."""
+    if (at := at or first_nonzero(m)) is None:
         return True
-    i, j = divmod(int(nonzero[0]), m.shape[-1])
+    i, j = at
     m = widened(m, 6 * int(np.abs(m).max()))
     return bool((stack_mul(m, m[:, i, j, None, None])
                  == stack_mul(m[:, :, j, None], m[:, None, i, :])).all())
@@ -392,20 +397,23 @@ def linked_classes(t, tol: Tolerance = DEFAULT_TOL):
     a state, joined by pair links.
 
     Axes i and j are linked when the 2x2 matrix M left after summing
-    ``t`` over every other axis has det M != 0.  Exact input, a stack of
-    integer numerators with k = 1 or 4 (not a bare [2]*v array; exact
-    states and [2]*v arrays of ``Exact`` are read through theirs), links
-    when det M is exactly nonzero.  Float entries link only when |det M|
-    exceeds 2 k tau (|M|_F + k tau), with tau = tol.threshold(|t|_F) and
-    k = 2^((v-2)/2): a cut between i and j that passes the singular-value
-    rule s_2 <= tol.threshold(s_1) (of ``separates_at`` and
-    ``multilinear.bipartition_rank_oracle``) leaves t within tau of a
-    product in the spectral norm, the two summing maps have norm k
-    together, and a 2x2 matrix within k tau of a rank-1 one has |det| at
-    most k tau (|M|_F + 2 k tau); the doubled first term is slack for
-    rounding.  Linked axes therefore lie in one tensor factor, and on one
-    side of every cut that the rule lets separate, so the classes
-    returned, sorted by least axis, are never coarser than either.
+    ``t`` over every other axis has det M = s b_ij - r_i r_j, from t's
+    moments (``_moment_bits``), != 0.  Exact input, a stack of integer
+    numerators with k = 1 or 4 (not a bare [2]*v array; exact states and
+    [2]*v arrays of ``Exact`` are read through theirs), links when det M
+    is exactly nonzero.  Float entries link only when |det M| exceeds
+    2 c tau (|M|_F + 16 d + c tau) + 8 d a, with tau = tol.threshold(|t|_F),
+    c = 2^((v-2)/2), a = 2^(v/2) |t|_F >= sum |t| and d = 2^v eps a: a
+    cut between i and j that passes the singular-value rule (of
+    ``separates_at`` and ``multilinear.bipartition_rank_oracle``) leaves
+    t within tau of a product in the spectral norm, the two summing maps
+    have norm c together, and a 2x2 matrix within c tau of a rank-1 one
+    has |det| at most c tau (|M|_F + 2 c tau); the rest is slack for
+    rounding, as each moment is within d of its value, M's entries
+    within 6 d, |M|_F within 16 d and det M within 8 d a.  Linked axes
+    therefore lie in one tensor factor, and on one side of every cut
+    that the rule lets separate, so the classes returned, sorted by
+    least axis, are never coarser than either.
     """
     if isinstance(t, StateVector):
         t = t.stack() if t.is_exact else t.axes()
@@ -423,25 +431,33 @@ def linked_classes(t, tol: Tolerance = DEFAULT_TOL):
             q = parent[q]
         return q
 
-    if exact:  # det M = s b_ij - r_i r_j from t's moments (``_moment_bits``)
-        t, row = widened(t, 1 << v), None
-        s, *r = four_components(t.reshape(len(t), -1) @ _moment_bits(v)).T.tolist()
-    else:
-        k = 2.0 ** ((v - 2) / 2)
-        k_tau = k * tol.threshold(float(np.linalg.norm(t)))
+    if exact:  # moments of four components each, as field_mul reads them
+        t, bits = widened(t, 1 << v), np.int64
+
+        def linked(s, r_i, r_j, b):
+            return field_mul(s, b) != field_mul(r_i, r_j)
+    else:  # moments of two components each, real and imaginary
+        norm, t, bits = float(np.linalg.norm(t)), np.stack([t.real, t.imag]), float
+        c_tau = 2.0 ** ((v - 2) / 2) * tol.threshold(norm)
+        a, d = 2.0 ** (v / 2) * norm, 2.0 ** (1.5 * v) * math.ulp(1.0) * norm
+
+        def linked(*moments):
+            s, r_i, r_j, b = (complex(*z) for z in moments)
+            m_norm = math.hypot(abs(b), abs(r_i - b), abs(r_j - b), abs(s - r_i - r_j + b))
+            return (abs(s * b - r_i * r_j)
+                    > 2 * c_tau * (m_norm + 16 * d + c_tau) + 8 * d * a)
+
+    def moments(x, w):
+        m = x.reshape(len(x), -1) @ _moment_bits(w, bits)
+        return (four_components(m) if exact else m).T.tolist()
+
+    (s, *r), row = moments(t, v), None
     for i, j in combinations(range(v), 2):
         if find(i) == find(j):
             continue
-        if exact:
-            if row != i:  # b_ij, j > i: moments of the half where axis i is 1
-                half = np.take(t, 1, axis=i + 1).reshape(len(t), -1)
-                row, b = i, four_components(half @ _moment_bits(v - 1)).T.tolist()
-            linked = field_mul(s, b[j]) != field_mul(r[i], r[j])
-        else:
-            m = t.sum(axis=tuple(q for q in range(v) if q != i and q != j))
-            det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-            linked = abs(det) > 2 * k_tau * (np.linalg.norm(m) + k_tau)
-        if linked:
+        if row != i:  # b_ij, j > i: moments of the half where axis i is 1
+            row, b = i, moments(np.take(t, 1, axis=i + 1), v - 1)
+        if linked(s, r[i], r[j], b[j]):
             parent[find(j)] = find(i)
     joined = {}
     for q in range(v):
@@ -450,12 +466,12 @@ def linked_classes(t, tol: Tolerance = DEFAULT_TOL):
 
 
 @functools.cache
-def _moment_bits(v: int) -> np.ndarray:
-    """Read-only (2^v, v + 1) table: 1, then the bit of each axis q
+def _moment_bits(v: int, dtype=np.int64) -> np.ndarray:
+    """Read-only (2^v, v + 1) ``dtype`` table: 1, then the bit of axis q
     (v-1-q), per flat index of a [2]*v array.  t's moments over it are
     its sum s and its sums r_i where axis i is 1; those of t's half where
     axis i is 1 over the table for v - 1 are r_i and the b_ij, j > i."""
-    bits = np.arange(1 << v)[:, None] >> np.arange(v, -1, -1) & 1
+    bits = (np.arange(1 << v)[:, None] >> np.arange(v, -1, -1) & 1).astype(dtype)
     bits[:, 0] = 1
     bits.flags.writeable = False
     return bits

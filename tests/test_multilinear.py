@@ -44,6 +44,7 @@ from qaclab.numerics import (
     approx_eq,
     make_rng,
     numerator_stack,
+    sv_rank_le_1,
     to_float,
 )
 from qaclab.qstate import cut_matrix
@@ -640,9 +641,12 @@ def test_rank_oracle_agrees_with_sv(subtests=None):
 
 
 def reference_cut_matrix(f, subset):
-    """The float oracle's matrix filled entry by entry from
-    ``_coefficient_matrix``, rows and columns in ``_mono_key`` order."""
-    rows = ml._coefficient_matrix(f, subset)
+    """The float oracle's matrix filled entry by entry from f's terms
+    regrouped by monomial part in subset (row) and outside it (column),
+    rows and columns in ``_mono_key`` order."""
+    rows = {}
+    for m, c in f.terms.items():
+        rows.setdefault(m & subset, {})[m - subset] = c
     row_keys = sorted(rows, key=ml._mono_key)
     col_keys = sorted({c for r in rows.values() for c in r}, key=ml._mono_key)
     mat = np.zeros((len(row_keys), len(col_keys)), dtype=complex)
@@ -669,7 +673,7 @@ def test_float_cut_matrix_matches_entrywise_fill():
             subset = frozenset(x for x in fvars if rng.random() < 0.5)
             if rng.random() < 0.3:
                 subset |= {outside}
-            got = ml._float_cut_matrix(f, subset)
+            got = ml._cut_matrix(f, subset)[0]
             want = reference_cut_matrix(f, subset)
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
             if got.size:
@@ -759,15 +763,15 @@ INT64_L1 = math.isqrt(2 ** 63 - 1)
 
 
 @st.composite
-def decompose_cases(draw):
+def decompose_cases(draw, nudged=False):
     """Products of up to three variable-disjoint factors with integer,
     scaled or float coefficients: an integer content, a factor whose
     coefficients sum to zero (which hides the other factors' pair
     links), integers scaled to either side of the int64 bound, and a
     float product possibly nudged off rank 1 by a term near the
-    tolerance."""
-    kind = draw(st.sampled_from(["int", "scaled", "zero-sum", "int64-edge",
-                                 "float"]))
+    tolerance (``nudged``: only such products, always nudged)."""
+    kind = "float" if nudged else draw(st.sampled_from(
+        ["int", "scaled", "zero-sum", "int64-edge", "float"]))
     coeff = float_coeffs if kind == "float" else small_ints
     n = draw(st.integers(1, 8))
     cuts = sorted(draw(st.lists(st.integers(0, n), max_size=2)))
@@ -782,7 +786,7 @@ def decompose_cases(draw):
         f = f * draw(st.sampled_from(SCALINGS))
     if kind == "int64-edge" and not f.is_zero:
         f = f * Exact(INT64_L1 // _form(f).l1 + draw(st.sampled_from([0, 1])))
-    if kind == "float" and draw(st.booleans()):
+    if kind == "float" and (nudged or draw(st.booleans())):
         eps = draw(st.sampled_from([1e-13, 1e-10, 1e-8, 1e-6]))
         f = f + poly({draw(st.sampled_from(monomials(VARS[:n]))): eps})
     return f
@@ -831,12 +835,12 @@ def test_integer_decompose_stays_on_the_tensor(monkeypatch):
     cases = [g * h * Exact.SQRT2, g * (h + poly({(VARS[2],): Exact.I})),
              g * h * 0.5]
     want = [unpruned_decompose(f) for f in cases]
-    calls = counted(monkeypatch, ["rank_le_1", "_extract_factors"])
+    calls = counted(monkeypatch, ["bipartition_rank_oracle", "_extract_factors"])
     assert decompose(cases[0]) == want[0]
     assert decompose(cases[1]) == want[1]
-    assert calls == {"rank_le_1": 0, "_extract_factors": 0}
+    assert calls == {"bipartition_rank_oracle": 0, "_extract_factors": 0}
     assert decompose(cases[2]) == want[2]
-    assert calls == {"rank_le_1": 0, "_extract_factors": 2}
+    assert calls == {"bipartition_rank_oracle": 2, "_extract_factors": 2}
 
 
 def test_evaluate_and_restrict_ignore_the_hash_seed():
@@ -859,6 +863,16 @@ def test_evaluate_and_restrict_ignore_the_hash_seed():
     assert len(outs) == 1
 
 
+def sweep_matches_oracle(f):
+    """Whether the sweep finds f indecomposable exactly when no subset
+    holding its least variable passes the oracle."""
+    first, *rest = sorted(f.variables()) or [None]
+    exhaustive = all(
+        not bipartition_rank_oracle(f, frozenset((first, *c)))
+        for size in range(len(rest)) for c in combinations(rest, size))
+    return indecomposable_at_every_split(f) == exhaustive
+
+
 def test_indecomposable_at_every_split_matches_oracle():
     rng = make_rng(15)
     # 40 exact polynomials, then 40 with Gaussian float coefficients, then
@@ -870,14 +884,54 @@ def test_indecomposable_at_every_split_matches_oracle():
         else:
             f, _ = random_disjoint_product(rng, int(rng.integers(2, 4)),
                                            int(rng.integers(1, 3)), exact=False)
-        fvars = sorted(f.variables())
-        if len(fvars) < 2:
-            continue
-        exhaustive = all(
-            not bipartition_rank_oracle(f, frozenset(c))
-            for size in range(1, len(fvars))
-            for c in combinations(fvars, size))
-        assert indecomposable_at_every_split(f) == exhaustive
+        assert sweep_matches_oracle(f)
+
+    # float products nudged off rank 1 by a term of 1e-13 to 1e-6, where
+    # the pivot minors alone cannot settle every split
+    @given(decompose_cases(nudged=True))
+    @settings(max_examples=150, deadline=None)
+    def nudged_products(f):
+        assert sweep_matches_oracle(f)
+
+    nudged_products()
+
+
+def test_sweep_splits_a_nearly_rank_1_float_product():
+    # (x0 + x1)(z0 + z1) + 1e-13 x0: the split at {x0, x1} is rank 1 up
+    # to 1e-13, within the singular-value rule
+    f = poly({(X0, Z0): Exact.ONE, (X0, Z1): Exact.ONE, (X1, Z0): Exact.ONE,
+              (X1, Z1): Exact.ONE, (X0,): 1e-13})
+    assert bipartition_rank_oracle(f, {X0, X1})
+    assert not indecomposable_at_every_split(f)
+    assert len(decompose(f)) == 2
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1e-3, 1.0, 1e3]),
+       st.one_of(st.just(0.0), st.floats(0, 1e-7)))
+@settings(max_examples=300, deadline=None)
+def test_sweep_float_bounds_agree_with_singular_values(seed, scale, noise):
+    """On a sparse near-rank-1 complex matrix, a pivot minor above the
+    no-split bound means ``sv_rank_le_1`` rejects, and the split bound
+    that it accepts."""
+    rng = np.random.default_rng(seed)
+    rows_n, cols_n = rng.integers(1, 7, size=2)
+    def gaussian(*shape):
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        return x * (rng.random(shape) < 0.7)
+    mat = scale * (np.outer(gaussian(rows_n), gaussian(cols_n))
+                   + noise * gaussian(rows_n, cols_n))
+    rows = [{j: x for j, x in enumerate(row) if x} for row in mat.tolist()]
+    rows = [row for row in rows if row]
+    if not rows:
+        return
+    entries = [abs(x) for row in rows for x in row.values()]
+    norm, tol = math.hypot(*entries), DEFAULT_TOL
+    _, no_split = ml._float_bounds(norm, len(entries), tol)
+    rule = sv_rank_le_1(np.linalg.svd(mat, compute_uv=False), tol)
+    if any(abs(x) > no_split for x in ml._pivot_minors(rows)):
+        assert not rule
+    if ml._split_bound(rows, norm, len(entries), tol):
+        assert rule
 
 
 # ---- text format --------------------------------------------------------------

@@ -11,11 +11,12 @@ from qaclab.numerics import (
     approx_eq,
     make_rng,
     random_scalar,
+    numerator_stack,
     random_unitary,
-    rank_le_1,
     sv_rank_le_1,
     to_float,
 )
+from qaclab.qstate import dense_rank_le_1
 
 SQRT2 = 1.4142135623730951
 
@@ -154,7 +155,7 @@ def test_sv_rank_le_1():
     assert not sv_rank_le_1(np.array([2.0, 1e-10 + 2.1e-9]), tol)
 
 
-# ---- rank <= 1 on sparse rows --------------------------------------------------
+# ---- the two rank <= 1 rules --------------------------------------------------
 
 entries = st.integers(min_value=-3, max_value=3)
 vectors = st.integers(min_value=1, max_value=4).flatmap(
@@ -166,30 +167,34 @@ dense = st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(
 outer = st.tuples(vectors, vectors).map(lambda uv: np.outer(*uv).tolist())
 
 
-def sparse_rows(mat, order, scalar):
-    """{row: {col: entry}} of the nonzero entries, rows in ``order``."""
-    return {i: {j: scalar(int(x)) for j, x in enumerate(mat[i]) if x}
-            for i in order if any(mat[i])}
+def rank_rules(mat):
+    """The exact rule, ``dense_rank_le_1`` on the numerator stack of a
+    matrix (a list of rows of ints or ``Exact``), and the float rule,
+    ``sv_rank_le_1`` on the singular values of its complex entries."""
+    shape = (len(mat), len(mat[0]) if mat else 0)
+    flat = [x if isinstance(x, Exact) else Exact(x) for row in mat for x in row]
+    num, _ = numerator_stack(flat)
+    s = np.linalg.svd(np.array(flat, dtype=complex).reshape(shape), compute_uv=False)
+    return dense_rank_le_1(num.reshape(len(num), *shape)), sv_rank_le_1(s)
 
 
 @given(st.one_of(dense, outer), st.data())
 @settings(max_examples=400, deadline=None)
 def test_rank_le_1_matches_matrix_rank(mat, data):
     want = np.linalg.matrix_rank(np.array(mat, dtype=float)) <= 1
-    order = data.draw(st.permutations(range(len(mat))))
-    assert rank_le_1(sparse_rows(mat, order, Exact)) == want
-    assert rank_le_1(sparse_rows(mat, order, complex)) == want
+    order = data.draw(st.permutations(range(len(mat))))  # moves the pivot
+    assert rank_rules([mat[i] for i in order]) == (want, want)
 
 
 def test_rank_le_1_examples():
-    assert rank_le_1({})
-    assert rank_le_1({0: {1: Exact(2)}})
-    assert rank_le_1({0: {0: Exact(1), 1: Exact(2)}, 1: {0: Exact(3), 1: Exact(6)}})
+    assert rank_rules([]) == (True, True)
+    assert rank_rules([[0, 2]]) == (True, True)
+    assert rank_rules([[1, 2], [3, 6]]) == (True, True)
     # same support, nonvanishing minor
-    assert not rank_le_1({0: {0: Exact(1), 1: Exact(2)}, 1: {0: Exact(3), 1: Exact(5)}})
+    assert rank_rules([[1, 2], [3, 5]]) == (False, False)
     # a column present in one row only
-    assert not rank_le_1({0: {0: Exact(1)}, 1: {0: Exact(1), 1: Exact(1)}})
-    # an exact minor far below any float tolerance still counts
+    assert rank_rules([[1, 0], [1, 1]]) == (False, False)
+    # an exact minor far below any float tolerance counts for the exact
+    # rule only
     tiny = Exact(1, Fraction(1, 10**12))
-    assert not rank_le_1({0: {0: Exact(1), 1: Exact(1)}, 1: {0: Exact(1), 1: tiny}})
-    assert rank_le_1({0: {0: 1.0, 1: 1.0}, 1: {0: 1.0, 1: complex(tiny)}})
+    assert rank_rules([[1, 1], [1, tiny]]) == (False, True)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from qaclab import qstate
 from qaclab.circuit import GATE_H, apply_1q
-from qaclab.numerics import DEFAULT_TOL, Exact, Tolerance, make_rng, rank_le_1, to_float
+from qaclab.numerics import DEFAULT_TOL, Exact, Tolerance, make_rng, to_float
 from qaclab.qstate import (
     RegisterSizeError,
     StateVector,
@@ -397,11 +397,11 @@ def field_exact_state(r, rng, scale=1):
 
 
 def object_rank_le_1(mat):
-    """The rank-1 test on an object matrix of ``Exact``, by pivot minors."""
-    rows = {}
-    for i, j in zip(*np.nonzero([[not x.is_zero for x in row] for row in mat])):
-        rows.setdefault(i, {})[j] = mat[i, j]
-    return rank_le_1(rows)
+    """The rank-1 test on an object matrix of ``Exact``: every 2x2 minor
+    vanishes."""
+    return all((mat[i, j] * mat[k, l] - mat[i, l] * mat[k, j]).is_zero
+               for i, k in combinations(range(mat.shape[0]), 2)
+               for j, l in combinations(range(mat.shape[1]), 2))
 
 
 def summed_link_classes(t):
