@@ -611,13 +611,13 @@ def bipartition_rank_oracle(f: MultilinearPoly,
                             subset: Iterable[VarId],
                             tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff f factors as g(subset) * h(complement): the coefficient
-    matrix of the split (``_cut_matrix``) has rank <= 1, by vanishing 2x2
-    minors on exact numerators (``dense_rank_le_1``) and by
-    ``sv_rank_le_1``, s_2 <= rel_eps * s_1 + abs_eps, on floats."""
+    matrix of the split (``_cut_matrix``, no zero row or column) has rank
+    <= 1, on exact numerators by having no zero entry and vanishing 2x2
+    minors (``dense_rank_le_1``), on floats by ``sv_rank_le_1``."""
     m = _cut_matrix(f, subset)
     if m.dtype.kind == "c":
         return sv_rank_le_1(np.linalg.svd(m[0], compute_uv=False), tol)
-    return dense_rank_le_1(m)
+    return m[0].size == len(f.terms) and dense_rank_le_1(m)
 
 
 def _pivot_minors(rows):
@@ -641,10 +641,9 @@ def _float_bounds(norm: float, n: int, tol: Tolerance) -> tuple[float, float]:
     return rho, norm * (tol.threshold(norm + rho) + rho)
 
 
-def _split_bound(rows, norm: float, n: int, tol: Tolerance) -> bool:
-    """Whether float rows (n entries, norm F) split: their minors against
+def _split_bound(rows, norm: float, rho: float, tol: Tolerance) -> bool:
+    """Whether float rows of norm F, slack rho, split: their minors against
     p have l2 norm at most |p| (tau(|p| - rho) - rho) - rho (|p| + F)."""
-    rho, _ = _float_bounds(norm, n, tol)
     p = abs(next(iter(next(iter(rows)).values())))
     return (math.hypot(*map(abs, _pivot_minors(rows))) * (1 + math.ulp(1.0))
             + rho * (p + norm) <= p * (tol.threshold(p - rho) - rho))
@@ -678,7 +677,7 @@ def indecomposable_at_every_split(f: MultilinearPoly,
     if not (exact := all(map(is_exact, coeffs))):
         coeffs = [to_float(c) for c in coeffs]
         norm = math.hypot(*map(abs, coeffs))
-        _, no_split = _float_bounds(norm, len(coeffs), tol)
+        rho, no_split = _float_bounds(norm, len(coeffs), tol)
     # Subsets holding variable 0 but not all enumerate each bipartition once.
     for sub in range((1 << (v - 1)) - 1):
         cut = sub << 1 | 1
@@ -690,7 +689,7 @@ def indecomposable_at_every_split(f: MultilinearPoly,
             if not any(_pivot_minors(rows)):
                 return False
         elif not any(map(no_split.__lt__, map(abs, _pivot_minors(rows)))) and (
-                _split_bound(rows, norm, len(coeffs), tol) or bipartition_rank_oracle(
+                _split_bound(rows, norm, rho, tol) or bipartition_rank_oracle(
                     f, [x for x in fvars if cut & bit[x]], tol)):
             return False
     return True

@@ -403,17 +403,17 @@ def linked_classes(t, tol: Tolerance = DEFAULT_TOL):
     [2]*v arrays of ``Exact`` are read through theirs), links when det M
     is exactly nonzero.  Float entries link only when |det M| exceeds
     2 c tau (|M|_F + 16 d + c tau) + 8 d a, with tau = tol.threshold(|t|_F),
-    c = 2^((v-2)/2), a = 2^(v/2) |t|_F >= sum |t| and d = 2^v eps a: a
-    cut between i and j that passes the singular-value rule (of
-    ``separates_at`` and ``multilinear.bipartition_rank_oracle``) leaves
-    t within tau of a product in the spectral norm, the two summing maps
-    have norm c together, and a 2x2 matrix within c tau of a rank-1 one
-    has |det| at most c tau (|M|_F + 2 c tau); the rest is slack for
-    rounding, as each moment is within d of its value, M's entries
-    within 6 d, |M|_F within 16 d and det M within 8 d a.  Linked axes
-    therefore lie in one tensor factor, and on one side of every cut
-    that the rule lets separate, so the classes returned, sorted by
-    least axis, are never coarser than either.
+    c = 2^((v-2)/2), a = sum |Re t| + |Im t| and d = 2^v eps a: a cut
+    between i and j that passes the singular-value rule (of ``separates_at``
+    and ``multilinear.bipartition_rank_oracle``) leaves t within tau of a
+    product in the spectral norm, the two summing maps have norm c
+    together, and a 2x2 matrix within c tau of a rank-1 one has |det| at
+    most c tau (|M|_F + 2 c tau); the rest is slack for rounding, as each
+    moment is within d of its value, M's entries within 6 d, |M|_F within
+    16 d and det M within 8 d a, all with room for a's own rounding.
+    Linked axes therefore lie in one tensor factor, and on one side of
+    every cut that the rule lets separate, so the classes returned,
+    sorted by least axis, are never coarser than either.
     """
     if isinstance(t, StateVector):
         t = t.stack() if t.is_exact else t.axes()
@@ -438,8 +438,8 @@ def linked_classes(t, tol: Tolerance = DEFAULT_TOL):
             return field_mul(s, b) != field_mul(r_i, r_j)
     else:  # moments of two components each, real and imaginary
         norm, t, bits = float(np.linalg.norm(t)), np.stack([t.real, t.imag]), float
-        c_tau = 2.0 ** ((v - 2) / 2) * tol.threshold(norm)
-        a, d = 2.0 ** (v / 2) * norm, 2.0 ** (1.5 * v) * math.ulp(1.0) * norm
+        c_tau, a = 2.0 ** ((v - 2) / 2) * tol.threshold(norm), float(np.abs(t).sum())
+        d = 2.0 ** v * math.ulp(1.0) * a
 
         def linked(*moments):
             s, r_i, r_j, b = (complex(*z) for z in moments)

@@ -926,11 +926,11 @@ def test_sweep_float_bounds_agree_with_singular_values(seed, scale, noise):
         return
     entries = [abs(x) for row in rows for x in row.values()]
     norm, tol = math.hypot(*entries), DEFAULT_TOL
-    _, no_split = ml._float_bounds(norm, len(entries), tol)
+    rho, no_split = ml._float_bounds(norm, len(entries), tol)
     rule = sv_rank_le_1(np.linalg.svd(mat, compute_uv=False), tol)
     if any(abs(x) > no_split for x in ml._pivot_minors(rows)):
         assert not rule
-    if ml._split_bound(rows, norm, len(entries), tol):
+    if ml._split_bound(rows, norm, rho, tol):
         assert rule
 
 

@@ -16,6 +16,7 @@ from qaclab.numerics import (
     sv_rank_le_1,
     to_float,
 )
+from qaclab import multilinear as ml
 from qaclab.qstate import dense_rank_le_1
 
 SQRT2 = 1.4142135623730951
@@ -168,14 +169,18 @@ outer = st.tuples(vectors, vectors).map(lambda uv: np.outer(*uv).tolist())
 
 
 def rank_rules(mat):
-    """The exact rule, ``dense_rank_le_1`` on the numerator stack of a
-    matrix (a list of rows of ints or ``Exact``), and the float rule,
+    """The exact rule twice, ``dense_rank_le_1`` on the numerator stack of
+    a matrix (a list of rows of ints or ``Exact``) and the sweep's pivot
+    minors on its sparse nonzero rows, then the float rule,
     ``sv_rank_le_1`` on the singular values of its complex entries."""
     shape = (len(mat), len(mat[0]) if mat else 0)
     flat = [x if isinstance(x, Exact) else Exact(x) for row in mat for x in row]
     num, _ = numerator_stack(flat)
+    sparse = [{j: x for j, x in enumerate(row) if x} for row in mat]
+    sparse = [row for row in sparse if row]
     s = np.linalg.svd(np.array(flat, dtype=complex).reshape(shape), compute_uv=False)
-    return dense_rank_le_1(num.reshape(len(num), *shape)), sv_rank_le_1(s)
+    return (dense_rank_le_1(num.reshape(len(num), *shape)),
+            not sparse or not any(ml._pivot_minors(sparse)), sv_rank_le_1(s))
 
 
 @given(st.one_of(dense, outer), st.data())
@@ -183,18 +188,18 @@ def rank_rules(mat):
 def test_rank_le_1_matches_matrix_rank(mat, data):
     want = np.linalg.matrix_rank(np.array(mat, dtype=float)) <= 1
     order = data.draw(st.permutations(range(len(mat))))  # moves the pivot
-    assert rank_rules([mat[i] for i in order]) == (want, want)
+    assert rank_rules([mat[i] for i in order]) == (want, want, want)
 
 
 def test_rank_le_1_examples():
-    assert rank_rules([]) == (True, True)
-    assert rank_rules([[0, 2]]) == (True, True)
-    assert rank_rules([[1, 2], [3, 6]]) == (True, True)
+    assert rank_rules([]) == (True, True, True)
+    assert rank_rules([[0, 2]]) == (True, True, True)
+    assert rank_rules([[1, 2], [3, 6]]) == (True, True, True)
     # same support, nonvanishing minor
-    assert rank_rules([[1, 2], [3, 5]]) == (False, False)
+    assert rank_rules([[1, 2], [3, 5]]) == (False, False, False)
     # a column present in one row only
-    assert rank_rules([[1, 0], [1, 1]]) == (False, False)
+    assert rank_rules([[1, 0], [1, 1]]) == (False, False, False)
     # an exact minor far below any float tolerance counts for the exact
-    # rule only
+    # rules only
     tiny = Exact(1, Fraction(1, 10**12))
-    assert rank_rules([[1, 1], [1, tiny]]) == (False, True)
+    assert rank_rules([[1, 1], [1, tiny]]) == (False, False, True)
