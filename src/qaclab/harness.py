@@ -395,7 +395,7 @@ def _suite_sv_vs_rank(cfg, k):
                for combo in combinations(fvars, size))
     for subset in subsets:
         expected = ml.is_union_of_classes(subset, partition)
-        actual = ml.sv_partition_test(f, a, subset, rng=rng, tol=cfg.tol,
+        actual = ml.sv_partition_test(f, a, subset, tol=cfg.tol,
                                       assume_justifying=True)
         if actual != expected:
             yield (f"subset={sorted(map(str, subset))} "

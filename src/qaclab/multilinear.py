@@ -15,9 +15,10 @@ entry can overflow and on Python ints past that, never float:
 ``sv_partition_test`` checks the restriction identity
 ``f(a) * f == f|_I * f|_complement(I)``, which at a justifying a holds
 exactly when I is a union of variable-partition classes, and
-``is_justifying`` the partial derivatives, both at an exact point
-prepared once; ``decompose`` tests rank <= 1 on the splits that are
-unions of pair-link classes (``qstate.linked_classes``).
+``is_justifying`` the partial derivatives, both at a point prepared
+once.  A float f or point makes both complex, compared entrywise by
+``Tolerance.close``.  ``decompose`` tests rank <= 1 on the splits that
+are unions of pair-link classes (``qstate.linked_classes``).
 ``bipartition_rank_oracle`` decides a split by one rule per field
 (exact minors, float singular values), which the sweep
 ``indecomposable_at_every_split`` follows; the suites cross-check both.
@@ -197,8 +198,8 @@ class MultilinearPoly:
 
     def approx_eq(self, other: "MultilinearPoly", tol: Tolerance = DEFAULT_TOL) -> bool:
         keys = set(self.terms) | set(other.terms)
-        return all(approx_eq(self.terms.get(m, 0), other.terms.get(m, 0), tol)
-                   for m in keys)
+        return all(approx_eq(self.terms.get(m, Exact.ZERO),
+                             other.terms.get(m, Exact.ZERO), tol) for m in keys)
 
     def __repr__(self):
         if self.is_zero:
@@ -254,26 +255,21 @@ def is_justifying(f: MultilinearPoly, a: Assignment,
     """True iff every single-variable restriction of f at a is non-constant.
 
     Each restriction is univariate multilinear, c0 + c1*v; it counts as
-    non-constant when c1 = df/dv(a) is nonzero: exactly for exact f, on
-    the prepared point if f has a form stack, and for floats above the
-    tolerance relative to the restriction's own scale, so that an
-    assignment annihilating a whole factor is rejected even when
-    rounding leaves residues of order 1e-17.
+    non-constant when c1 = df/dv(a) is nonzero: exactly when f and a are
+    exact, else when |c1| > tol.threshold(max(1, |c0|)), relative to the
+    restriction's own scale, so that an assignment annihilating a whole
+    factor is rejected even when rounding leaves residues of order 1e-17.
+    Past 16 variables, on ``restrict``; else on the prepared point.
     """
-    form = _form(f)
-    prepared = _prepared(f, form, [a.get(x) for x in form.fvars])
-    if prepared is not None:
+    if (prepared := _prepared(f, _form(f), a, tol)) is not None:
         return prepared.justifying()
     fvars = f.variables()
     for v in fvars:
         g = restrict(f, fvars - {v}, a)
-        c1 = g.terms.get(mono(v))
-        if c1 is None:  # pruned: exactly zero
+        c1 = g.coefficient(mono(v))  # 0 if pruned: exactly zero
+        if scalar_is_zero(c1) or not is_exact(c1) and abs(c1) <= tol.threshold(
+                max(1.0, abs(to_float(g.constant_value())))):
             return False
-        if not is_exact(c1):
-            scale = max(1.0, abs(to_float(g.constant_value())))
-            if abs(to_float(c1)) <= tol.threshold(scale):
-                return False
     return True
 
 
@@ -347,6 +343,19 @@ def _dense(flat, values: np.ndarray, shape) -> np.ndarray:
     return t.reshape(len(values), *shape)
 
 
+def _complex_tensor(f: MultilinearPoly, form: _Form) -> np.ndarray:
+    """f's coefficients as complex values in a [1, 2, ..., 2] stack."""
+    values = np.array([list(map(to_float, f.terms.values()))], dtype=complex)
+    return _dense(form.masks, values, [2] * len(form.fvars))
+
+
+def _close(x, y, tol: Tolerance | None, scale=None) -> np.ndarray:
+    """x == y entrywise: exactly without tol, else ``tol.close`` or at a given scale."""
+    if tol is None:
+        return x == y
+    return abs(x - y) <= tol.threshold(np.maximum(abs(x), abs(y)) if scale is None else scale)
+
+
 #: A sweep on at most this many variables is decided for every subset in
 #: one batch; its index table holds 4^v int16 entries.
 _BATCH_MAX_VARS = 8
@@ -357,17 +366,17 @@ _BATCH_BLOCK = 1 << 12
 
 
 class _Point:
-    """An exact point prepared for f (``_prepared``): the values it was
-    built from, f's stack t, the point's denominator D, its (k, v) stack
-    of numerators n_q and the [k, 2, ..., 2] Kronecker product of the
-    axis weights (D, n_q); then the first subset's bitmask, every
-    subset's verdict and justifying-ness once asked for."""
+    """A point prepared for f (``_prepared``): the values it was built
+    from, f's stack t, the point's denominator D, its (k, v) stack of
+    numerators n_q, the [k, 2, ..., 2] Kronecker product of the axis
+    weights (D, n_q) and the tol it compares by (None: exactly); then the
+    first subset's bitmask, every verdict and justifying-ness once asked."""
 
-    __slots__ = ("values", "t", "den", "num", "kron", "first", "verdicts", "justified")
+    __slots__ = ("values", "t", "den", "num", "kron", "tol", "first", "verdicts", "justified")
 
-    def __init__(self, values, t, den, num, kron):
+    def __init__(self, values, t, den, num, kron, tol):
         self.values, self.t, self.den, self.num, self.kron = values, t, den, num, kron
-        self.first = self.verdicts = self.justified = None
+        self.tol, self.first, self.verdicts, self.justified = tol, None, None, None
 
     def verdict(self, mask: int) -> bool:
         """The restriction identity at the subset of this bitmask: alone at
@@ -376,8 +385,8 @@ class _Point:
             if (self.first is None or self.first == mask
                     or len(self.values) > _BATCH_MAX_VARS):
                 self.first = mask
-                return _restriction_identity(self.t, self.kron, mask)
-            self.verdicts = _all_restriction_identities(self.t, self.den, self.num)
+                return _restriction_identity(self.t, self.kron, mask, self.tol)
+            self.verdicts = _all_restriction_identities(self.t, self.den, self.num, self.tol)
         return self.verdicts[mask]
 
     def justifying(self) -> bool:
@@ -386,9 +395,11 @@ class _Point:
         (``_axis_pairs``), where q weighs D, not n_q: scaled by D^v."""
         if self.justified is None:
             has, lacks = _axis_pairs(len(self.values))
-            part = stack_mul(self.t.reshape(len(self.t), -1)[:, has],
-                             self.kron.reshape(len(self.kron), -1)[:, lacks])
-            self.justified = bool(part.sum(axis=2).any(axis=0).all())
+            t, kron = (x.reshape(len(x), -1) for x in (self.t, self.kron))
+            part = stack_mul(t[:, has], kron[:, lacks]).sum(axis=2)
+            scale = None if self.tol is None else np.maximum(  # max(1, |f at x_q = 0|)
+                abs((t[:, lacks] * kron[:, lacks]).sum(axis=2)), 1.0)
+            self.justified = not _close(part, 0, self.tol, scale).all(axis=0).any()
         return self.justified
 
 
@@ -402,40 +413,49 @@ def _axis_pairs(v: int) -> tuple:
     return has, has ^ bit
 
 
-def _prepared(f: MultilinearPoly, form: _Form, point: list) -> _Point | None:
-    """f prepared at an exact point, else None (no stack, or a point not
-    exact throughout).  The point is a stack over its denominator D, so
-    axis q weighs f by (D, n_q), not (1, n_q / D): a partial evaluation
-    is scaled by D per axis it substitutes.  B = l1 prod_q max(D, size
-    of n_q) bounds every entry computed, so they run in int64 if
-    B^2 < ``INT64_SAFE``, else on Python ints.  The last point is kept on
-    f, keyed on the identity of its values (immutable, and held, so no
-    other object takes their ids): a sweep prepares a point once, and a
-    dict changed in place is prepared again, with no verdicts."""
-    if f._point is not None and all(map(operator.is_, f._point.values, point)):
-        return f._point
-    if form.tensor is None or not all(map(is_exact, point)):
+def _prepared(f: MultilinearPoly, form: _Form, a: Assignment, tol) -> _Point | None:
+    """f prepared at a, None past 16 variables.  Exact f at an exact point
+    is a stack over the point's denominator D, so axis q weighs f by
+    (D, n_q), not (1, n_q / D): a partial evaluation is scaled by D per
+    axis it substitutes.  B = l1 prod_q max(D, size of n_q) bounds every
+    entry computed, so they run in int64 if B^2 < ``INT64_SAFE``, else on
+    Python ints.  Others are complex (k = 1) over D = 1, so the tol kept
+    sees true values.  The last point is kept on f, keyed on its tol and
+    the identity of its values (immutable, and held, so no other object
+    takes their ids): a sweep prepares a point once, and a dict changed
+    in place is prepared again, with no verdicts."""
+    try:
+        point = [a[x] for x in form.fvars]
+    except KeyError as exc:
+        raise MissingVariableError(f"assignment is missing {exc.args[0]}") from None
+    if (p := f._point) and p.tol in (None, tol) and all(map(operator.is_, p.values, point)):
+        return p
+    if len(point) > _DENSE_MAX_VARS:
         return None
-    num, den = numerator_stack(point)
-    bound = form.l1 * math.prod(max(den, s) for s in stack_size(num))
-    dtype = np.int64 if bound * bound < INT64_SAFE else object
-    t, k, num = form.tensor.astype(dtype, copy=False), len(num), num.astype(dtype)
-    if k == 4:
-        t = four_components(t)
-    kron = np.eye(k, 1, dtype=dtype)  # the value 1; axis 0 comes last, on top
+    if form.tensor is not None and all(map(is_exact, point)):
+        num, den = numerator_stack(point)
+        bound = form.l1 * math.prod(max(den, s) for s in stack_size(num))
+        dtype = np.int64 if bound * bound < INT64_SAFE else object
+        t, num, tol = form.tensor.astype(dtype, copy=False), num.astype(dtype), None
+        if len(num) == 4:
+            t = four_components(t)
+    else:
+        t, den = _complex_tensor(f, form), 1
+        num = np.array([list(map(to_float, point))], dtype=complex)
+    kron = np.eye(len(num), 1, dtype=t.dtype)  # the value 1; axis 0 comes last, on top
     for n_q in num.T[::-1, :, None]:
         kron = np.concatenate([kron * den, stack_mul(kron, n_q)], axis=1)
-    f._point = _Point(point, t, den, num, kron.reshape([k] + [2] * len(point)))
+    f._point = _Point(point, t, den, num, kron.reshape([len(num)] + [2] * len(point)), tol)
     return f._point
 
 
-def _restriction_identity(t: np.ndarray, kron: np.ndarray, mask: int) -> bool:
+def _restriction_identity(t: np.ndarray, kron: np.ndarray, mask: int, tol) -> bool:
     """f(a) * f == f|_S * f|_rest on the stack t of f, for the subset S
     of axes q with bit v-1-q of mask set.  With M the cut matrix (rows:
     monomials in S) and u, w the first column and row of ``kron``'s
     (the weights over S, over the rest, and D each on the other side),
     M w is f|_rest, u^T M is f|_S and u^T M w is f(a), each scaled by
-    D^v: the identity reads f(a) M == outer(M w, u^T M), exactly."""
+    D^v: the identity reads f(a) M == outer(M w, u^T M), by ``_close``."""
     v = t.ndim - 1
     s_axes = [q for q in range(v) if mask >> (v - 1 - q) & 1]
     rest = [q for q in range(v) if not mask >> (v - 1 - q) & 1]
@@ -445,7 +465,7 @@ def _restriction_identity(t: np.ndarray, kron: np.ndarray, mask: int) -> bool:
     right = stack_mul(m, w).sum(axis=2, keepdims=True)
     left = stack_mul(u, m).sum(axis=1, keepdims=True)
     fa = stack_mul(left, w).sum(axis=2, keepdims=True)
-    return np.array_equal(stack_mul(fa, m), stack_mul(right, left))
+    return bool(_close(stack_mul(fa, m), stack_mul(right, left), tol).all())
 
 
 @functools.cache
@@ -466,7 +486,7 @@ def _ternary_index(v: int) -> np.ndarray:
     return table
 
 
-def _all_restriction_identities(t: np.ndarray, den: int, num: np.ndarray) -> list:
+def _all_restriction_identities(t: np.ndarray, den: int, num: np.ndarray, tol) -> list:
     """``_restriction_identity`` for every subset S, indexed by its mask.
 
     T3 is the [3]*v table of partial evaluations: digit 2 on axis q holds
@@ -489,55 +509,36 @@ def _all_restriction_identities(t: np.ndarray, den: int, num: np.ndarray) -> lis
     for i in range(0, (n + 1) // 2, step):
         rows = table[i:i + step]
         comp = table[n - i - len(rows):n - i][::-1]
-        same = fa_t == stack_mul(t3.take(rows, axis=1), t3.take(comp, axis=1))
-        ok += same.all(axis=(0, 2)).tolist()
+        prod = stack_mul(t3.take(rows, axis=1), t3.take(comp, axis=1))
+        ok += _close(fa_t, prod, tol).all(axis=(0, 2)).tolist()
     return ok + ok[::-1][n % 2:]  # the one subset of v = 0 is its own complement
 
 
 def sv_partition_test(f: MultilinearPoly,
                       a: Assignment,
                       subset: Iterable[VarId],
-                      trials: int = 20,
-                      rng: np.random.Generator | None = None,
                       tol: Tolerance = DEFAULT_TOL,
                       assume_justifying: bool = False) -> bool:
     """Decide whether f(a)*f == f|_subset * f|_rest as polynomials.
 
     With a justifying a this holds iff subset is a union of classes of
-    the variable-partition of f.  Exact f and a are decided exactly: on
-    f's form stack at the point prepared from a (``_prepared``), where
-    the first call checks its subset alone and the second distinct one,
-    for v <= 8, gets every subset's verdict in one batched pass
+    the variable-partition of f.  Exact f and a are decided exactly, any
+    other by ``tol.close(f(a) c_x, f|_subset[x] f|_rest[x])`` for every
+    monomial x: on f's stack at the point prepared from a (``_prepared``),
+    where the first call checks its subset alone and the second distinct
+    one, for v <= 8, gets every subset's verdict in one batched pass
     (``_all_restriction_identities``); past 16 variables, on the sparse
-    terms.  Float coefficients or points are tested at random points.
-    Callers sweeping many subsets against one assignment can verify it
-    once and pass ``assume_justifying``.
+    terms (``MultilinearPoly.approx_eq``).  Callers sweeping many subsets
+    against one assignment can verify it once and pass ``assume_justifying``.
     """
-    if not assume_justifying and not is_justifying(f, a):
+    if not assume_justifying and not is_justifying(f, a, tol):
         raise NotJustifyingError("assignment is not justifying for f")
     form = _form(f)
-    try:
-        point = [a[x] for x in form.fvars]
-    except KeyError as exc:
-        raise MissingVariableError(f"assignment is missing {exc.args[0]}") from None
-    prepared = _prepared(f, form, point)
-    if prepared is not None:
+    if (prepared := _prepared(f, form, a, tol)) is not None:
         return prepared.verdict(sum(map(form.bit.get, form.bit.keys() & subset)))
-
     subset, fvars = frozenset(subset), f.variables()
-    left = restrict(f, subset & fvars, a)
-    right = restrict(f, fvars - subset, a)
-    if all(map(is_exact, [*f.terms.values(), *point])):
-        return evaluate(f, a) * f == left * right
-    rng = rng or np.random.default_rng(0)
-    fa = to_float(evaluate(f, a))
-    for _ in range(trials):
-        p = {v: random_scalar(rng) for v in sorted(fvars)}
-        lhs = fa * to_float(evaluate(f, p))
-        rhs = to_float(evaluate(left, p)) * to_float(evaluate(right, p))
-        if not tol.close(lhs, rhs):
-            return False
-    return True
+    return (evaluate(f, a) * f).approx_eq(
+        restrict(f, subset & fvars, a) * restrict(f, fvars - subset, a), tol)
 
 
 def _solve_single_variable_zero(f: MultilinearPoly, pivot: VarId,
@@ -804,8 +805,7 @@ def decompose(f: MultilinearPoly,
     while len(gvars := sorted(g.variables())) > 1:
         form, classes = _form(g), [frozenset([q]) for q in range(len(gvars))]
         if form.tensor is None and len(gvars) <= _DENSE_MAX_VARS:  # float g
-            values = np.array([list(map(to_float, g.terms.values()))])
-            classes = linked_classes(_dense(form.masks, values, [2] * len(gvars))[0], tol)
+            classes = linked_classes(_complex_tensor(g, form)[0], tol)
         subsets = (frozenset(gvars[q] for q in s)
                    for s in _anchored_unions(classes, len(gvars)))
         found = next((s for s in subsets

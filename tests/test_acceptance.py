@@ -72,6 +72,12 @@ def test_criterion_5_sv_vs_rank():
     _run(5, "sv-vs-rank", trials=500)
 
 
+def test_criterion_5_sv_vs_rank_float():
+    # the same on the float backend, decided on the coefficient stack:
+    # no violation, under three seconds
+    _run(5, "sv-vs-rank", budget=3.0, trials=500, backend="float")
+
+
 def test_criterion_6_kill_parity():
     # 500 instances, r <= 5, k < 2^(r-1), both parities, residuals and
     # parity purity at 1e-10; the precondition rejection also fires

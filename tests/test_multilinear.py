@@ -41,9 +41,11 @@ from qaclab.multilinear import (
 from qaclab.numerics import (
     DEFAULT_TOL,
     Exact,
+    Tolerance,
     approx_eq,
     make_rng,
     numerator_stack,
+    random_scalar,
     sv_rank_le_1,
     to_float,
 )
@@ -184,7 +186,6 @@ def test_find_justifying_assignment():
 
 
 def test_sv_partition_test_examples():
-    rng = make_rng(9)
     f = poly({(X0, X1): Exact.ONE})
     a = {X0: Exact.ONE, X1: Exact.ONE}
     assert sv_partition_test(f, a, {X0})
@@ -196,7 +197,7 @@ def test_sv_partition_test_examples():
     rhs = restrict(g, {X0}, b) * restrict(g, {X1}, b)
     zero_pt = {X0: Exact.ZERO, X1: Exact.ZERO}
     assert evaluate(lhs, zero_pt) != evaluate(rhs, zero_pt)
-    assert not sv_partition_test(g, b, {X0}, rng=rng)
+    assert not sv_partition_test(g, b, {X0})
 
 
 def test_sv_requires_justifying():
@@ -224,7 +225,7 @@ def test_sv_cross_polynomial_never_splits():
     rng = make_rng(10)
     a = find_justifying_assignment(CROSS, rng)
     for subset in ({X0}, {X1}, {Z0}, {Z1}, {X0, X1}, {X0, Z0}, {X0, Z1}):
-        assert not sv_partition_test(CROSS, a, subset, rng=rng)
+        assert not sv_partition_test(CROSS, a, subset)
 
 
 # ---- the restriction identity against its sparse symbolic expansion ---------
@@ -352,11 +353,8 @@ OVERFLOWING = (poly({(X000, X001): Exact(2**32), (): Exact(2**32)}),
 @settings(max_examples=200, deadline=None)
 def test_sv_partition_test_matches_symbolic_oracle(case):
     f, a, subset = case
-    rng = np.random.default_rng(0)
-    before = rng.bit_generator.state
-    dense = sv_partition_test(f, a, subset, rng=rng, assume_justifying=True)
+    dense = sv_partition_test(f, a, subset, assume_justifying=True)
     assert dense == restriction_identity_oracle(f, a, subset)
-    assert rng.bit_generator.state == before  # decided exactly, no random points
 
 
 def exact_values(stack):
@@ -364,10 +362,11 @@ def exact_values(stack):
     return [Exact(*c) for c in zip(*stack.reshape(len(stack), -1).tolist())]
 
 
-def per_subset_identity(t, kron, s_axes):
+def per_subset_identity(t, kron, s_axes, tol=None):
     """The identity at one subset as each call decided it before verdicts
     were batched: f(a) M == outer(M w, u^T M) on the cut matrices, of the
-    integers of a real stack and else of ``Exact`` values."""
+    integers of a real stack and else of ``Exact`` values, or with a tol
+    of complex values, each entry by ``tol.close``."""
     def values(stack):
         if len(stack) == 1:
             return stack[0, ...]
@@ -377,7 +376,10 @@ def per_subset_identity(t, kron, s_axes):
     k = cut_matrix(values(kron), s_axes, rest)
     u, w = k[:, 0], k[0, :]
     right, left = m @ w, u @ m
-    return bool(np.array_equal((left @ w) * m, np.multiply.outer(right, left)))
+    lhs, rhs = (left @ w) * m, np.multiply.outer(right, left)
+    if tol is None:
+        return bool(np.array_equal(lhs, rhs))
+    return all(map(tol.close, lhs.ravel().tolist(), rhs.ravel().tolist()))
 
 
 def all_subsets(fvars):
@@ -385,11 +387,26 @@ def all_subsets(fvars):
             for c in combinations(fvars, k)]
 
 
-@given(identity_points(), st.data())
-@settings(max_examples=60, deadline=None)
+@st.composite
+def float_points(draw):
+    """(f, a) on the float route: float f, or exact f at a complex point,
+    a product of two factors or not, on 1 to 8 variables."""
+    rng = make_rng(draw(st.integers(0, 10**6)))
+    exact, n = draw(st.booleans()), draw(st.integers(1, 8))
+    if n > 1 and draw(st.booleans()):
+        g = random_multilinear_poly(rng, n // 2 + n % 2, n, exact, block="x")
+        f = g * random_multilinear_poly(rng, n // 2, n, exact, block="y")
+    else:
+        f = random_multilinear_poly(rng, n, n + 2, exact)
+    return f, {x: random_scalar(rng) for x in sorted(f.variables())}
+
+
+@given(st.one_of(identity_points(), float_points()), st.data())
+@settings(max_examples=80, deadline=None)
 def test_sweep_matches_per_subset_identity(point, data):
     """A sweep of every subset of a point, in any order and with variables
-    outside f, gets each subset's per-subset verdict on the same stacks."""
+    outside f, gets each subset's per-subset verdict on the same stacks,
+    at float points by ``tol.close`` on complex values over 1."""
     f, a = point
     fvars = sorted(f.variables())
     subsets = data.draw(st.permutations(all_subsets(fvars)))
@@ -402,9 +419,79 @@ def test_sweep_matches_per_subset_identity(point, data):
     if len(fvars) > 6 and (len(p.t) > 1 or len(p.kron) > 1):  # ~3 s for all
         subsets = data.draw(st.lists(st.sampled_from(subsets), min_size=16,
                                      max_size=16))
+    assert (p.tol is None) == (p.t.dtype != complex)
+    assert p.tol is None or p.den == 1
     for s in subsets:
         s_axes = [q for q, x in enumerate(fvars) if x in s]
-        assert verdicts[s] == per_subset_identity(p.t, p.kron, s_axes)
+        assert verdicts[s] == per_subset_identity(p.t, p.kron, s_axes, p.tol)
+
+
+def test_exact_poly_at_a_float_point_takes_the_stack(monkeypatch):
+    """Exact f at Gaussian points is decided on complex values over 1,
+    with no sparse restriction, and the verdicts are partition membership."""
+    rng = make_rng(23)
+    cases = []
+    for _ in range(20):
+        f, _ = random_disjoint_product(rng, 2, int(rng.integers(2, 4)))
+        a = {x: random_scalar(rng) for x in sorted(f.variables())}
+        cases.append((f, a, variable_partition(f)))
+
+    def refuse(*args):
+        raise AssertionError("took the sparse route")
+    monkeypatch.setattr(ml, "restrict", refuse)
+    monkeypatch.setattr(ml, "evaluate", refuse)
+    for f, a, partition in cases:
+        subsets = all_subsets(sorted(f.variables()))
+        assert is_justifying(f, a)
+        got = [sv_partition_test(f, a, s, assume_justifying=True) for s in subsets]
+        assert f._point.t.dtype == complex and f._point.tol == DEFAULT_TOL
+        assert got == [is_union_of_classes(s, partition) for s in subsets]
+
+
+def test_float_identity_past_16_variables_matches_the_stack(monkeypatch):
+    """Float f, and exact f at a complex point, on 17 variables take the
+    sparse route, and it gives the verdicts of the stack route on the
+    same f and point."""
+    rng = make_rng(18)
+
+    def factor(n, exact, block):
+        g = MultilinearPoly.constant(Exact.ONE)
+        while len(g.variables()) < n:
+            g = random_multilinear_poly(rng, n, 4, exact, block=block)
+        return g
+    for exact in (False, True):
+        g, h = factor(9, exact, "x"), factor(8, exact, "y")
+        f = g * h
+        fvars = sorted(f.variables())
+        subsets = [g.variables(), h.variables(), frozenset(fvars[::2]),
+                   frozenset(), frozenset(fvars)]
+        a = {x: random_scalar(rng) for x in fvars}
+        sparse = [sv_partition_test(f, a, s, assume_justifying=True) for s in subsets]
+        assert f._point is None
+        monkeypatch.setattr(ml, "_DENSE_MAX_VARS", 17)
+        dense = [sv_partition_test(f, a, s, assume_justifying=True) for s in subsets]
+        monkeypatch.undo()
+        assert f._point.t.dtype == complex
+        assert sparse == dense == [True, True, False, True, True]
+
+
+def test_float_point_is_judged_under_its_own_tolerance():
+    """One f and point asked at two tolerances get each one's verdicts:
+    the prepared point is kept for the tolerance it was judged under."""
+    x, y = VARS[:2]
+    # (x + 1)(y + 1) + 1e-6 x y: the identity at {x} misses by ~1e-6
+    f = poly({(x, y): 1 + 1e-6, (x,): 1.0, (y,): 1.0, (): 1.0})
+    a = {x: 1.0 + 0j, y: 1.0 + 0j}
+    # at y = -1 + 1e-6, df/dx = 1e-6, nonzero only under the tight tolerance
+    b = {x: 1.0 + 0j, y: -1 + 1e-6 + 0j}
+    tight, loose = DEFAULT_TOL, Tolerance(1e-3, 1e-3)
+    for tol, split in ((tight, False), (loose, True), (tight, False)):
+        assert [sv_partition_test(f, a, s, tol=tol, assume_justifying=True)
+                for s in ({x}, {y}, {x}, set())] == [split, split, split, True]
+        assert f._point.tol == tol
+    g = poly({(x, y): 1.0, (x,): 1.0, (y,): 1.0, (): 1.0})
+    assert [is_justifying(g, b, tol) for tol in (tight, loose, tight)] == [
+        True, False, True]
 
 
 def test_sweep_runs_the_batched_pass_once_per_point(monkeypatch):
@@ -473,6 +560,35 @@ def test_integer_justifying_route_matches_restrictions(f, scale, data):
     f = f * Exact(scale)  # scales past 2^31 put B^2 past the int64 bound
     a = {x: Exact(data.draw(st.integers(-3, 3))) for x in sorted(f.variables())}
     assert is_justifying(f, a) == definitional_justifying(f, a)
+
+
+def float_justifying(f, a, tol=DEFAULT_TOL):
+    """The float rule read off ``restrict``: each c0 + c1 v has
+    |c1| > tol.threshold(max(1, |c0|))."""
+    fvars = f.variables()
+    for v in fvars:
+        g = restrict(f, fvars - {v}, a)
+        c0, c1 = (abs(to_float(g.coefficient(m))) for m in (mono(), mono(v)))
+        if c1 <= tol.threshold(max(1.0, c0)):
+            return False
+    return True
+
+
+#: 1e5 + x y at y = 1e-5: df/dx is above abs_eps but within rel_eps of
+#: |f at x = 0|, the scale of the rule, so the point is not justifying
+SCALED_ROOT = (poly({(VARS[0], VARS[1]): 1.0, (): 1e5}),
+               {VARS[0]: 1.0 + 0j, VARS[1]: 1e-5 + 0j})
+
+
+@given(float_points(), st.lists(st.booleans(), min_size=8, max_size=8))
+@example(SCALED_ROOT, [False] * 8)
+@settings(max_examples=100, deadline=None)
+def test_float_justifying_route_matches_restrictions(point, zeroed):
+    """On the complex stack, with some coordinates zeroed so that
+    derivatives vanish, justifying-ness is the float rule on ``restrict``."""
+    f, a = point
+    a = {x: 0j if z else c for (x, c), z in zip(a.items(), zeroed)}
+    assert is_justifying(f, a) == float_justifying(f, a)
 
 
 @given(st.sampled_from(range(1, 7)).flatmap(lambda n: polys(VARS[:n], small_ints)),
@@ -633,7 +749,7 @@ def test_rank_oracle_agrees_with_sv(subtests=None):
                 subset = frozenset(combo)
                 split = bipartition_rank_oracle(f, subset)
                 union = is_union_of_classes(subset, partition)
-                sv = sv_partition_test(f, a, subset, rng=rng)
+                sv = sv_partition_test(f, a, subset)
                 assert sv == union
                 # a union of classes always splits as a product
                 if union:
@@ -935,6 +1051,15 @@ def test_sweep_float_bounds_agree_with_singular_values(seed, scale, noise):
 
 
 # ---- text format --------------------------------------------------------------
+
+def test_exact_approx_eq_compares_exactly():
+    """A term missing on one side is an exact zero: exact polynomials
+    that differ by 10^-20 are not approximately equal."""
+    f = poly({(X0,): Exact.ONE})
+    g = poly({(X0,): Exact.ONE, (X1,): Exact(Fraction(1, 10**20))})
+    assert f != g and not f.approx_eq(g) and not g.approx_eq(f)
+    assert f.approx_eq(poly({(X0,): 1 + 1e-12})) and f.approx_eq(f)
+
 
 def test_poly_text_round_trip():
     text = format_poly(CROSS)
