@@ -55,6 +55,7 @@ from .circuit import (
     is_semiclassical,
     parity3_circuit,
     simulate,
+    simulate_all,
     target_is_pass_through,
 )
 from .circuit_io import parse_circuit, serialize_circuit

@@ -21,14 +21,19 @@ otherwise it does not simplify.
 Gates on an exact state run on its integer numerators over one shared
 denominator (``StateVector.num``), with no conversion to or from
 ``Exact`` amplitudes: each exact gate caches its integer operator on the
-numerator components (``_exact_op``, ``_phase_op``), which ``_gate_1q``
-and ``_gate_multi`` apply in one matmul.  Every exact gate entry lies in
+numerator components (``_exact_op``), which ``_gate_1q`` and
+``_gate_multi`` apply in one matmul.  Every exact gate entry lies in
 Q(i, sqrt2), and those of H/X/Y/Z, CZ and the phases +-i and
 (1+-i)/sqrt2 even in Z[1/sqrt2, i] (Giles and Selinger, PRA 2013).
+
+The two kernels act on a batch of states along a leading axis:
+``simulate_all`` runs one circuit on many inputs in one pass, and
+``simulate``, ``apply_1q`` and ``apply_multi`` are the batch of one.
 """
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -40,6 +45,8 @@ from .numerics import (
     Exact,
     Tolerance,
     is_exact,
+    lowest_terms,
+    narrowed,
     numerators,
     to_float,
     widened,
@@ -61,6 +68,7 @@ from .qstate import (
 #: ``_ETA_TRIVIAL`` from 1 (closer, the gate is the identity).
 _ETA_MODULUS = 1e-9
 _ETA_TRIVIAL = 1e-12
+_CZ_FLOAT_ETA = to_float(Exact.MINUS_ONE)
 
 
 class CircuitValidationError(ValueError):
@@ -174,6 +182,7 @@ class MultiGate:
     def __post_init__(self):
         if self.kind not in ("cz", "geta"):
             raise ValueError(f"unknown multiqubit gate kind {self.kind!r}")
+        e = _CZ_FLOAT_ETA
         if self.kind == "geta":
             if self.eta_value is None:
                 raise ValueError("geta needs a phase")
@@ -184,10 +193,18 @@ class MultiGate:
             if abs(e - 1.0) <= _ETA_TRIVIAL:
                 raise CircuitValidationError("geta phase must differ from 1",
                                              "geta-trivial")
+        # the float phase, which the check above needs anyway, kept for
+        # the float kernel (set past the frozen __setattr__; not a field)
+        object.__setattr__(self, "_float_eta", e)
 
     @property
     def eta(self):
         return Exact.MINUS_ONE if self.kind == "cz" else self.eta_value
+
+    @functools.cached_property
+    def _exact_op(self) -> tuple:
+        """``_phase_op`` of the gate's phase, on the first exact use."""
+        return _phase_op(None if self.kind == "cz" else self.eta)
 
     def __repr__(self):
         qs = ",".join(map(str, sorted(self.qubits)))
@@ -238,55 +255,115 @@ def _phase_op(eta) -> tuple:
     return _operator(np.array(_times(e), dtype=object), g, g)
 
 
-def _gate_1q(psi: StateVector, qubit: int, gate: Gate1q) -> StateVector:
-    """psi after a 1-qubit gate, exactly if psi is exact (then so is the
-    gate).  Float amplitudes form a (2^q, 2, rest) view with qubit q in
-    the middle, and the 2x2 gate m acts in one matmul picked by shape:
-    ``m @ view`` batched over 2^q <= rest blocks, ``view @ m.T`` on the
-    rows of the last qubit, else m times the view with its middle axis
-    moved to the front.  Exact numerators: the gate's cached 8x8 operator
-    acts on their (component, bit) pairs over a g the state's den absorbs."""
-    if not psi.is_exact:
-        m, lead, rest = gate.float_mat(), 1 << qubit, 1 << (psi.r - 1 - qubit)
-        view = psi.amps.reshape(lead, 2, rest)
+# A batch is K states of one register and kind in one array, the state
+# index on a leading axis: (stack, den) with stack the (K, 2^r) complex
+# amplitudes and den None, or the (4, K, 2^r) numerators (``StateVector.num``
+# of each) over one common denominator den, in lowest terms together.
+# The kernels map a batch to a batch; a single state is the batch K = 1.
+
+def _stacked(states) -> tuple:
+    """The batch of ``states``, all float or all exact (a view for one
+    state: the kernels never write to their input)."""
+    if len(states) == 1:
+        psi = states[0]
+        return (psi.num[:, None], psi.den) if psi.is_exact else (psi.amps[None], None)
+    if not states[0].is_exact:
+        return np.stack([psi.amps for psi in states]), None
+    den = math.lcm(*(psi.den for psi in states))
+    return np.stack([psi.num if psi.den == den
+                     else widened(psi.num, den // psi.den) * (den // psi.den)
+                     for psi in states], axis=1), den
+
+
+def _unstacked(batch: tuple, like) -> list:
+    """The states of a batch, each with the register and normalization
+    flag of its entry in ``like``; exact ones each in lowest terms (a
+    batch of one is already)."""
+    stack, den = batch
+    if den is None:
+        return [StateVector._of(psi.r, amps, psi.normalized)
+                for psi, amps in zip(like, stack)]
+    if len(like) == 1:
+        return [StateVector.from_numerators(like[0].r, stack[:, 0], den, like[0].normalized)]
+    return [StateVector.from_numerators(psi.r, *lowest_terms(stack[:, k], den),
+                                        psi.normalized)
+            for k, psi in enumerate(like)]
+
+
+def _reduced(num: np.ndarray, den: int) -> tuple:
+    """A kernel's exact result in lowest terms, back in int64 where it
+    fits (an int64 result came from inputs ``widened`` left in int64, so
+    its entries stay below ``INT64_SAFE``)."""
+    num, den = lowest_terms(num, den)
+    return (narrowed(num) if num.dtype == object else num), den
+
+
+def _gate_1q(batch: tuple, qubit: int, gate: Gate1q) -> tuple:
+    """A batch after a 1-qubit gate, exactly if the batch is exact (then
+    so is the gate).  Float amplitudes form a (K, 2^q, 2, rest) view with
+    qubit q third, and the 2x2 gate m acts in one matmul picked by the
+    state's shape alone, so that each state's products are those of K = 1:
+    ``m @ view`` batched over K 2^q blocks when 2^q <= rest, ``view @ m.T``
+    on the rows of the last qubit, else m times each state's view with its
+    qubit axis moved to the front.  Exact numerators: the gate's cached
+    8x8 operator acts on their (component, bit) pairs over a g the
+    batch's den absorbs."""
+    stack, den = batch
+    if den is None:
+        m, k = gate.float_mat(), len(stack)
+        lead, rest = 1 << qubit, stack.shape[1] >> (qubit + 1)
+        view = stack.reshape(k, lead, 2, rest)
         if rest == 1:
-            out = view.reshape(lead, 2) @ m.T
+            out = view.reshape(k, lead, 2) @ m.T
         elif lead <= rest:
             out = m @ view
         else:
-            out = (m @ view.transpose(1, 0, 2).reshape(2, -1)).reshape(
-                2, lead, rest).transpose(1, 0, 2)
-        return StateVector._of(psi.r, out.reshape(-1), psi.normalized)
+            out = (m @ view.transpose(0, 2, 1, 3).reshape(k, 2, -1)).reshape(
+                k, 2, lead, rest).transpose(0, 2, 1, 3)
+        return out.reshape(k, -1), None
     op, g, gain = gate._exact_op
-    t = widened(psi.num, gain).reshape(4, 1 << qubit, 2, -1).transpose(0, 2, 1, 3)
+    t = widened(stack, gain).reshape(4, stack.shape[1] << qubit, 2, -1).transpose(0, 2, 1, 3)
     out = (op @ t.reshape(8, -1)).reshape(t.shape).transpose(0, 2, 1, 3)
-    return psi.restacked(out, psi.den * g)
+    return _reduced(out.reshape(stack.shape), den * g)
 
 
-def _gate_multi(psi: StateVector, gate: MultiGate) -> StateVector:
-    """psi after a phase gate, exactly if psi is exact (then so is eta):
-    eta's cached operator on the S-ones numerators, the rest times g."""
-    ones = bit_index(psi.r, gate.qubits, 1)
-    if not psi.is_exact:
-        out = psi.axes().copy()
-        out[ones] *= to_float(gate.eta)
-        return StateVector._of(psi.r, out.reshape(-1), psi.normalized)
-    op, g, gain = _phase_op(None if gate.kind == "cz" else gate.eta)
-    t = widened(psi.num, gain).reshape([4] + [2] * psi.r)
+def _gate_multi(batch: tuple, gate: MultiGate) -> tuple:
+    """A batch after a phase gate, exactly if the batch is exact (then so
+    is eta): eta's cached operator on the S-ones numerators, the rest
+    times g.  Float S-ones amplitudes are multiplied by eta in numpy's
+    vector loop, which rounds as it does for a single state; a gate on
+    the whole register leaves one amplitude per state, which numpy
+    multiplies alone without fused multiply-adds, so its product is
+    spelled out in real parts as that scalar loop rounds it."""
+    stack, den = batch
+    r = stack.shape[-1].bit_length() - 1
+    ones = (slice(None), slice(None)) + bit_index(r, gate.qubits, 1)
+    if den is None:
+        out = stack.reshape((-1,) + (2,) * r).copy()
+        z, eta = out[ones[1:]], gate._float_eta
+        if len(gate.qubits) < r:
+            z *= eta
+        else:
+            z.real, z.imag = (z.real * eta.real - z.imag * eta.imag,
+                              z.real * eta.imag + z.imag * eta.real)
+        return out.reshape(stack.shape), None
+    op, g, gain = gate._exact_op
+    t = widened(stack, gain).reshape((4, -1) + (2,) * r)
     out = t.copy() if g == 1 else t * np.array(g)  # object past int64: no wrap
-    ones = (slice(None),) + ones
     out[ones] = (op @ t[ones].reshape(4, -1)).reshape(out[ones].shape)
-    return psi.restacked(out, psi.den * g)
+    return _reduced(out.reshape(stack.shape), den * g)
 
 
 def apply_1q(psi: StateVector, qubit: int, gate: Gate1q) -> StateVector:
     if qubit < 0 or qubit >= psi.r:
         raise ValueError(f"qubit {qubit} outside register")
-    return _gate_1q(psi if gate.is_exact else psi.to_float(), qubit, gate)
+    psi = psi if gate.is_exact else psi.to_float()
+    return _unstacked(_gate_1q(_stacked([psi]), qubit, gate), [psi])[0]
 
 
 def apply_multi(psi: StateVector, gate: MultiGate) -> StateVector:
-    return _gate_multi(psi if is_exact(gate.eta) else psi.to_float(), gate)
+    psi = psi if is_exact(gate.eta) else psi.to_float()
+    return _unstacked(_gate_multi(_stacked([psi]), gate), [psi])[0]
 
 
 def apply_cz(psi: StateVector, qubits) -> StateVector:
@@ -301,11 +378,12 @@ def apply_geta(psi: StateVector, qubits, eta) -> StateVector:
 # here): it flips the target on the control's |1> half.
 
 def apply_cnot(psi: StateVector, control: int, target: int) -> StateVector:
-    t = psi.stack()
+    stack, den = _stacked([psi])
+    t = stack.reshape((-1,) + (2,) * psi.r)
     on = (slice(None),) + bit_index(psi.r, (control,), 1)
     out = t.copy()
     out[on] = np.flip(t[on], axis=1 + target)
-    return psi.restacked(out)
+    return _unstacked((out.reshape(stack.shape), den), [psi])[0]
 
 
 # ---- circuits --------------------------------------------------------------
@@ -380,6 +458,30 @@ class Circuit:
         return range(1 + self.n_inputs, self.r)
 
 
+#: Most amplitudes (states times 2^r) that ``simulate_all`` carries
+#: through the gates in one pass; a larger batch runs in chunks.
+_BATCH_AMPS = 1 << 14
+
+
+def _layers(circuit: Circuit, batch: tuple):
+    """Yield (layer label, batch) after each of layers 0.5, 1, ..., depth + 0.5."""
+    for i in range(circuit.depth + 1):
+        layer = circuit.single_layers[i]
+        for q in sorted(layer):
+            batch = _gate_1q(batch, q, layer[q])
+        yield i + 0.5, batch
+        if i < circuit.depth:
+            for g in circuit.multi_layers[i]:
+                batch = _gate_multi(batch, g)
+            yield i + 1.0, batch
+
+
+def _final(circuit: Circuit, batch: tuple) -> tuple:
+    for _, batch in _layers(circuit, batch):
+        pass
+    return batch
+
+
 def simulate(circuit: Circuit, initial: StateVector, trace: bool = False):
     """Apply layers 0.5, 1, 1.5, ..., depth + 0.5 in order.
 
@@ -389,18 +491,33 @@ def simulate(circuit: Circuit, initial: StateVector, trace: bool = False):
     if initial.r != circuit.r:
         raise ValueError("state register does not match circuit")
     psi = initial if circuit.is_exact else initial.to_float()
-    steps = []
-    for i in range(circuit.depth + 1):
-        for q in sorted(circuit.single_layers[i]):
-            psi = _gate_1q(psi, q, circuit.single_layers[i][q])
-        if trace:
-            steps.append((i + 0.5, psi))
-        if i < circuit.depth:
-            for g in circuit.multi_layers[i]:
-                psi = _gate_multi(psi, g)
-            if trace:
-                steps.append((i + 1.0, psi))
-    return (psi, steps) if trace else psi
+    if not trace:
+        return _unstacked(_final(circuit, _stacked([psi])), [psi])[0]
+    steps = [(label, _unstacked(batch, [psi])[0])
+             for label, batch in _layers(circuit, _stacked([psi]))]
+    return steps[-1][1], steps
+
+
+def simulate_all(circuit: Circuit, states) -> list[StateVector]:
+    """``[simulate(circuit, psi) for psi in states]``, equal state for
+    state (floats bit for bit), in one pass per batch of at most
+    ``_BATCH_AMPS`` amplitudes.  An exact circuit keeps each state's kind,
+    the exact and the float states running as separate batches; any
+    other circuit runs them all on floats."""
+    exact = circuit.is_exact
+    states = [psi if exact else psi.to_float() for psi in states]
+    if any(psi.r != circuit.r for psi in states):
+        raise ValueError("state register does not match circuit")
+    out = [None] * len(states)
+    size = max(1, _BATCH_AMPS >> circuit.r)
+    for kind in (True, False):
+        picked = [i for i, psi in enumerate(states) if psi.is_exact == kind]
+        for lo in range(0, len(picked), size):
+            part = picked[lo:lo + size]
+            like = [states[i] for i in part]
+            for i, psi in zip(part, _unstacked(_final(circuit, _stacked(like)), like)):
+                out[i] = psi
+    return out
 
 
 # ---- simplification classification ----------------------------------------
@@ -528,12 +645,21 @@ def computes_parity_on_basis(circuit: Circuit,
         ancilla = basis_state(m, 0) if m else None
     elif ancilla.r != m:
         raise ValueError("ancilla register size mismatch")
-    for bits in product("01", repeat=n):
-        x = "".join(bits)
+
+    def initial(x):
         front = basis_state(1 + n, "0" + x)
-        initial = front if ancilla is None else tensor(front, ancilla,
-                                                       placement=range(1 + n))
-        final = simulate(circuit, initial)
+        return front if ancilla is None else tensor(front, ancilla,
+                                                    placement=range(1 + n))
+
+    inputs = ["".join(bits) for bits in product("01", repeat=n)]
+
+    def finals():
+        # input 0 alone first: a circuit that fails mostly fails there,
+        # and then the other inputs need no simulating
+        yield simulate(circuit, initial(inputs[0]))
+        yield from simulate_all(circuit, map(initial, inputs[1:]))
+
+    for x, final in zip(inputs, finals()):
         # the component with target != parity(x) must vanish
         wrong = bit_index(circuit.r, (0,), 1 - x.count("1") % 2)
         ok = (not final.support()[wrong].any() if final.is_exact

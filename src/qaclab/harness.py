@@ -42,6 +42,7 @@ from .circuit import (
     parity3_cnot_reference,
     parity3_circuit,
     simulate,
+    simulate_all,
 )
 from .numerics import Exact, Tolerance, make_rng, random_unitary, to_float
 from .parity import (
@@ -540,12 +541,11 @@ def _suite_depth_reduce(cfg, k):
     except Exception as exc:
         yield f"reduction failed: {exc}"
         return
-    for xi in range(1 << n):
-        bits = "0" + format(xi, f"0{n}b") + "0" * m
-        initial = basis_state(circuit.r, bits, exact=False)
-        rho_full = target_density(simulate(circuit, initial))
-        rho_red = target_density(simulate(reduced, initial))
-        gap = float(np.max(np.abs(rho_full - rho_red)))
+    inputs = ["0" + format(xi, f"0{n}b") + "0" * m for xi in range(1 << n)]
+    initials = [basis_state(circuit.r, bits, exact=False) for bits in inputs]
+    for bits, full, red in zip(inputs, simulate_all(circuit, initials),
+                               simulate_all(reduced, initials)):
+        gap = float(np.max(np.abs(target_density(full) - target_density(red))))
         if gap > _TARGET_DEVIATION:
             yield f"input={bits} target deviation {gap:g}"
             return

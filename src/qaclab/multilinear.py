@@ -136,13 +136,18 @@ class MultilinearPoly:
         return all(not m for m in self.terms)
 
     def constant_value(self):
-        return self.terms.get(frozenset(), 0)
+        return self.coefficient(frozenset())
 
     def variables(self) -> frozenset:
         return frozenset().union(*self.terms)
 
     def coefficient(self, m: Monomial):
-        return self.terms.get(frozenset(m), 0)
+        """The coefficient of m; a missing term is ``Exact.ZERO`` when every
+        coefficient is exact (so exact f stays exact), else 0."""
+        m = frozenset(m)
+        if m in self.terms:
+            return self.terms[m]
+        return Exact.ZERO if all(map(is_exact, self.terms.values())) else 0
 
     def leading_monomial(self) -> Monomial:
         if self.is_zero:

@@ -311,6 +311,13 @@ def widened(num: np.ndarray, gain: int = 1) -> np.ndarray:
     return num
 
 
+def narrowed(num: np.ndarray) -> np.ndarray:
+    """``num`` in C order, as int64 when every entry lies below
+    ``INT64_SAFE``, else as Python ints."""
+    big = int(np.abs(num).max())
+    return num.astype(np.int64 if big < INT64_SAFE else object, order="C", copy=False)
+
+
 def lowest_terms(num: np.ndarray, den: int) -> tuple[np.ndarray, int]:
     if den != 1:
         g = math.gcd(den, int(np.gcd.reduce(num, axis=None)))

@@ -28,7 +28,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import GATE_X, Circuit, apply_1q, classify_simplification, simulate
+from .circuit import (
+    GATE_X,
+    Circuit,
+    apply_1q,
+    classify_simplification,
+    simulate,
+    simulate_all,
+)
 from .numerics import DEFAULT_TOL, Tolerance, kron_all
 from .qstate import (
     MAX_QUBITS,
@@ -201,7 +208,8 @@ def verify_certificate(cert: RefutationCertificate, circuit: Circuit,
                        tol: Tolerance = DEFAULT_TOL):
     """Re-check a certificate by direct simulation.
 
-    Returns (ok, detail).  Shares only ``simulate`` with the refuters.
+    Returns (ok, detail).  Shares only the simulation, ``simulate_all``
+    on both states in one pass, with the refuters.
     """
     if len(cert.states) != 2:
         return False, "certificate needs exactly two states"
@@ -240,8 +248,7 @@ def verify_certificate(cert: RefutationCertificate, circuit: Circuit,
         return False, f"unknown certificate kind {cert.kind!r}"
 
     densities = []
-    for psi, recorded in zip(cert.states, cert.final_targets):
-        final = simulate(circuit, psi)
+    for final, recorded in zip(simulate_all(circuit, cert.states), cert.final_targets):
         rho = target_density(final)
         densities.append(rho)
         # written so that a NaN in the recorded target fails the check
@@ -307,7 +314,7 @@ def _finish(cert: RefutationCertificate, circuit: Circuit,
 
 
 def _targets_for(circuit: Circuit, states) -> list:
-    return [target_density(simulate(circuit, psi)) for psi in states]
+    return [target_density(final) for final in simulate_all(circuit, states)]
 
 
 def refute_depth1(circuit: Circuit, ancilla: StateVector | None = None,

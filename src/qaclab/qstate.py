@@ -52,12 +52,12 @@ import numpy as np
 
 from .numerics import (
     DEFAULT_TOL,
-    INT64_SAFE,
     Exact,
     Tolerance,
     field_mul,
     four_components,
     lowest_terms,
+    narrowed,
     numerator_stack,
     numerators_to_complex,
     numerators_to_exact,
@@ -151,9 +151,7 @@ class StateVector:
         return psi
 
     def _set_exact(self, num: np.ndarray, den: int):
-        big = int(np.abs(num).max())
-        num = num.astype(np.int64 if big < INT64_SAFE else object,
-                         order="C", copy=False)
+        num = narrowed(num)
         num.flags.writeable = False
         self.num, self.den, self._amps = num, den, None
 
@@ -184,16 +182,6 @@ class StateVector:
         numerators of an exact state, k = 1 complex amplitudes."""
         flat = self.num if self.is_exact else self._amps[None]
         return flat.reshape([len(flat)] + [2] * self.r)
-
-    def restacked(self, stack: np.ndarray, den: int | None = None) -> "StateVector":
-        """A state of the same kind and normalization flag with ``stack``
-        (laid out as ``stack()``) as its entries; an exact one over
-        ``den`` (default: this state's), reduced to lowest terms."""
-        flat = stack.reshape(len(stack), -1)
-        if self.is_exact:
-            num, den = lowest_terms(flat, self.den if den is None else den)
-            return StateVector.from_numerators(self.r, num, den, self.normalized)
-        return StateVector(self.r, flat[0], self.normalized)
 
     def support(self) -> np.ndarray:
         """[2]*r booleans: which amplitudes are nonzero, exactly."""

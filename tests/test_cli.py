@@ -13,7 +13,12 @@ from qaclab.cli import build_parser, main
 from qaclab.circuit import GATE_H, Circuit, cz, parity3_circuit
 from qaclab.circuit_io import parse_circuit, serialize_circuit
 from qaclab.numerics import make_rng, random_unitary
-from qaclab.parity import RefutationCertificate, format_certificate, format_unitaries
+from qaclab.parity import (
+    RefutationCertificate,
+    format_certificate,
+    format_unitaries,
+    refute_depth1,
+)
 from qaclab.qstate import StateVector, basis_state, format_state, parse_state
 
 DATA = Path(__file__).parent / "data"
@@ -161,6 +166,27 @@ def test_verify_cert_rejects_flip_of_input_without_parity(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "verify-cert", "-c", str(PARITY3),
                            "--cert", str(cert_path))
     assert code == 1 and "definite parity" in out
+
+
+#: Instances k = 0, 4, 5, 9 and 25 of the default depth1-refute suite
+#: (seed 0): each circuit (``.qac``), its ancilla state if the instance
+#: draws one (``.anc``), and the certificate ``qaclab refute`` printed
+#: for them (``.cert``).  Both kinds of certificate, with and without
+#: an ancilla register and an ancilla state, on 4 to 6 qubits.
+CERTS = DATA / "certs"
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in CERTS.glob("*.cert")))
+def test_refute_certificates_match_pinned_bytes(capsys, name):
+    want = (CERTS / f"{name}.cert").read_text()
+    argv = ["refute", "-c", str(CERTS / f"{name}.qac")]
+    anc = CERTS / f"{name}.anc"
+    if anc.exists():
+        argv += ["--ancilla", str(anc)]
+    assert run_cli(capsys, *argv) == (0, want, "")
+    circuit = parse_circuit((CERTS / f"{name}.qac").read_text())
+    ancilla = parse_state(anc.read_text()) if anc.exists() else None
+    assert format_certificate(refute_depth1(circuit, ancilla)) == want
 
 
 def test_refute_depth2_not_applicable(capsys):

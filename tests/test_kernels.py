@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from qaclab import circuit as circuit_mod, harness
 from qaclab.circuit import (
+    _BATCH_AMPS,
     DISAPPEARS,
     GATE_H,
     NO_SIMPLIFICATION,
@@ -25,7 +26,10 @@ from qaclab.circuit import (
     apply_cnot,
     apply_multi,
     classify_simplification,
+    computes_parity_on_basis,
+    cz,
     simulate,
+    simulate_all,
 )
 from qaclab.numerics import (
     DEFAULT_TOL,
@@ -38,6 +42,7 @@ from qaclab.numerics import (
 from qaclab.parity import product_initial, subset_parity_mass
 from qaclab.qstate import (
     StateVector,
+    basis_state,
     bit_index,
     l2,
     ones_component_is_zero,
@@ -348,6 +353,197 @@ def test_exact_simulation_matches_oracle_on_1000_circuits():
                 for gate in multis[i]:
                     a = reference_multi(a, r, gate.qubits, gate.eta)
         assert_same(simulate(circuit, StateVector(r, amps)).amps, a)
+
+
+# ---- many states in one pass ----------------------------------------------------
+
+
+@st.composite
+def any_circuits(draw):
+    """Exact or float circuits of depth 0 to 2 on r <= 7 qubits, up to
+    three of them ancillas.  Float ones mix random unitaries with exact
+    gates and CZ and geta with eta = e^0.7i."""
+    r = draw(st.integers(1, MAX_R))
+    m = draw(st.integers(0, min(3, r - 1)))
+    exact = draw(st.booleans())
+    depth = draw(st.integers(0, 2))
+    gate = exact_gates() if exact else gates()
+    singles = [draw(st.dictionaries(st.integers(0, r - 1), gate, max_size=r))
+               for _ in range(depth + 1)]
+    etas = (None,) + PHASES + (() if exact else (np.exp(0.7j),))
+    multis = []
+    for _ in range(depth):
+        order = draw(st.permutations(range(r)))
+        cuts = sorted(draw(st.sets(st.integers(1, r), max_size=3)) | {0, r})
+        layer = []
+        for lo, hi in zip(cuts, cuts[1:]):
+            eta = draw(st.sampled_from(etas))
+            qubits = frozenset(order[lo:hi])
+            layer.append(MultiGate(qubits, "cz") if eta is None
+                         else MultiGate(qubits, "geta", eta))
+        multis.append(layer)
+    return Circuit(r, r - 1 - m, m, singles, multis)
+
+
+@st.composite
+def state_lists(draw, r):
+    """1 to 9 states, all exact, all float or mixed.  Exact ones lie over
+    denominators 1, 2 or 3 (``exact_inputs``, some past int64) or 2 with
+    sqrt2 parts (``make_amps``); normalization flags are mixed."""
+    kind = draw(st.sampled_from(("exact", "float", "mixed")))
+    out = []
+    for _ in range(draw(st.integers(1, 9))):
+        exact = kind == "exact" or kind == "mixed" and draw(st.booleans())
+        if exact and draw(st.booleans()):
+            out.append(draw(exact_inputs(r)))
+            continue
+        psi = draw(states(min_r=r, max_r=r, exact=exact))
+        out.append(StateVector(r, psi.amps, normalized=draw(st.booleans())))
+    return out
+
+
+def assert_identical(got, want):
+    """Same kind, register and flag; exact states equal in lowest terms,
+    float amplitudes equal bit for bit (signed zeros included)."""
+    assert (got.r, got.is_exact, got.normalized) == (want.r, want.is_exact, want.normalized)
+    if want.is_exact:
+        assert got.den == want.den and got.num.dtype == want.num.dtype
+        assert np.array_equal(got.num, want.num)
+        assert list(got.amps) == list(want.amps)
+    else:
+        assert np.array_equal(got.amps, want.amps)
+        assert got.amps.tobytes() == want.amps.tobytes()
+
+
+@given(any_circuits(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_simulate_all_matches_simulate_state_by_state(circuit, data):
+    inputs = data.draw(state_lists(circuit.r))
+    got = simulate_all(circuit, inputs)
+    assert len(got) == len(inputs)
+    for psi, out in zip(inputs, got):
+        assert_identical(out, simulate(circuit, psi))
+        # an exact circuit keeps each state's kind: never demoted
+        assert out.is_exact == (psi.is_exact and circuit.is_exact)
+
+
+def test_simulate_all_crosses_the_batch_cap(monkeypatch):
+    # five r = 12 states exceed the amplitude budget: they run as a batch
+    # of four and a batch of one, exact and float alike
+    r, rng = 12, np.random.default_rng(12)
+    k = (_BATCH_AMPS >> r) + 1
+    assert k * (1 << r) > _BATCH_AMPS
+    sizes = []
+    stacked = circuit_mod._stacked
+    monkeypatch.setattr(circuit_mod, "_stacked",
+                        lambda states: sizes.append(len(states)) or stacked(states))
+    multis = [[MultiGate(frozenset(range(6)), "cz"),
+               MultiGate(frozenset(range(6, r)), "geta", PHASES[3])]]
+    exact = Circuit(r, r - 3, 2, [{q: FACTORS[q % len(FACTORS)] for q in range(r)},
+                                  {q: GATE_H for q in range(0, r, 2)}], multis)
+    floats = Circuit(r, r - 3, 2, [{q: Gate1q(random_unitary(2, rng)) for q in range(r)},
+                                   {}], multis)
+    for circuit, is_exact in ((exact, True), (floats, False)):
+        inputs = [StateVector(r, make_amps(rng, r, is_exact, 0.5), normalized=False)
+                  for _ in range(k)]
+        sizes.clear()
+        got = simulate_all(circuit, inputs)
+        assert sizes == [k - 1, 1]
+        for psi, out in zip(inputs, got):
+            assert_identical(out, simulate(circuit, psi))
+
+
+def parity_counterexample(circuit, ancilla, tol=DEFAULT_TOL):
+    """The first classical input, in order, on which the final state has
+    weight on the wrong target value: one ``simulate`` per input."""
+    n, m = circuit.n_inputs, circuit.n_ancillas
+    if ancilla is None and m:
+        ancilla = basis_state(m, 0)
+    for xi in range(1 << n):
+        x = format(xi, f"0{n}b") if n else ""
+        front = basis_state(1 + n, "0" + x)
+        initial = front if ancilla is None else tensor(front, ancilla,
+                                                       placement=range(1 + n))
+        final = simulate(circuit, initial)
+        wrong = [i for i in range(1 << circuit.r)
+                 if bit(i, circuit.r, 0) != x.count("1") % 2]
+        if final.is_exact:
+            ok = all(final.amps[i] == Exact.ZERO for i in wrong)
+        else:
+            ok = np.linalg.norm(final.amps[wrong]) <= tol.threshold(1.0)
+        if not ok:
+            return False, x
+    return True, None
+
+
+#: Gates that map basis states to basis states up to a phase, one of
+#: them a float phase gate.
+SEMICLASSICAL = [Gate1q.named(name) for name in "IXZST"] + [
+    Gate1q(np.diag([1, np.exp(0.3j)]))]
+
+
+@st.composite
+def parity_candidates(draw):
+    """Depth-2 circuits on 1 to 3 inputs and 0 to 2 ancillas that keep
+    every qubit classical but for the target's H . CZ{0, j} . H gadget
+    (which copies x_j onto it, when drawn), so they fail parity on some
+    inputs and not on others; with an ancilla state or none."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    r = 1 + n + m
+    gate = st.sampled_from(SEMICLASSICAL)
+    layers = [draw(st.dictionaries(st.integers(1, r - 1), gate, max_size=r - 1))
+              for _ in range(3)]
+    first, second = [], []
+    if r > 2 and draw(st.booleans()):
+        second.append(cz(*draw(st.sets(st.integers(1, r - 1), min_size=2, max_size=3))))
+    if draw(st.booleans()):
+        layers[0][0] = layers[1][0] = GATE_H
+        first.append(cz(0, draw(st.integers(1, r - 1))))
+    if draw(st.booleans()):
+        layers[2][0] = draw(gate)
+    circuit = Circuit(r, n, m, layers, [first, second])
+    ancilla = None
+    if m and draw(st.booleans()):
+        ancilla = basis_state(m, draw(st.integers(0, (1 << m) - 1)),
+                              exact=draw(st.booleans()))
+    return circuit, ancilla
+
+
+@given(parity_candidates())
+@settings(max_examples=150, deadline=None)
+def test_parity_check_finds_the_first_counterexample(case):
+    circuit, ancilla = case
+    assert computes_parity_on_basis(circuit, ancilla) == parity_counterexample(
+        circuit, ancilla)
+
+
+def test_phase_gates_build_their_constants_once(monkeypatch):
+    # across 16 inputs, each geta gate object takes its float phase once
+    # (CZ's is a constant) and each phase gate its exact operator once,
+    # however many times it is applied
+    phase_ops, floats = [], []
+
+    def counted_phase_op(eta):
+        phase_ops.append(eta)
+        return _phase_op(eta)
+
+    def counted_float(x):
+        floats.append(x)
+        return complex(x)
+
+    def circuit():
+        return Circuit(4, 3, 0, [{0: GATE_H, 2: GATE_H}, {2: GATE_H}, {0: GATE_H}],
+                       [[cz(0, 1), MultiGate(frozenset({2, 3}), "geta", PHASES[3])],
+                        [MultiGate(frozenset({0, 2}), "geta", Exact.I)]])
+
+    monkeypatch.setattr(circuit_mod, "_phase_op", counted_phase_op)
+    monkeypatch.setattr(circuit_mod, "to_float", counted_float)
+    exact, floating = circuit(), circuit()
+    for bits in range(16):
+        simulate(exact, basis_state(4, bits))
+        simulate(floating, basis_state(4, bits, exact=False))
+    simulate_all(exact, [basis_state(4, bits) for bits in range(16)])
+    assert len(phase_ops) == 3 and len(floats) == 4
 
 
 #: The four units of the numerator components 1, sqrt2, i, i sqrt2.

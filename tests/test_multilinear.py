@@ -714,6 +714,30 @@ def test_zero_justifying_assignment_cross():
     assert abs(to_float(evaluate(CROSS, a))) < 1e-9
 
 
+def test_missing_terms_of_exact_polynomials_are_exact_zero():
+    # x0*x1 + x0 at x1 = 2 is 3*x0: no constant term, root x0 = 0
+    f = poly({(X0, X1): Exact.ONE, (X0,): Exact.ONE})
+    root = ml._solve_single_variable_zero(f, X0, {X1: Exact(2)})
+    assert isinstance(root, Exact) and root == Exact.ZERO
+    assert isinstance(f.constant_value(), Exact) and isinstance(f.coefficient(mono(X1)), Exact)
+    g = poly({(X0,): 1.5 + 0j})
+    assert not isinstance(g.constant_value(), Exact) and g.constant_value() == 0
+
+
+@pytest.mark.parametrize("f", [
+    poly({(X0,): Exact(-7)}),
+    poly({(): Exact(-5), (X0,): Exact(-1), (X1,): Exact(-5), (X2,): Exact(2),
+          (X0, X1): Exact(-1)}),
+])
+def test_zero_justifying_assignment_of_exact_f_is_exact(f):
+    # both have a root whose pivot solves a restriction with no constant
+    # term, which used to come back as the complex -0j
+    for seed in range(100):
+        a = find_zero_justifying_assignment(f, make_rng(seed))
+        assert a is not None and all(isinstance(v, Exact) for v in a.values())
+        assert is_justifying(f, a) and evaluate(f, a) == Exact.ZERO
+
+
 def test_zero_justifying_never_certifies_decomposables():
     # soundness: a genuinely decomposable polynomial admits no justifying
     # root, so the search must keep answering unknown
