@@ -52,6 +52,7 @@ from .numerics import (
     widened,
 )
 from .qstate import (
+    _BATCH_AMPS,
     MAX_QUBITS,
     StateVector,
     basis_state,
@@ -458,11 +459,6 @@ class Circuit:
         return range(1 + self.n_inputs, self.r)
 
 
-#: Most amplitudes (states times 2^r) that ``simulate_all`` carries
-#: through the gates in one pass; a larger batch runs in chunks.
-_BATCH_AMPS = 1 << 14
-
-
 def _layers(circuit: Circuit, batch: tuple):
     """Yield (layer label, batch) after each of layers 0.5, 1, ..., depth + 0.5."""
     for i in range(circuit.depth + 1):
@@ -501,9 +497,9 @@ def simulate(circuit: Circuit, initial: StateVector, trace: bool = False):
 def simulate_all(circuit: Circuit, states) -> list[StateVector]:
     """``[simulate(circuit, psi) for psi in states]``, equal state for
     state (floats bit for bit), in one pass per batch of at most
-    ``_BATCH_AMPS`` amplitudes.  An exact circuit keeps each state's kind,
-    the exact and the float states running as separate batches; any
-    other circuit runs them all on floats."""
+    ``qstate._BATCH_AMPS`` amplitudes.  An exact circuit keeps each
+    state's kind, the exact and the float states running as separate
+    batches; any other circuit runs them all on floats."""
     exact = circuit.is_exact
     states = [psi if exact else psi.to_float() for psi in states]
     if any(psi.r != circuit.r for psi in states):

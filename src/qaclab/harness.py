@@ -328,10 +328,9 @@ def _suite_no_zero_divisors(cfg, k):
     certified = zero_side if norm_a <= thr else other
     certified_state = psi_zero if norm_a <= thr else psi_other
     partner_side = b if certified is a else a
-    partner_rng = _rng(cfg, k, 1)
-    for j in range(50):
-        sigma = random_state(len(partner_side), partner_rng)
-        pair = tensor(certified_state, sigma, placement=certified)
+    partners = random_state(len(partner_side), _rng(cfg, k, 1), count=50)
+    pairs = tensor(certified_state, partners, placement=certified)
+    for j, pair in enumerate(pairs):
         if not classify_simplification(s, pair, cfg.tol).disappears:
             yield f"partner={j}: certified side failed"
             return

@@ -22,7 +22,16 @@ Separation of a state at a bipartition {A, B} is decided through the
 Schmidt rank of the amplitude matrix reshaped along the cut: rank one
 means the state is a tensor product across it.  On the floating backend
 the rank is read off singular values; on the exact backend it is decided
-by vanishing 2x2 minors, with no tolerance involved.
+by vanishing 2x2 minors, with no tolerance involved.  A float state
+remembers its cut verdicts, so a state asked many cuts (the
+``simplify-lemma`` suite asks all 2^(r-1) - 1 of one state) pays one
+stacked ``compute_uv=False`` SVD per cut size, over a gather of its
+amplitudes of at most ``_BATCH_AMPS``, the cap ``circuit.simulate_all``
+batches by too.  Its amplitudes are read-only from its first verdict on.
+
+``random_state``, ``tensor`` and ``product_state`` also take a batch, a
+list of float states riding on a leading axis: many partners of one
+factor are drawn in one call and formed in one outer product.
 
 Which cuts can separate at all is read off pairs of qubits.  Read the
 amplitudes as a multilinear polynomial f with qubit q as variable x_q
@@ -84,6 +93,11 @@ _EMPTY_NORM = 1e-12
 #: A parsed state dump whose norm is within this of 1 counts as normalized.
 _NORMALIZED = 1e-6
 
+#: Most amplitudes one batched pass carries: states times 2^r through
+#: ``circuit.simulate_all``, cuts times 2^r through a stacked cut decision
+#: (``_cut_verdict``); a larger batch runs in chunks.
+_BATCH_AMPS = 1 << 14
+
 
 class RegisterSizeError(ValueError):
     pass
@@ -117,7 +131,7 @@ class StateVector:
     """2^r amplitudes over qubits 0..r-1 (qubit 0 most significant), from
     complex values or an object array of ``Exact`` (an exact state)."""
 
-    __slots__ = ("r", "normalized", "num", "den", "_amps")
+    __slots__ = ("r", "normalized", "num", "den", "_amps", "_cuts")
 
     def __init__(self, r: int, amps, normalized: bool = True):
         amps = np.asarray(amps)
@@ -129,7 +143,7 @@ class StateVector:
             num, den = numerator_stack(amps.tolist())
             self._set_exact(four_components(num), den)
         else:
-            self.num, self.den = None, None
+            self.num = self.den = self._cuts = None
             self._amps = amps.astype(complex)
 
     @classmethod
@@ -137,7 +151,7 @@ class StateVector:
         """A float state keeping ``amps``, a fresh complex array, uncopied."""
         psi = object.__new__(cls)
         psi.r, psi.normalized, psi._amps = r, normalized, amps
-        psi.num = psi.den = None
+        psi.num = psi.den = psi._cuts = None
         return psi
 
     @classmethod
@@ -273,21 +287,36 @@ def bit_index(r: int, qubits, bit: int) -> tuple:
     return tuple(idx)
 
 
-def product_state(pieces, normalized: bool = True) -> StateVector:
+def product_state(pieces, normalized: bool = True) -> StateVector | list[StateVector]:
     """Tensor product of ``(labels, state)`` pieces.
 
     Each state's qubits go, in its own order, to the listed labels; the
     labels of all pieces together must be 0..r-1, each once.  The result
     is exact when every piece is, else complex.
+
+    One piece may hold a batch instead of a state: a list of K float
+    states on one register.  The result is then the list of the K
+    products, formed in one outer product and one transpose with the
+    batch on a leading axis, each bit for bit the product of its own
+    pieces.
     """
     labels = [q for qs, _ in pieces for q in qs]
+    batch = [len(st) for _, st in pieces if isinstance(st, list)]
+    if batch or not all(st.is_exact for _, st in pieces):
+        if len(batch) > 1:
+            raise ValueError("at most one piece may hold a batch")
+        prod = functools.reduce(np.multiply.outer, [_float_amps(st) for _, st in pieces])
+        # the product's axes, each piece's batch axis (-1) and then its
+        # qubits, moved into label order with the batch first; copied, as
+        # a lone piece's product is still its state's array
+        axes = [q for qs, st in pieces for q in ([-1, *qs] if isinstance(st, list) else qs)]
+        moved = prod.reshape([2 if q >= 0 else batch[0] for q in axes]).transpose(
+            sorted(range(len(axes)), key=axes.__getitem__)).copy()
+        if not batch:
+            return StateVector._of(len(labels), moved.reshape(-1), normalized)
+        return [StateVector._of(len(labels), amps, normalized)
+                for amps in moved.reshape(batch[0], -1)]
     order = sorted(range(len(labels)), key=labels.__getitem__)
-    if not all(st.is_exact for _, st in pieces):
-        prod = functools.reduce(np.multiply.outer,
-                                [st.to_float().amps for _, st in pieces])
-        if order != list(range(len(labels))):
-            prod = prod.reshape([2] * len(labels)).transpose(order)
-        return StateVector._of(len(labels), prod.flatten(), normalized)
     prod, den = None, 1
     for _, st in pieces:
         den *= st.den
@@ -297,28 +326,39 @@ def product_state(pieces, normalized: bool = True) -> StateVector:
     return StateVector.from_numerators(len(labels), num, den, normalized)
 
 
+def _float_amps(st) -> np.ndarray:
+    """A state's complex amplitudes, or a batch's as (K, 2^r) rows."""
+    if not isinstance(st, list):
+        return st.to_float().amps
+    if any(psi.is_exact for psi in st):
+        raise ValueError("a batch holds float states only")
+    return np.stack([psi.amps for psi in st])
+
+
 # ---- tensor structure ---------------------------------------------------
 
-def tensor(u: StateVector, v: StateVector, placement=None) -> StateVector:
+def tensor(u, v, placement=None) -> StateVector | list[StateVector]:
     """Tensor product with u's qubits routed to ``placement`` labels.
 
     ``placement`` lists the labels (within the combined register) that
     receive u's qubits, in u's own qubit order after sorting; the
     remaining labels receive v's qubits in order.  Default: u occupies
-    the leading labels.
+    the leading labels.  One of u and v may be a batch, a list of float
+    states (``product_state``); the result is then a list.
     """
-    r = u.r + v.r
+    us, vs = (x if isinstance(x, list) else [x] for x in (u, v))
+    r = us[0].r + vs[0].r
     if placement is None:
-        placement = range(u.r)
+        placement = range(us[0].r)
     placement = sorted(placement)
     taken = set(placement)
-    if len(placement) != u.r or any(p < 0 or p >= r for p in placement):
+    if len(placement) != us[0].r or any(p < 0 or p >= r for p in placement):
         raise ValueError("placement must list u.r distinct labels within range")
-    if len(taken) != u.r:
+    if len(taken) != us[0].r:
         raise ValueError("placement labels must be distinct")
     others = [q for q in range(r) if q not in taken]
     return product_state([(placement, u), (others, v)],
-                         u.normalized and v.normalized)
+                         all(psi.normalized for psi in us + vs))
 
 
 def validate_bipartition(r: int, a, b) -> tuple[frozenset, frozenset]:
@@ -347,16 +387,71 @@ def separates_at(psi: StateVector, a, b, tol: Tolerance = DEFAULT_TOL):
     """Schmidt-rank-1 test across {A, B}; factors returned on success.
 
     Returns (flag, (state_A, state_B) or None).  The factors are unit
-    vectors from the SVD of the cut matrix (floating backend), unique up
-    to phase; the yes/no decision itself is exact for exact states.
+    vectors from the full SVD of the cut matrix (floating backend), unique
+    up to phase.  An exact state is decided by vanishing minors, with no
+    tolerance, one call per cut.  A float state is decided by the
+    singular-value rule on its cut matrix's singular values
+    (``compute_uv=False``, the call ``multilinear.bipartition_rank_oracle``
+    makes) and remembers its verdicts at ``tol`` (``_cut_verdict``): a
+    state asked many cuts pays one stacked SVD per cut size, and each
+    flag is the one the cut gets when asked alone.
     """
     a, b = validate_bipartition(psi.r, a, b)
-    if psi.is_exact and not dense_rank_le_1(cut_stack(psi.stack(), a, b)):
+    if not (dense_rank_le_1(cut_stack(psi.stack(), a, b)) if psi.is_exact
+            else _cut_verdict(psi, a, b, tol)):
         return False, None
-    u, s, vh = np.linalg.svd(cut_matrix(psi.to_float().axes(), a, b))
-    if not psi.is_exact and not sv_rank_le_1(s, tol):
-        return False, None
+    u, _, vh = np.linalg.svd(cut_matrix(psi.to_float().axes(), a, b))
     return True, (StateVector(len(a), u[:, 0]), StateVector(len(b), vh[0, :]))
+
+
+def _cut_verdict(psi: StateVector, a: frozenset, b: frozenset, tol: Tolerance) -> bool:
+    """Whether the float state psi passes the singular-value rule at the
+    cut {A, B}, remembered on psi at ``tol`` (a verdict at another tol
+    replaces them all, as a prepared ``multilinear`` point is replaced).
+
+    A cut is read with the side ``bipartitions`` lists first as rows, so
+    its matrix, and with it the flag, does not depend on how it is asked.
+    The first cut asked of a state is decided alone, as most states are
+    asked one cut.  A later cut not yet known decides every cut of its
+    size: one ``compute_uv=False`` SVD over the stack that ``_cut_gather``
+    gathers from the amplitudes, per chunk of at most ``_BATCH_AMPS``.  A
+    stacked SVD runs the lone call's LAPACK routine on each matrix, and a
+    known verdict is kept.  The amplitudes become read-only with the first
+    verdict, so no write can leave one stale.
+    """
+    side = a if len(a) < len(b) or (len(a) == len(b) and 0 in a) else b
+    cuts = psi._cuts
+    if cuts is None or (cuts[0] is not tol and cuts[0] != tol):
+        cuts = psi._cuts = (tol, {})
+    verdicts = cuts[1]
+    if side not in verdicts:
+        if not verdicts:
+            psi._amps.flags.writeable = False
+            m = cut_matrix(psi.axes(), side, a if side is b else b)
+            verdicts[side] = sv_rank_le_1(np.linalg.svd(m, compute_uv=False), tol)
+        else:
+            sides, table = _cut_gather(psi.r, len(side))
+            step = max(1, _BATCH_AMPS >> psi.r)
+            for lo in range(0, len(sides), step):
+                stacked = np.linalg.svd(psi._amps[table[lo:lo + step]], compute_uv=False)
+                for cut, s in zip(sides[lo:lo + step], stacked):
+                    verdicts.setdefault(cut, sv_rank_le_1(s, tol))
+    return verdicts[side]
+
+
+@functools.cache
+def _cut_gather(r: int, size: int) -> tuple[list, np.ndarray]:
+    """The cuts of r qubits with |A| = size, by their side A in
+    ``bipartitions`` order, and a read-only (cuts, 2^size, 2^(r-size))
+    uint16 table whose entry k is ``cut_stack`` of cut k on the flat
+    amplitude indices: amplitudes indexed by it are the stack of their
+    cut matrices.  uint16 holds every index up to ``MAX_QUBITS``: the
+    tables of every cut size at r = 12 take 17 MB, against 67 MB in intp."""
+    index = np.arange(1 << r, dtype=np.uint16).reshape([1] + [2] * r)
+    cuts = [(a, b) for a, b in bipartitions(r) if len(a) == size]
+    table = np.stack([cut_stack(index, a, b)[0] for a, b in cuts])
+    table.flags.writeable = False
+    return [a for a, _ in cuts], table
 
 
 def bipartitions(r: int, require_split=None):
@@ -524,13 +619,21 @@ def target_density(psi: StateVector) -> np.ndarray:
 
 # ---- random states -------------------------------------------------------
 
-def random_state(r: int, rng: np.random.Generator) -> StateVector:
-    """Normalized Gaussian (Haar-like) state; register capped at 12."""
+def random_state(r: int, rng: np.random.Generator,
+                 count: int | None = None) -> StateVector | list[StateVector]:
+    """Normalized Gaussian (Haar-like) state; register capped at 12.
+
+    With ``count``, a batch of that many (a list): one draw of all their
+    real and imaginary parts, which reads the generator's stream as
+    ``count`` single draws do, each state bit for bit the single draw's.
+    """
     if r > MAX_QUBITS:
         raise RegisterSizeError(f"register cap is {MAX_QUBITS} qubits")
-    amps = np.empty(1 << r, dtype=complex)
-    amps.real, amps.imag = rng.standard_normal(1 << r), rng.standard_normal(1 << r)
-    return StateVector._of(r, amps / l2(amps))
+    draw = rng.standard_normal((1 if count is None else count, 2, 1 << r))
+    amps = np.empty((len(draw), 1 << r), dtype=complex)
+    amps.real, amps.imag = draw[:, 0], draw[:, 1]
+    states = [StateVector._of(r, row / l2(row)) for row in amps]
+    return states[0] if count is None else states
 
 
 def random_product_state(a, b, rng: np.random.Generator) -> StateVector:

@@ -1,8 +1,10 @@
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from qaclab import harness
 from qaclab.harness import (
     SUITES,
     ReportParseError,
@@ -13,6 +15,7 @@ from qaclab.harness import (
     parse_machine_report,
     run_suite,
 )
+from qaclab.qstate import random_state
 
 
 def test_unknown_suite_rejected():
@@ -145,6 +148,64 @@ def test_entanglement_exact_backend():
     report = run_suite("entanglement-lemma", trials=30, backend="exact",
                        max_qubits=4)
     assert report.passed, report.violations[:2]
+
+
+@pytest.mark.parametrize("suite", ["tight-parity3", "sv-vs-rank"])
+def test_exact_suites_never_go_float(exact_stays_exact, suite):
+    # at their default configs, both exact; exact entanglement-lemma is not
+    # here, as each MultiGate converts its phase to a float when built
+    report = run_suite(suite)
+    assert report.backend == "exact" and report.passed
+
+
+def test_simplify_lemma_decides_every_cut_size_in_one_pass(monkeypatch):
+    # an r = 6 instance asks all 31 cuts of one state: the first is decided
+    # alone, then one stacked SVD per cut size (1, 2, 3); a full SVD is
+    # made only for the factors of a separating cut
+    cfg = default_config("simplify-lemma")
+    k = next(k for k in range(cfg.trials)
+             if harness._rng(cfg, k).integers(3, cfg.max_qubits + 1) == 6)
+    decisions, full, flags = [], [], []
+    svd, separates_at = np.linalg.svd, harness.separates_at
+
+    def counted_svd(m, *args, compute_uv=True, **kwargs):
+        (full if compute_uv else decisions).append(m.shape)
+        return svd(m, *args, compute_uv=compute_uv, **kwargs)
+
+    def recorded(*args):
+        out = separates_at(*args)
+        flags.append(out[0])
+        return out
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(harness, "separates_at", recorded)
+    assert run_suite("simplify-lemma", cfg, only_instance=k).passed
+    assert len(flags) == 31
+    assert len(decisions) <= 1 + 3
+    assert len(full) == sum(flags)
+
+
+def test_no_zero_divisors_partners_match_single_draws(monkeypatch):
+    # the 50 partner pairs, drawn and formed as one batch, are byte for
+    # byte those of 50 single random_state draws each tensored alone
+    cfg = default_config("no-zero-divisors")
+    tensors, classified = [], []
+    tensor, classify = harness.tensor, harness.classify_simplification
+    monkeypatch.setattr(harness, "tensor", lambda *args, **kwargs:
+                        tensors.append((args, kwargs)) or tensor(*args, **kwargs))
+    monkeypatch.setattr(harness, "classify_simplification", lambda s, psi, tol:
+                        classified.append(psi) or classify(s, psi, tol))
+    for k in range(0, cfg.trials, 25):
+        tensors.clear()
+        classified.clear()
+        assert run_suite("no-zero-divisors", cfg, only_instance=k).passed
+        (certified_state, partners), kwargs = tensors[-1]
+        draws = harness._rng(cfg, k, 1)
+        want = [tensor(certified_state, random_state(partners[0].r, draws), **kwargs)
+                for _ in range(50)]
+        assert len(classified) == 51
+        assert ([psi.amps.tobytes() for psi in classified[1:]]
+                == [psi.amps.tobytes() for psi in want])
 
 
 REPORTS = Path(__file__).parent / "data" / "reports"

@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 
 from qaclab import circuit as circuit_mod, harness
 from qaclab.circuit import (
-    _BATCH_AMPS,
     DISAPPEARS,
     GATE_H,
     NO_SIMPLIFICATION,
@@ -41,6 +40,7 @@ from qaclab.numerics import (
 )
 from qaclab.parity import product_initial, subset_parity_mass
 from qaclab.qstate import (
+    _BATCH_AMPS,
     StateVector,
     basis_state,
     bit_index,

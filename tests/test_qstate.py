@@ -14,6 +14,8 @@ from qaclab.qstate import (
     basis_state,
     bipartitions,
     cut_matrix,
+    cut_stack,
+    dense_rank_le_1,
     format_state,
     is_S_separable,
     linked_classes,
@@ -237,6 +239,53 @@ def test_is_S_separable_matches_sweep(case):
         assert sorted(classes, key=min) == sorted(factors, key=min)
 
 
+def fresh(psi):
+    """An equal state that remembers no cut verdicts."""
+    if psi.is_exact:
+        return StateVector.from_numerators(psi.r, psi.num, psi.den, psi.normalized)
+    return StateVector(psi.r, psi.amps, psi.normalized)
+
+
+@settings(deadline=None, max_examples=150)
+@given(separability_cases(), st.data())
+def test_cut_verdicts_do_not_depend_on_the_route(case, data):
+    # every cut in random order, either side first, now and then at a
+    # second tolerance (which replaces the remembered verdicts): its flag,
+    # and the factor bytes of a separating cut, are those it gets asked
+    # alone of a fresh copy, whether decided alone or in a stacked pass
+    psi = case[0]
+    tols = [DEFAULT_TOL] * 4 + [Tolerance(1e-8, 1e-8)]
+    for a, b in data.draw(st.permutations(list(bipartitions(psi.r)))):
+        if data.draw(st.booleans()):
+            a, b = b, a
+        tol = data.draw(st.sampled_from(tols))
+        flag, factors = separates_at(psi, a, b, tol)
+        want, want_factors = separates_at(fresh(psi), a, b, tol)
+        assert flag == want
+        if flag:
+            assert ([f.amps.tobytes() for f in factors]
+                    == [f.amps.tobytes() for f in want_factors])
+
+
+def test_exact_cut_tests_never_go_float(exact_stays_exact):
+    rng = make_rng(43)
+    checked = 0
+    while checked < 20:
+        psi = random_exact_state(int(rng.integers(2, 7)), rng)
+        cuts = list(bipartitions(psi.r))
+        if any(dense_rank_le_1(cut_stack(psi.stack(), a, b)) for a, b in cuts):
+            continue  # a separating cut's factors come from a float SVD
+        assert all(separates_at(psi, a, b) == (False, None) for a, b in cuts)
+        s = rng.choice(psi.r, int(rng.integers(2, psi.r + 1)), replace=False)
+        assert is_S_separable(psi, s) == (False, None)
+        checked += 1
+    # the guard is live
+    with pytest.raises(AssertionError, match="exact route"):
+        basis_state(1, "1").to_float()
+    with pytest.raises(AssertionError, match="exact route"):
+        complex(Exact.ONE)
+
+
 def test_linked_classes_threshold():
     # amplitudes [[1, 1], [1, 1 + d]]: det d, against a float bound of 8.4e-9
     for d, linked in ((1e-6, True), (1e-12, False)):
@@ -448,6 +497,15 @@ def test_exact_amps_are_read_only():
     assert psi.amps is psi.amps  # built once
 
 
+def test_float_amps_are_read_only_once_a_cut_verdict_is_kept():
+    # a write would leave the remembered verdicts stale
+    psi = random_state(4, make_rng(4))
+    separates_at(psi, {0}, {1, 2, 3})
+    for target in (psi.amps, psi.axes(), psi.stack()):
+        with pytest.raises(ValueError):
+            target.flat[0] = 0
+
+
 def test_ones_projection_examples():
     assert ones_projection_norm(basis_state(2, "11"), {0, 1}) == 1.0
     assert ones_projection_norm(basis_state(2, "01"), {0, 1}) == 0.0
@@ -495,6 +553,31 @@ def test_float_norm_is_l2():
         psi = StateVector(r, 3 * random_state(r, rng).amps, normalized=False)
         assert psi.norm() == qstate.l2(psi.amps)
         assert abs(psi.norm() - np.sqrt(np.sum(np.abs(psi.amps) ** 2))) <= 1e-14
+
+
+def test_batched_states_and_products_match_single_ones():
+    # a batch draws the stream of single draws, and its products with a
+    # state on either side of the tensor are the single products, bit for bit
+    rng = make_rng(44)
+    for r in range(2, 8):
+        m = int(rng.integers(1, r))
+        seed = int(rng.integers(2**32))
+        batch = random_state(m, make_rng(seed), count=5)
+        draws = make_rng(seed)
+        singles = [random_state(m, draws) for _ in range(5)]
+        assert [x.amps.tobytes() for x in batch] == [x.amps.tobytes() for x in singles]
+        other = random_state(r - m, rng)
+        placement = [int(q) for q in rng.choice(r, m, replace=False)]
+        rest = [q for q in range(r) if q not in placement]
+        for pairs, want in ((tensor(batch, other, placement),
+                             [tensor(x, other, placement) for x in singles]),
+                            (tensor(other, batch, rest),
+                             [tensor(other, x, rest) for x in singles])):
+            assert [x.amps.tobytes() for x in pairs] == [x.amps.tobytes() for x in want]
+    with pytest.raises(ValueError, match="float"):
+        tensor([basis_state(1, 0)], batch[0])
+    with pytest.raises(ValueError, match="one piece"):
+        product_state([([0], batch), ([1], batch)])
 
 
 def test_random_state_norm_and_cap():
