@@ -183,24 +183,31 @@ class MultiGate:
     def __post_init__(self):
         if self.kind not in ("cz", "geta"):
             raise ValueError(f"unknown multiqubit gate kind {self.kind!r}")
-        e = _CZ_FLOAT_ETA
         if self.kind == "geta":
-            if self.eta_value is None:
+            e = self.eta_value
+            if e is None:
                 raise ValueError("geta needs a phase")
-            e = to_float(self.eta_value)
-            if not abs(abs(e) - 1.0) <= _ETA_MODULUS:  # NaN fails too
+            if isinstance(e, Exact):  # decided exactly, never as a float
+                unit, trivial = e.abs2() == 1, e == 1
+            else:
+                e = to_float(e)
+                unit = abs(abs(e) - 1.0) <= _ETA_MODULUS  # NaN fails too
+                trivial = abs(e - 1.0) <= _ETA_TRIVIAL
+            if not unit:
                 raise CircuitValidationError("geta phase must have modulus 1",
                                              "geta-modulus")
-            if abs(e - 1.0) <= _ETA_TRIVIAL:
+            if trivial:
                 raise CircuitValidationError("geta phase must differ from 1",
                                              "geta-trivial")
-        # the float phase, which the check above needs anyway, kept for
-        # the float kernel (set past the frozen __setattr__; not a field)
-        object.__setattr__(self, "_float_eta", e)
 
     @property
     def eta(self):
         return Exact.MINUS_ONE if self.kind == "cz" else self.eta_value
+
+    @functools.cached_property
+    def _float_eta(self) -> complex:
+        """The gate's phase as a float, on the first float use."""
+        return _CZ_FLOAT_ETA if self.kind == "cz" else to_float(self.eta_value)
 
     @functools.cached_property
     def _exact_op(self) -> tuple:

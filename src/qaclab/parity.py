@@ -11,7 +11,9 @@ qubit set covers the register, no matter what the remaining qubits hold.
 The refuters turn this into checkable evidence that a concrete circuit
 does not compute parity for the supplied ancilla state.  A certificate
 records two initial states plus the simulated final target densities and
-is re-verified by simulation alone:
+is re-verified by simulation alone.  Every certificate is made by one
+constructor, ``_certified``, which runs the verifier's checks once and
+records the final targets from the simulation that verified them:
 
 * parity-mismatch: the input registers carry pure parity 0 and 1
   respectively, yet the final target states agree;
@@ -24,6 +26,7 @@ Either way a circuit computing parity would have to end with target
 """
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +43,7 @@ from .numerics import DEFAULT_TOL, Tolerance, kron_all
 from .qstate import (
     MAX_QUBITS,
     StateVector,
+    _AmplitudeLines,
     basis_state,
     format_state,
     ones_projection_norm,
@@ -50,7 +54,6 @@ from .textio import (
     ParseError,
     content_lines,
     format_complexes,
-    parse_bits,
     parse_complexes,
     parse_int,
 )
@@ -74,11 +77,15 @@ def subset_parity_mass(psi: StateVector, qubits, b: int) -> float:
     return _parity_masses(psi, qubits, (b,))[0]
 
 
+def _parity_of(r: int, qubits) -> np.ndarray:
+    """The parity of the bits at ``qubits`` of each r-qubit basis index."""
+    sel = sum(1 << (r - 1 - q) for q in set(qubits))
+    return np.bitwise_count(np.arange(1 << r) & sel) & 1
+
+
 def _parity_masses(psi: StateVector, qubits, parities=(0, 1)) -> list[float]:
     """``subset_parity_mass`` for each of ``parities``, read off one array."""
-    r = psi.r
-    sel = sum(1 << (r - 1 - q) for q in set(qubits))
-    parity = (np.bitwise_count(np.arange(1 << r) & sel) & 1).reshape([2] * r)
+    parity = _parity_of(psi.r, qubits).reshape([2] * psi.r)
     probs = np.abs(psi.to_float().axes()) ** 2
     return [float(np.sum(probs, where=parity == b)) for b in parities]
 
@@ -159,15 +166,11 @@ def kill_parity_state(unitaries, b: int,
         raise KillParityError(
             f"{k} constraints with r={r}: need k < 2^(r-1) = {1 << (r - 1)}",
             "precondition")
-    basis = parity_basis(r, b)
-    ones_row = dim - 1
-    a = np.array([[u[ones_row, int(bits, 2)] for bits in basis] for u in mats])
-    v = _nullspace_vector_last_free(a, tol)
+    basis = np.flatnonzero(_parity_of(r, range(r)) == b)  # parity_basis's order
     amps = np.zeros(dim, dtype=complex)
-    for coeff, bits in zip(v, basis):
-        amps[int(bits, 2)] = coeff
+    amps[basis] = _nullspace_vector_last_free(np.array([u[-1, basis] for u in mats]), tol)
     psi = StateVector(r, amps)
-    worst = max(abs(u[ones_row, :] @ psi.amps) for u in mats)
+    worst = max(abs(u[-1, :] @ psi.amps) for u in mats)
     if worst > tol.threshold(1.0) * 100:
         raise KillParityError(f"constraint residual {worst:g} too large",
                               "degenerate")
@@ -204,60 +207,79 @@ class RefutationCertificate:
     note: str = ""
 
 
-def verify_certificate(cert: RefutationCertificate, circuit: Circuit,
-                       tol: Tolerance = DEFAULT_TOL):
-    """Re-check a certificate by direct simulation.
-
-    Returns (ok, detail).  Shares only the simulation, ``simulate_all``
-    on both states in one pass, with the refuters.
-    """
+def _check(cert: RefutationCertificate, circuit: Circuit, tol: Tolerance):
+    """The first check ``cert`` fails (None if it passes every one) and the
+    final target densities of its two states, simulated in one pass (None
+    when a check before the simulation fails)."""
     if len(cert.states) != 2:
-        return False, "certificate needs exactly two states"
+        return "certificate needs exactly two states", None
     inputs = list(circuit.input_qubits())
     thr = tol.threshold(1.0)
     for psi in cert.states:
         if psi.r != circuit.r:
-            return False, f"state has {psi.r} qubits, circuit has {circuit.r}"
+            return f"state has {psi.r} qubits, circuit has {circuit.r}", None
         amps = psi.to_float().amps
         if not np.all(np.isfinite(amps)):
-            return False, "state has a non-finite amplitude"
+            return "state has a non-finite amplitude", None
         if abs(np.linalg.norm(amps) - 1.0) > thr:
-            return False, "state is not unit norm"
+            return "state is not unit norm", None
         # a parity circuit acts on target |0>; from |1> it ends flipped
         if ones_projection_norm(psi, {0}) > thr:
-            return False, "target qubit is not |0>"
+            return "target qubit is not |0>", None
 
     if cert.kind == "parity-mismatch":
         if cert.parities is None or sorted(cert.parities) != [0, 1]:
-            return False, "parities must be 0 and 1"
+            return "parities must be 0 and 1", None
         for psi, b in zip(cert.states, cert.parities):
             off = subset_parity_mass(psi, inputs, 1 - b)
             if np.sqrt(off) > thr:
-                return False, f"input register is not pure parity {b}"
+                return f"input register is not pure parity {b}", None
     elif cert.kind == "target-independence":
         q = cert.flip_qubit
         if q is None or q not in inputs:
-            return False, "flip qubit must be an input qubit"
+            return "flip qubit must be an input qubit", None
         # the flip then moves the input register to the other parity
         if min(_parity_masses(cert.states[0], inputs)) > thr**2:
-            return False, "input register has no definite parity"
+            return "input register has no definite parity", None
         flipped = apply_1q(cert.states[0], q, GATE_X)
         if not flipped.approx_equal(cert.states[1], tol):
-            return False, "states do not differ by a flip of the designated qubit"
+            return "states do not differ by a flip of the designated qubit", None
     else:
-        return False, f"unknown certificate kind {cert.kind!r}"
+        return f"unknown certificate kind {cert.kind!r}", None
 
-    densities = []
-    for final, recorded in zip(simulate_all(circuit, cert.states), cert.final_targets):
-        rho = target_density(final)
-        densities.append(rho)
+    densities = [target_density(final) for final in simulate_all(circuit, cert.states)]
+    for rho, recorded in zip(densities, cert.final_targets):
         # written so that a NaN in the recorded target fails the check
         if recorded is not None and not np.max(np.abs(rho - recorded)) <= 100 * thr:
-            return False, "recorded final target deviates from simulation"
+            return "recorded final target deviates from simulation", densities
     gap = float(np.max(np.abs(densities[0] - densities[1])))
     if gap > thr:
-        return False, f"final target states differ by {gap:g}"
-    return True, "ok"
+        return f"final target states differ by {gap:g}", densities
+    return None, densities
+
+
+def verify_certificate(cert: RefutationCertificate, circuit: Circuit,
+                       tol: Tolerance = DEFAULT_TOL):
+    """Re-check a certificate by direct simulation.
+
+    Returns (ok, detail).  The refuters make every certificate through
+    these same checks (``_certified``), simulating both states in one
+    pass of ``simulate_all``.
+    """
+    failure, _ = _check(cert, circuit, tol)
+    return failure is None, failure or "ok"
+
+
+def _certified(circuit: Circuit, tol: Tolerance, kind: str, states: list,
+               note: str, **fields) -> RefutationCertificate:
+    """The certificate of ``states``, checked once; its final targets are
+    recorded from the simulation that verified it."""
+    cert = RefutationCertificate(kind, states, [None, None], note=note, **fields)
+    failure, cert.final_targets = _check(cert, circuit, tol)
+    if failure is not None:
+        raise CertificateVerificationError(
+            f"constructed certificate failed verification: {failure}")
+    return cert
 
 
 # ---- refuter plumbing --------------------------------------------------------
@@ -268,7 +290,6 @@ def product_initial(circuit: Circuit, committed: dict,
     """Full-register initial state: target |0>, ancillas in ``ancilla``
     (default |0..0>), inputs from ``committed`` mapping qubit tuples to
     states, every unassigned input |0>."""
-    r = circuit.r
     pieces = [((0,), basis_state(1, 0))]
     taken = {0}
     for qs, st in committed.items():
@@ -291,9 +312,8 @@ def product_initial(circuit: Circuit, committed: dict,
             raise ValueError("ancilla register size mismatch")
         pieces.append((tuple(anc), ancilla))
         taken.update(anc)
-    if taken != set(range(r)):
+    if taken != set(range(circuit.r)):
         raise ValueError("pieces do not cover the register")
-
     return product_state(pieces)
 
 
@@ -304,17 +324,35 @@ def _dressing_unitary(circuit: Circuit, layer_index: int, qubits) -> np.ndarray:
                     for q in sorted(qubits))
 
 
-def _finish(cert: RefutationCertificate, circuit: Circuit,
-            tol: Tolerance) -> RefutationCertificate:
-    ok, detail = verify_certificate(cert, circuit, tol)
-    if not ok:
-        raise CertificateVerificationError(
-            f"constructed certificate failed verification: {detail}")
-    return cert
+class _Builder:
+    """The refuters' two certificate builders for one circuit and ancilla
+    state; a non-unit ancilla is refused up front (``ValueError``), by the
+    threshold the checks apply."""
 
+    def __init__(self, circuit: Circuit, ancilla: StateVector | None, tol: Tolerance):
+        norm = 1.0 if ancilla is None else ancilla.norm()
+        if not abs(norm - 1.0) <= tol.threshold(1.0):  # NaN fails too
+            raise ValueError(f"ancilla norm {norm:.6g} is not 1")
+        self.circuit, self.ancilla, self.tol = circuit, ancilla, tol
 
-def _targets_for(circuit: Circuit, states) -> list:
-    return [target_density(final) for final in simulate_all(circuit, states)]
+    def initial(self, committed: dict) -> StateVector:
+        return product_initial(self.circuit, committed, self.ancilla)
+
+    def flip(self, committed: dict, q: int, note: str) -> RefutationCertificate:
+        """Target independence: the ``committed`` inputs, then the same
+        with input q set to |1>."""
+        states = [self.initial(committed),
+                  self.initial({**committed, (q,): basis_state(1, 1)})]
+        return _certified(self.circuit, self.tol, "target-independence", states,
+                          note, flip_qubit=q)
+
+    def killed(self, qubits, unitaries, note: str) -> RefutationCertificate:
+        """Parity mismatch: the parity-0 and parity-1 killers of
+        ``unitaries`` on ``qubits``."""
+        states = [self.initial({tuple(qubits): kill_parity_state(unitaries, b, self.tol)})
+                  for b in (0, 1)]
+        return _certified(self.circuit, self.tol, "parity-mismatch", states, note,
+                          parities=(0, 1))
 
 
 def refute_depth1(circuit: Circuit, ancilla: StateVector | None = None,
@@ -330,32 +368,16 @@ def refute_depth1(circuit: Circuit, ancilla: StateVector | None = None,
     """
     if circuit.depth != 1:
         raise RefutationError("refuter needs a depth-1 circuit")
-    n = circuit.n_inputs
-    if n < 2:
+    if circuit.n_inputs < 2:
         raise RefutationError("need at least two input qubits")
+    build = _Builder(circuit, ancilla, tol)
     g0 = circuit.multi_at(1, 0)
     detached = [j for j in circuit.input_qubits()
                 if g0 is None or j not in g0.qubits]
     if detached:
-        q = detached[0]
-        states = [product_initial(circuit, {}, ancilla),
-                  product_initial(circuit, {(q,): basis_state(1, 1)}, ancilla)]
-        cert = RefutationCertificate(
-            kind="target-independence", states=states,
-            final_targets=_targets_for(circuit, states),
-            flip_qubit=q, note="input shares no gate with the target")
-        return _finish(cert, circuit, tol)
-
-    u1 = _dressing_unitary(circuit, 0, (1, 2))
-    states = []
-    for b in (0, 1):
-        psi_b = kill_parity_state([u1], b, tol)
-        states.append(product_initial(circuit, {(1, 2): psi_b}, ancilla))
-    cert = RefutationCertificate(
-        kind="parity-mismatch", states=states,
-        final_targets=_targets_for(circuit, states),
-        parities=(0, 1), note="killer states switch off the target's gate")
-    return _finish(cert, circuit, tol)
+        return build.flip({}, detached[0], "input shares no gate with the target")
+    return build.killed((1, 2), [_dressing_unitary(circuit, 0, (1, 2))],
+                        "killer states switch off the target's gate")
 
 
 def refute_depth2_structural(circuit: Circuit,
@@ -381,97 +403,52 @@ def refute_depth2_structural(circuit: Circuit,
     """
     if circuit.depth != 2:
         raise RefutationError("refuter needs a depth-2 circuit")
-    n = circuit.n_inputs
+    build = _Builder(circuit, ancilla, tol)
     inputs = set(circuit.input_qubits())
+    s_gate = circuit.multi_at(2, 0)
+    s_qubits = s_gate.qubits if s_gate is not None else frozenset()
 
     # tactic 1: a first-layer gate with at least three input qubits
-    if n >= 3:
-        for gate in sorted(circuit.multi_layers[0],
-                           key=lambda g: min(g.qubits) if g.qubits else -1):
-            touched = sorted(q for q in gate.qubits if q in inputs)
-            if len(touched) < 3:
-                continue
-            trio = touched[:3]
-            s_gate = circuit.multi_at(2, 0)
-            s_qubits = s_gate.qubits if s_gate is not None else frozenset()
-            outside = [q for q in trio if q not in s_qubits]
-            if outside:
-                q3 = outside[0]
-                qa, qb = [q for q in trio if q != q3][:2]
-                psi = kill_parity_state([_dressing_unitary(circuit, 0, (qa, qb))],
-                                        0, tol)
-                states = [
-                    product_initial(circuit, {(qa, qb): psi}, ancilla),
-                    product_initial(circuit, {(qa, qb): psi,
-                                              (q3,): basis_state(1, 1)}, ancilla),
-                ]
-                cert = RefutationCertificate(
-                    kind="target-independence", states=states,
-                    final_targets=_targets_for(circuit, states),
-                    flip_qubit=q3,
-                    note="first-layer gate killed; third input decoupled")
-                return _finish(cert, circuit, tol)
-            u1 = _dressing_unitary(circuit, 0, trio)
-            u2 = _dressing_unitary(circuit, 1, trio) @ u1
-            states = []
-            for b in (0, 1):
-                psi_b = kill_parity_state([u1, u2], b, tol)
-                states.append(product_initial(circuit, {tuple(trio): psi_b},
-                                              ancilla))
-            cert = RefutationCertificate(
-                kind="parity-mismatch", states=states,
-                final_targets=_targets_for(circuit, states),
-                parities=(0, 1),
-                note="double killer switches off both layers on three inputs")
-            return _finish(cert, circuit, tol)
+    for gate in sorted(circuit.multi_layers[0],
+                       key=lambda g: min(g.qubits) if g.qubits else -1):
+        touched = sorted(q for q in gate.qubits if q in inputs)
+        if len(touched) < 3:
+            continue
+        trio = touched[:3]
+        outside = [q for q in trio if q not in s_qubits]
+        if outside:
+            pair = tuple(q for q in trio if q != outside[0])
+            psi = kill_parity_state([_dressing_unitary(circuit, 0, pair)], 0, tol)
+            return build.flip({pair: psi}, outside[0],
+                              "first-layer gate killed; third input decoupled")
+        u1 = _dressing_unitary(circuit, 0, trio)
+        return build.killed(trio, [u1, _dressing_unitary(circuit, 1, trio) @ u1],
+                            "double killer switches off both layers on three inputs")
 
     # tactic 2: the target's first-layer gate touches two input qubits
     g01 = circuit.multi_at(1, 0)
-    if g01 is not None:
-        touched = sorted(q for q in g01.qubits if q in inputs)
-        if len(touched) >= 2:
-            q1, q2 = touched[:2]
-            u1 = _dressing_unitary(circuit, 0, (q1, q2))
-            killers = {b: kill_parity_state([u1], b, tol) for b in (0, 1)}
-            states = [product_initial(circuit, {(q1, q2): killers[b]}, ancilla)
-                      for b in (0, 1)]
-            targets = _targets_for(circuit, states)
-            if np.max(np.abs(targets[0] - targets[1])) <= tol.threshold(1.0):
-                cert = RefutationCertificate(
-                    kind="parity-mismatch", states=states,
-                    final_targets=targets, parities=(0, 1),
-                    note="killer states leave the target parity-independent")
-                return _finish(cert, circuit, tol)
-            # the simulated targets differ; see whether the second-layer
-            # gate demonstrably disappears from the committed side alone
-            s_gate = circuit.multi_at(2, 0)
-            if s_gate is not None and len(s_gate.qubits) > 1 and n >= 3:
-                committed_side = s_gate.qubits & {0, q1, q2}
-                q3 = min(q for q in inputs if q not in (q1, q2))
-                for b in (0, 1):
-                    _, steps = simulate(circuit, states[b], trace=True)
-                    after_dressing = [st for lbl, st in steps if lbl == 1.5]
-                    phi = after_dressing[0]
-                    outcome = classify_simplification(s_gate.qubits, phi, tol)
-                    if not outcome.disappears or not committed_side:
-                        continue
-                    if ones_projection_norm(phi, committed_side) > tol.threshold(1.0):
-                        continue
-                    flip_states = [
-                        states[b],
-                        product_initial(circuit, {(q1, q2): killers[b],
-                                                  (q3,): basis_state(1, 1)},
-                                        ancilla),
-                    ]
-                    cert = RefutationCertificate(
-                        kind="target-independence", states=flip_states,
-                        final_targets=_targets_for(circuit, flip_states),
-                        flip_qubit=q3,
-                        note="second-layer gate disappears from the committed side")
-                    try:
-                        return _finish(cert, circuit, tol)
-                    except CertificateVerificationError:
-                        continue
+    touched = sorted(q for q in g01.qubits if q in inputs) if g01 is not None else []
+    if len(touched) < 2:
+        return None
+    pair = tuple(touched[:2])
+    u1 = [_dressing_unitary(circuit, 0, pair)]
+    with suppress(CertificateVerificationError):  # else the final targets differ
+        return build.killed(pair, u1, "killer states leave the target parity-independent")
+    # see whether the second-layer gate demonstrably disappears from the
+    # committed side alone (that side holds the target, qubit 0)
+    if len(s_qubits) < 2 or len(inputs) < 3:
+        return None
+    committed_side = s_qubits & {0, *pair}
+    q3 = min(inputs - set(pair))
+    for b in (0, 1):
+        committed = {pair: kill_parity_state(u1, b, tol)}
+        _, steps = simulate(circuit, build.initial(committed), trace=True)
+        phi = next(st for lbl, st in steps if lbl == 1.5)
+        if (classify_simplification(s_qubits, phi, tol).disappears
+                and ones_projection_norm(phi, committed_side) <= tol.threshold(1.0)):
+            with suppress(CertificateVerificationError):
+                return build.flip(committed, q3,
+                                  "second-layer gate disappears from the committed side")
     return None
 
 
@@ -552,7 +529,7 @@ def parse_certificate(text: str) -> RefutationCertificate:
     ``target <idx>`` lines may each appear once."""
     err = CertificateParseError
     header = {}
-    state_amps = {}
+    state_lines = {}
     targets = {}
     for ln, parts in content_lines(text):
         key, args = parts[0], parts[1:]
@@ -562,10 +539,8 @@ def parse_certificate(text: str) -> RefutationCertificate:
             raise err(f"unknown key {key!r}", ln, "unknown-directive")
         if _CERT_FIELDS[key] not in (None, len(args)):
             raise err(f"{key} needs {_CERT_FIELDS[key]} fields", ln)
-        if key == "note":
+        if key in ("note", "kind"):  # a kind is one token
             header[key] = " ".join(args)
-        elif key == "kind":
-            header[key] = args[0]
         elif key == "qubits":
             header[key] = parse_int(args[0], ln, err, lo=1, hi=MAX_QUBITS,
                                     what="qubits count", kind="bad-header")
@@ -577,25 +552,20 @@ def parse_certificate(text: str) -> RefutationCertificate:
             if "qubits" not in header:
                 raise err("state line before the qubits line", ln, "bad-header")
             idx = parse_int(args[0], ln, err, what="state index")
-            i = parse_bits(args[1], header["qubits"], ln, err)
-            amps = state_amps.setdefault(idx, {})
-            if i in amps:
-                raise err(f"repeated amplitude of state {idx} {args[1]}", ln,
-                          "duplicate-entry")
-            amps[i], = parse_complexes(args[2:], 1, ln, err, what="amplitude")
+            if idx not in state_lines:
+                state_lines[idx] = _AmplitudeLines(header["qubits"],
+                                                   f"amplitude of state {idx}")
+            state_lines[idx].read(args[1:], ln, err)
         else:
             idx = parse_int(args[0], ln, err, what="target index")
             if idx in targets:
                 raise err(f"repeated target {idx}", ln, "duplicate-entry")
             targets[idx] = np.array(parse_complexes(
                 args[1:], 4, ln, err, what="target entry")).reshape(2, 2)
-    if not {"kind", "qubits"} <= header.keys() or not state_amps:
+    if not {"kind", "qubits"} <= header.keys() or not state_lines:
         raise err("certificate is missing kind/qubits/states", None, "incomplete")
-    states = []
-    for idx in sorted(state_amps):
-        amps = np.zeros(1 << header["qubits"], dtype=complex)
-        amps[list(state_amps[idx])] = list(state_amps[idx].values())
-        states.append(StateVector(header["qubits"], amps))
+    states = [StateVector(header["qubits"], state_lines[idx].amps())
+              for idx in sorted(state_lines)]
     final_targets = [targets.get(i) for i in range(len(states))]
     return RefutationCertificate(kind=header["kind"], states=states,
                                  final_targets=final_targets,

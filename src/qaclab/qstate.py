@@ -678,26 +678,40 @@ def format_state(psi: StateVector) -> str:
                    for bits, a in psi.to_float().nonzero_items()) or "\n"
 
 
+class _AmplitudeLines:
+    """The ``bits re im`` lines of one r-qubit state, read in order; a
+    bitstring may appear on one line only (else "repeated <label> <bits>")."""
+
+    def __init__(self, r: int, label: str = "bitstring"):
+        self.r, self.label, self.entries = r, label, {}
+
+    def read(self, tokens, ln, error) -> None:
+        bits, *re_im = tokens
+        i = parse_bits(bits, self.r, ln, error)
+        if i in self.entries:
+            raise error(f"repeated {self.label} {bits}", ln, "duplicate-entry")
+        self.entries[i], = parse_complexes(re_im, 1, ln, error, what="amplitude")
+
+    def amps(self) -> np.ndarray:
+        amps = np.zeros(1 << self.r, dtype=complex)
+        amps[list(self.entries)] = list(self.entries.values())
+        return amps
+
+
 def parse_state(text: str) -> StateVector:
     """Read a state dump; a bitstring may appear on one line only."""
-    entries = {}
-    r = None
+    lines = None
     for ln, parts in content_lines(text):
         if len(parts) != 3:
             raise StateParseError("expected 'bitstring re im'", ln)
-        r = len(parts[0]) if r is None else r
-        if r > MAX_QUBITS:
-            raise StateParseError(f"more than {MAX_QUBITS} qubits", ln,
-                                  "register-too-large")
-        i = parse_bits(parts[0], r, ln, StateParseError)
-        if i in entries:
-            raise StateParseError(f"repeated bitstring {parts[0]}", ln,
-                                  "duplicate-entry")
-        entries[i], = parse_complexes(parts[1:], 1, ln, StateParseError,
-                                      what="amplitude")
-    if r is None:
+        if lines is None:
+            if len(parts[0]) > MAX_QUBITS:
+                raise StateParseError(f"more than {MAX_QUBITS} qubits", ln,
+                                      "register-too-large")
+            lines = _AmplitudeLines(len(parts[0]))
+        lines.read(parts, ln, StateParseError)
+    if lines is None:
         raise StateParseError("empty state dump", None, "empty")
-    amps = np.zeros(1 << r, dtype=complex)
-    amps[list(entries)] = list(entries.values())
+    r, amps = lines.r, lines.amps()
     n = np.linalg.norm(amps)
     return StateVector(r, amps, normalized=bool(abs(n - 1.0) <= _NORMALIZED))

@@ -150,11 +150,10 @@ def test_entanglement_exact_backend():
     assert report.passed, report.violations[:2]
 
 
-@pytest.mark.parametrize("suite", ["tight-parity3", "sv-vs-rank"])
+@pytest.mark.parametrize("suite", ["tight-parity3", "sv-vs-rank",
+                                   "entanglement-lemma"])
 def test_exact_suites_never_go_float(exact_stays_exact, suite):
-    # at their default configs, both exact; exact entanglement-lemma is not
-    # here, as each MultiGate converts its phase to a float when built
-    report = run_suite(suite)
+    report = run_suite(suite, backend="exact")
     assert report.backend == "exact" and report.passed
 
 

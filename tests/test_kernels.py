@@ -518,9 +518,10 @@ def test_parity_check_finds_the_first_counterexample(case):
 
 
 def test_phase_gates_build_their_constants_once(monkeypatch):
-    # across 16 inputs, each geta gate object takes its float phase once
-    # (CZ's is a constant) and each phase gate its exact operator once,
-    # however many times it is applied
+    # across 16 inputs, each geta gate object takes its float phase once,
+    # on its first float use (CZ's is a constant; an exact circuit never
+    # converts), and each phase gate its exact operator once, however
+    # many times it is applied
     phase_ops, floats = [], []
 
     def counted_phase_op(eta):
@@ -543,7 +544,7 @@ def test_phase_gates_build_their_constants_once(monkeypatch):
         simulate(exact, basis_state(4, bits))
         simulate(floating, basis_state(4, bits, exact=False))
     simulate_all(exact, [basis_state(4, bits) for bits in range(16)])
-    assert len(phase_ops) == 3 and len(floats) == 4
+    assert len(phase_ops) == 3 and len(floats) == 2
 
 
 #: The four units of the numerator components 1, sqrt2, i, i sqrt2.

@@ -1,9 +1,14 @@
+import hashlib
+import json
+import sys
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qaclab import parity
 from qaclab.circuit import (
     GATE_H,
     GATE_X,
@@ -13,6 +18,7 @@ from qaclab.circuit import (
     cz,
     parity3_circuit,
     simulate,
+    simulate_all,
 )
 from qaclab.harness import _random_multi_layer, _random_single_layer, run_suite
 from qaclab.numerics import Tolerance, make_rng, random_unitary
@@ -242,6 +248,113 @@ def test_refute_depth2_disappearing_side_route():
 
 def test_refute_depth2_not_applicable_on_parity3():
     assert refute_depth2_structural(parity3_circuit()) is None
+
+
+# ---- golden refuter outcomes ---------------------------------------------------
+# ``python tests/test_parity.py`` rewrites the file from the current code.
+
+GOLDEN = Path(__file__).parent / "data" / "refute_golden.json"
+GOLDEN_CASES = 800
+_DENSITIES = (0.0, 0.2, 0.5, 0.8)
+
+
+def _golden_case(k):
+    """Seeded circuit k (depth 1 for every fourth, else depth 2) and its
+    ancilla (None for the default |0..0>); sparse dressings reach every
+    depth-2 tactic."""
+    rng = make_rng(22, k)
+    depth = 1 if k % 4 == 0 else 2
+    n, m = int(rng.integers(2, 7)), int(rng.integers(0, 3))
+    r = 1 + n + m
+    density = _DENSITIES[int(rng.integers(len(_DENSITIES)))]
+    c = Circuit(r, n, m,
+                single_layers=[_random_single_layer(rng, r, density)
+                               for _ in range(depth + 1)],
+                multi_layers=[_random_multi_layer(rng, r) for _ in range(depth)])
+    return c, random_state(m, rng) if m and rng.random() < 0.5 else None
+
+
+def _refute_outcome(k):
+    """None, the error raised, or the certificate's note and the sha256
+    of its text."""
+    c, ancilla = _golden_case(k)
+    refute = refute_depth1 if c.depth == 1 else refute_depth2_structural
+    try:
+        cert = refute(c, ancilla)
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+    if cert is None:
+        return None
+    return [cert.note, hashlib.sha256(format_certificate(cert).encode()).hexdigest()]
+
+
+def _golden_text():
+    return ("[\n" + ",\n".join(json.dumps(_refute_outcome(k))
+                                for k in range(GOLDEN_CASES)) + "\n]\n")
+
+
+def test_refuter_outcomes_match_golden():
+    golden = json.loads(GOLDEN.read_text())
+    assert len(golden) == GOLDEN_CASES
+    # every tactic of both refuters builds some pinned certificate
+    assert {o[0] for o in golden if isinstance(o, list)} == {
+        "input shares no gate with the target",
+        "killer states switch off the target's gate",
+        "first-layer gate killed; third input decoupled",
+        "double killer switches off both layers on three inputs",
+        "killer states leave the target parity-independent",
+        "second-layer gate disappears from the committed side"}
+    for k, expected in enumerate(golden):
+        assert _refute_outcome(k) == expected, f"case {k}"
+
+
+@pytest.mark.parametrize("scale", [1.5, 0.5, np.nan])
+def test_refuters_refuse_a_non_unit_ancilla(scale):
+    # whatever the circuit, before any tactic, by the verifier's threshold
+    cases = [_golden_case(k)[0] for k in range(40)]
+    cases = [c for c in cases if c.n_ancillas][:12]
+    assert {c.depth for c in cases} == {1, 2}
+    for c in cases:
+        anc = StateVector(c.n_ancillas, scale * basis_state(c.n_ancillas, 0).to_float().amps)
+        refute = refute_depth1 if c.depth == 1 else refute_depth2_structural
+        with pytest.raises(ValueError, match="ancilla norm .* is not 1"):
+            refute(c, anc)
+
+
+def _count_passes(monkeypatch):
+    """The list of ``simulate_all`` calls parity makes from now on."""
+    calls = []
+
+    def counted(circuit, states):
+        calls.append(len(states))
+        return simulate_all(circuit, states)
+
+    monkeypatch.setattr(parity, "simulate_all", counted)
+    return calls
+
+
+def test_one_simulation_per_certificate(monkeypatch):
+    passes = _count_passes(monkeypatch)
+    c = all_h_depth1(2, m=1)
+    cert = refute_depth1(c)
+    assert passes == [2]
+    assert verify_certificate(cert, c)[0] and passes == [2, 2]
+    # tactic 2: the killers' targets differ (one try), then the flip of
+    # the parity-0 killer side is made (a second)
+    tries, certified = [], parity._certified
+
+    def counted(circuit, tol, kind, *args, **kwargs):
+        tries.append(kind)
+        return certified(circuit, tol, kind, *args, **kwargs)
+
+    monkeypatch.setattr(parity, "_certified", counted)
+    passes.clear()
+    c = Circuit(4, 3, 0, single_layers=[{0: GATE_H}, {}, {0: GATE_H}],
+                multi_layers=[[cz(0, 1, 2)], [cz(0, 1)]])
+    cert = refute_depth2_structural(c)
+    assert cert.note == "second-layer gate disappears from the committed side"
+    assert tries == ["parity-mismatch", "target-independence"]
+    assert passes == [2, 2]
 
 
 # ---- certificates --------------------------------------------------------------
@@ -475,3 +588,10 @@ def test_certificate_lines_must_not_repeat(extra):
         parse_certificate(text)
     assert err.value.kind == "duplicate-entry"
     parse_certificate(_cert_text("0000") + "state 0 0001 0.0 1.0\n")  # other state
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 1:
+        sys.exit("usage: test_parity.py (rewrites the golden refuter outcomes)")
+    GOLDEN.write_text(_golden_text())
+    sys.stdout.write(f"wrote {GOLDEN}\n")
