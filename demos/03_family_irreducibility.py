@@ -9,7 +9,7 @@
 # For the compact two-block shape there is a constructive witness: scan
 # A over {0,...,4}, solve for the unique B making P vanish, and check
 # the two excluded values per side; some A always survives, giving a
-# justifying root of P.
+# justifying root of P.  Exact inputs give an exact root.
 
 from qaclab import (
     BlockSpec,
@@ -20,7 +20,7 @@ from qaclab import (
 )
 from qaclab.family import FAMILY_SHAPES, random_family_instance
 from qaclab.multilinear import indecomposable_at_every_split, is_justifying
-from qaclab.numerics import Exact, make_rng, to_float
+from qaclab.numerics import Exact, make_rng
 
 # the smallest instance: k = m = 1, unit coefficients, alpha = 2
 spec = BlockSpec(x=(1, 0), z=(1, 0))
@@ -30,9 +30,9 @@ print("P =", p)
 print("hypotheses:", check_family_hypotheses(spec, ones, ones).as_dict())
 
 assignment, a_val, b_val = two_block_zero_assignment(spec, ones, ones, Exact(2))
-print(f"explicit witness: A = {a_val}, B = {b_val:.6g}")
+print(f"explicit witness: A = {a_val}, B = {b_val}")  # exact inputs, exact B
 print("  justifying:", is_justifying(p, assignment))
-print("  P(a)      :", to_float(evaluate(p, assignment)))
+print("  P(a)      :", evaluate(p, assignment))
 print("  no rank-1 split:", indecomposable_at_every_split(p))
 
 # random instances of all six shapes stay indecomposable

@@ -24,7 +24,6 @@ from .multilinear import (
     find_zero_justifying_assignment,
     restrict,
     sv_partition_test,
-    variables_of,
 )
 from .family import (
     BlockSpec,

@@ -11,23 +11,26 @@ of every product term whose leading sub-index is all ones:
 Each block index splits into a leading part of length k1 (resp. l1, m1,
 n1) and a trailing part of length k2 (and so on); a trailing length of
 zero collapses the sum onto the single all-ones index of that block.
+The correction is itself a product, alpha * L1 * L2, with L1 and L2 the
+forms T1 and T2 on the coefficients whose leading parts are all ones.
 Under the coefficient hypotheses reported by ``check_family_hypotheses``
 every member is indecomposable, which the verification suites certify
 split by split.
 
 For the two-block shape with no trailing parts there is a constructive
 witness: an assignment that is justifying and a root of P, found by
-scanning A over {0,...,4} and solving for the matching B.
+scanning A over {0,...,4} and solving for the matching B in the inputs'
+field, so exact inputs give an exact witness.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass
 from itertools import product
 
 import numpy as np
 
 from .multilinear import Assignment, MultilinearPoly, VarId
-from .numerics import Exact, is_exact, random_scalar, scalar_is_zero, to_float
+from .numerics import Exact, Scalar, is_exact, random_scalar, scalar_is_zero, to_float
 
 #: In the candidate scan of ``two_block_zero_assignment``, T1 or T2 this
 #: close to 0, or to alpha times its ones coefficient, rejects the
@@ -123,27 +126,14 @@ def _leading_all_ones(key: str, lengths) -> bool:
 
 
 def build_family_P(spec: BlockSpec, c: dict, d: dict, alpha) -> MultilinearPoly:
-    """The family polynomial T1*T2 minus alpha times the all-ones-lead sum."""
+    """T1*T2 - (L1 * alpha) * L2, where L1 and L2 are T1 and T2 on the
+    coefficients whose leading parts are all ones."""
     if scalar_is_zero(alpha):
         raise ValueError("alpha must be nonzero")
-    t1 = build_t1(spec, c)
-    t2 = build_t2(spec, d)
-    p = t1 * t2
-    correction = {}
-    for ckey, cval in c.items():
-        if not _leading_all_ones(ckey, spec.t1_lengths()):
-            continue
-        for dkey, dval in d.items():
-            if not _leading_all_ones(dkey, spec.t2_lengths()):
-                continue
-            parts1 = _split_key(ckey, spec.t1_lengths())
-            parts2 = _split_key(dkey, spec.t2_lengths())
-            m = frozenset(
-                list(VarId("xy"[i], s) for i, s in enumerate(parts1))
-                + list(VarId("zw"[i], s) for i, s in enumerate(parts2)))
-            val = alpha * cval * dval
-            correction[m] = correction[m] + val if m in correction else val
-    return p - MultilinearPoly(correction)
+    ones1 = {k: v for k, v in c.items() if _leading_all_ones(k, spec.t1_lengths())}
+    ones2 = {k: v for k, v in d.items() if _leading_all_ones(k, spec.t2_lengths())}
+    p = build_t1(spec, c) * build_t2(spec, d)
+    return p - (build_t1(spec, ones1) * alpha) * build_t2(spec, ones2)
 
 
 @dataclass(frozen=True)
@@ -159,43 +149,20 @@ class FamilyHypotheses:
 
     @property
     def all_hold(self) -> bool:
-        checks = [self.c_ones_lead, self.d_ones_lead,
-                  self.c_off_ones_first, self.d_off_ones_first]
-        if self.c_off_ones_second is not None:
-            checks.append(self.c_off_ones_second)
-        if self.d_off_ones_second is not None:
-            checks.append(self.d_off_ones_second)
-        return all(checks)
+        return all(h for h in astuple(self) if h is not None)
 
     def as_dict(self) -> dict:
-        return {
-            "c_ones_lead": self.c_ones_lead,
-            "d_ones_lead": self.d_ones_lead,
-            "c_off_ones_first": self.c_off_ones_first,
-            "d_off_ones_first": self.d_off_ones_first,
-            "c_off_ones_second": self.c_off_ones_second,
-            "d_off_ones_second": self.d_off_ones_second,
-        }
+        return asdict(self)
 
 
 def _hypotheses_side(coeffs: dict, lengths) -> tuple[bool, bool, bool | None]:
-    ones_lead = False
-    off_first = False
-    off_second = None if len(lengths) == 1 else False
-    for key, val in coeffs.items():
-        if scalar_is_zero(val):
-            continue
-        parts = _split_key(key, lengths)
-        if _leading_all_ones(key, lengths):
-            ones_lead = True
-        lead0 = lengths[0][0]
-        if parts[0][:lead0] != "1" * lead0:
-            off_first = True
-        if len(lengths) > 1:
-            lead1 = lengths[1][0]
-            if parts[1][:lead1] != "1" * lead1:
-                off_second = True
-    return ones_lead, off_first, off_second
+    """Over the nonzero coefficients: whether one has every leading part
+    all ones, and whether one's first (second) block lead has a 0."""
+    offs = [[part[:lead] != "1" * lead
+             for part, (lead, _) in zip(_split_key(key, lengths), lengths)]
+            for key, val in coeffs.items() if not scalar_is_zero(val)]
+    off_second = any(off[1] for off in offs) if len(lengths) > 1 else None
+    return any(not any(off) for off in offs), any(off[0] for off in offs), off_second
 
 
 def check_family_hypotheses(spec: BlockSpec, c: dict, d: dict) -> FamilyHypotheses:
@@ -209,7 +176,7 @@ class NoZeroAssignmentError(RuntimeError):
 
 
 def two_block_zero_assignment(spec: BlockSpec, c: dict, d: dict,
-                              alpha) -> tuple[Assignment, int, complex]:
+                              alpha) -> tuple[Assignment, int, Scalar]:
     """Justifying root assignment for the compact two-block shape.
 
     Requires x and z blocks only, with no trailing parts.  Sets
@@ -218,14 +185,22 @@ def two_block_zero_assignment(spec: BlockSpec, c: dict, d: dict,
     variable, and scans A in {0,...,4}: B is then forced by requiring
     P to vanish,
 
-        B = alpha*c1*d1 / (d[u0]*(c1 + c[s0]*A)) - d1/d[u0],
+        B = alpha*c1*d1 / (d[u0]*T1) - d1/d[u0],    T1 = c1 + c[s0]*A,
 
-    and a candidate is kept when T1, T2 are nonzero and avoid the two
-    values that would flatten a single-variable restriction.
+    and a candidate is kept when T1 and T2 = d1 + d[u0]*B are nonzero
+    and differ from alpha*c1 and alpha*d1, the values that would flatten
+    a single-variable restriction.  All of it runs in the inputs' field:
+    exactly when every input is exact, else on complex floats, with
+    every input converted first and ``_DEGENERATE`` as the zero test.
     """
     if spec.has_y or spec.has_w or spec.x[1] != 0 or spec.z[1] != 0:
         raise FamilyShapeError("explicit root construction needs the compact "
                                "two-block shape (no y/w, no trailing parts)")
+    field = Exact if all(map(is_exact, (*c.values(), *d.values(), alpha))) else complex
+    if field is complex:
+        c = {key: to_float(v) for key, v in c.items()}
+        d = {key: to_float(v) for key, v in d.items()}
+        alpha = to_float(alpha)
     k, m = spec.x[0], spec.z[0]
     ones_s, ones_u = "1" * k, "1" * m
     c1 = c.get(ones_s, 0)
@@ -235,41 +210,18 @@ def two_block_zero_assignment(spec: BlockSpec, c: dict, d: dict,
     if scalar_is_zero(c1) or scalar_is_zero(d1) or s0 is None or u0 is None:
         raise NoZeroAssignmentError("coefficient hypotheses do not hold")
 
-    c1f, d1f = to_float(c1), to_float(d1)
-    cs0, du0 = to_float(c[s0]), to_float(d[u0])
-    alphaf = to_float(alpha)
-
-    exact_inputs = all(is_exact(v) for v in (*c.values(), *d.values())) and is_exact(alpha)
-
     for a_val in range(5):
-        t1 = c1f + cs0 * a_val
-        if abs(t1) < _DEGENERATE or abs(t1 - alphaf * c1f) < _DEGENERATE:
+        t1 = c1 + c[s0] * a_val
+        if scalar_is_zero(t1, _DEGENERATE) or scalar_is_zero(t1 - alpha * c1, _DEGENERATE):
             continue
-        b_val = alphaf * c1f * d1f / (du0 * t1) - d1f / du0
-        t2 = d1f + du0 * b_val
-        if abs(t2) < _DEGENERATE or abs(t2 - alphaf * d1f) < _DEGENERATE:
+        b_val = alpha * c1 * d1 / (d[u0] * t1) - d1 / d[u0]
+        t2 = d1 + d[u0] * b_val
+        if scalar_is_zero(t2, _DEGENERATE) or scalar_is_zero(t2 - alpha * d1, _DEGENERATE):
             continue
-        if exact_inputs:
-            a_s = Exact(a_val)
-            b_s = (alpha * c1 * d1) / (d[u0] * (c1 + c[s0] * Exact(a_val))) - d1 / d[u0]
-        else:
-            a_s, b_s = complex(a_val), b_val
-        assignment = {}
-        for s in _indices(k):
-            if s == s0:
-                assignment[VarId("x", s)] = a_s
-            elif s == ones_s:
-                assignment[VarId("x", s)] = Exact.ONE if exact_inputs else 1.0 + 0j
-            else:
-                assignment[VarId("x", s)] = Exact.ZERO if exact_inputs else 0j
-        for u in _indices(m):
-            if u == u0:
-                assignment[VarId("z", u)] = b_s
-            elif u == ones_u:
-                assignment[VarId("z", u)] = Exact.ONE if exact_inputs else 1.0 + 0j
-            else:
-                assignment[VarId("z", u)] = Exact.ZERO if exact_inputs else 0j
-        return assignment, a_val, b_val
+        fixed = {VarId("x", s0): field(a_val), VarId("x", ones_s): field(1),
+                 VarId("z", u0): b_val, VarId("z", ones_u): field(1)}
+        variables = [VarId("x", s) for s in _indices(k)] + [VarId("z", u) for u in _indices(m)]
+        return {v: fixed.get(v, field(0)) for v in variables}, a_val, b_val
     raise NoZeroAssignmentError("no A in {0..4} gave an admissible B")
 
 

@@ -44,7 +44,7 @@ from .circuit import (
     simulate,
     simulate_all,
 )
-from .numerics import Exact, Tolerance, make_rng, random_unitary, to_float
+from .numerics import Exact, Tolerance, make_rng, random_unitary, scalar_is_zero
 from .parity import (
     KillParityError,
     kill_parity_state,
@@ -67,7 +67,7 @@ from .qstate import (
 from .textio import ParseError
 
 #: The explicit root assignment of ``irreducibility-family`` must make
-#: |P(a)| at most this.
+#: |P(a)| at most this (exactly zero for exact inputs).
 _ROOT_RESIDUAL = 1e-8
 
 #: A ``kill-parity`` state must leave every killed row, and the parity it
@@ -361,8 +361,7 @@ def _suite_irreducibility(cfg, k):
     if not ml.is_justifying(p, assignment):
         yield f"A={a_val} explicit assignment is not justifying"
         return
-    value = ml.evaluate(p, assignment)
-    if abs(to_float(value)) > _ROOT_RESIDUAL:
+    if not scalar_is_zero(ml.evaluate(p, assignment), _ROOT_RESIDUAL):
         yield f"A={a_val} P(a) != 0"
 
 

@@ -216,12 +216,6 @@ class MultilinearPoly:
         return "<poly " + " + ".join(parts) + ">"
 
 
-def variables_of(f: MultilinearPoly) -> frozenset:
-    """Variables f depends on; for a pruned multilinear map this is the
-    union of the monomial supports."""
-    return f.variables()
-
-
 def evaluate(f: MultilinearPoly, a: Assignment):
     """Full substitution of a into f."""
     total = None
@@ -278,6 +272,15 @@ def is_justifying(f: MultilinearPoly, a: Assignment,
     return True
 
 
+def _attempt_point(rng: np.random.Generator, fvars: list, attempt: int,
+                   attempts: int) -> Assignment:
+    """A search's draw for fvars at one attempt: small positive exact
+    integers in the first half of the attempts, complex Gaussians after."""
+    if attempt < max(attempts // 2, 1):
+        return {v: Exact(int(rng.integers(1, 8))) for v in fvars}
+    return {v: random_scalar(rng) for v in fvars}
+
+
 def find_justifying_assignment(f: MultilinearPoly,
                                rng: np.random.Generator,
                                attempts: int = 200) -> Assignment:
@@ -290,10 +293,7 @@ def find_justifying_assignment(f: MultilinearPoly,
         raise ValueError("zero polynomial has no justifying assignment")
     fvars = sorted(f.variables())
     for attempt in range(attempts):
-        if attempt < max(attempts // 2, 1):
-            a = {v: Exact(int(rng.integers(1, 8))) for v in fvars}
-        else:
-            a = {v: random_scalar(rng) for v in fvars}
+        a = _attempt_point(rng, fvars, attempt, attempts)
         if is_justifying(f, a):
             return a
     raise JustifyingSearchError(
@@ -579,10 +579,7 @@ def find_zero_justifying_assignment(f: MultilinearPoly,
     fvars = sorted(f.variables())
     for attempt in range(attempts):
         pivot = fvars[int(rng.integers(0, len(fvars)))]
-        if attempt < max(attempts // 2, 1):
-            others = {v: Exact(int(rng.integers(1, 8))) for v in fvars if v != pivot}
-        else:
-            others = {v: random_scalar(rng) for v in fvars if v != pivot}
+        others = _attempt_point(rng, [v for v in fvars if v != pivot], attempt, attempts)
         val = _solve_single_variable_zero(f, pivot, others)
         if val is None:
             continue
@@ -594,6 +591,11 @@ def find_zero_justifying_assignment(f: MultilinearPoly,
 
 
 # ---- rank-based splitting ----------------------------------------------
+
+#: ``decompose`` and ``indecomposable_at_every_split`` enumerate up to
+#: 2^(v-1) splits and refuse f on more variables.
+_SPLIT_MAX_VARS = 24
+
 
 def _cut_matrix(f: MultilinearPoly, subset) -> np.ndarray:
     """f's coefficient matrix at the split (subset, rest), a (k, rows,
@@ -641,18 +643,11 @@ def _pivot_minors(rows):
                 yield -q * pivot[col]
 
 
-def _float_bounds(norm: float, n: int, tol: Tolerance) -> tuple[float, float]:
-    """Slack rho = 4 n eps F and no-split bound F (tau(F + rho) + rho), n entries, norm F."""
+def _no_split_bound(norm: float, n: int, tol: Tolerance) -> float:
+    """F (tau(F + rho) + rho) for n float entries of l2 norm F, with the
+    rounding slack rho = 4 n eps F: a pivot minor above it rules out a split."""
     rho = 4 * n * math.ulp(1.0) * norm
-    return rho, norm * (tol.threshold(norm + rho) + rho)
-
-
-def _split_bound(rows, norm: float, rho: float, tol: Tolerance) -> bool:
-    """Whether float rows of norm F, slack rho, split: their minors against
-    p have l2 norm at most |p| (tau(|p| - rho) - rho) - rho (|p| + F)."""
-    p = abs(next(iter(next(iter(rows)).values())))
-    return (math.hypot(*map(abs, _pivot_minors(rows))) * (1 + math.ulp(1.0))
-            + rho * (p + norm) <= p * (tol.threshold(p - rho) - rho))
+    return norm * (tol.threshold(norm + rho) + rho)
 
 
 def indecomposable_at_every_split(f: MultilinearPoly,
@@ -663,27 +658,24 @@ def indecomposable_at_every_split(f: MultilinearPoly,
     Each subset holding the least variable is tested on the sparse
     coefficient matrix M of its split (monomials as bitmasks) by its
     minors against the pivot p (``_pivot_minors``): exact f splits where
-    all vanish.  On floats they settle the oracle's rule s_2 <= tau(s_1),
-    tau = tol.threshold: no split if one exceeds F tau(F), as a minor is
-    at most s_1 s_2 and s_1 <= F, the l2 norm of the n coefficients; a
-    split if sqrt(sum |minor|^2) / |p| <= tau(|p|), as that is |M - R|_F
-    >= s_2 for the rank-1 R through p's row and column, and |p| <= s_1.
-    Both carry a slack rho = 4 n eps F for rounding, LAPACK's within a
-    small multiple of eps s_1; the oracle decides the rest.
+    all vanish.  On floats a minor above ``_no_split_bound`` rules the
+    split out under the oracle's rule s_2 <= tau(s_1), tau =
+    tol.threshold, as a minor is at most s_1 s_2 and s_1 <= F, the l2
+    norm of the coefficients; the oracle decides every other subset.
     """
     fvars = sorted(f.variables())
     v = len(fvars)
     if v <= 1:
         return True
-    if v > 24:
-        raise DecompositionBudgetError(f"{v} variables exceeds the 24-variable cap")
+    if v > _SPLIT_MAX_VARS:
+        raise DecompositionBudgetError(
+            f"{v} variables exceeds the {_SPLIT_MAX_VARS}-variable cap")
     bit = {x: 1 << i for i, x in enumerate(fvars)}
     masks = [sum(map(bit.__getitem__, m)) for m in f.terms]
     coeffs = list(f.terms.values())
     if not (exact := all(map(is_exact, coeffs))):
         coeffs = [to_float(c) for c in coeffs]
-        norm = math.hypot(*map(abs, coeffs))
-        rho, no_split = _float_bounds(norm, len(coeffs), tol)
+        no_split = _no_split_bound(math.hypot(*map(abs, coeffs)), len(coeffs), tol)
     # Subsets holding variable 0 but not all enumerate each bipartition once.
     for sub in range((1 << (v - 1)) - 1):
         cut = sub << 1 | 1
@@ -694,9 +686,8 @@ def indecomposable_at_every_split(f: MultilinearPoly,
         if exact:
             if not any(_pivot_minors(rows)):
                 return False
-        elif not any(map(no_split.__lt__, map(abs, _pivot_minors(rows)))) and (
-                _split_bound(rows, norm, rho, tol) or bipartition_rank_oracle(
-                    f, [x for x in fvars if cut & bit[x]], tol)):
+        elif (not any(map(no_split.__lt__, map(abs, _pivot_minors(rows))))
+              and bipartition_rank_oracle(f, [x for x in fvars if cut & bit[x]], tol)):
             return False
     return True
 
@@ -775,12 +766,11 @@ def _decompose_tensor(f: MultilinearPoly, form: _Form) -> list[MultilinearPoly]:
 
 
 def decompose(f: MultilinearPoly,
-              tol: Tolerance = DEFAULT_TOL,
-              max_vars: int = 24) -> list[MultilinearPoly]:
+              tol: Tolerance = DEFAULT_TOL) -> list[MultilinearPoly]:
     """Variable-disjoint indecomposable factors of f.
 
     Exhaustive minimal-bipartition search (exponential in the variable
-    count, capped at ``max_vars``): the first factor holds the least
+    count, capped at ``_SPLIT_MAX_VARS``): the first factor holds the least
     variable and the smallest subset holding it whose split has rank
     <= 1, and the search goes on in the quotient.  Pair-linked variables
     lie in one factor, so only subsets that are unions of link classes
@@ -800,9 +790,9 @@ def decompose(f: MultilinearPoly,
     if f.is_zero:
         raise ValueError("cannot decompose the zero polynomial")
     form = _form(f)
-    if len(form.fvars) > max_vars:
+    if len(form.fvars) > _SPLIT_MAX_VARS:
         raise DecompositionBudgetError(
-            f"{len(form.fvars)} variables exceeds the {max_vars}-variable cap")
+            f"{len(form.fvars)} variables exceeds the {_SPLIT_MAX_VARS}-variable cap")
     if form.tensor is not None:
         return _decompose_tensor(f, form)
 

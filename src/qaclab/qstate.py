@@ -646,9 +646,9 @@ def random_product_state(a, b, rng: np.random.Generator) -> StateVector:
                   placement=a)
 
 
-def random_exact_state(r: int, rng: np.random.Generator,
-                       span: int = 2) -> StateVector:
-    """Unnormalized exact state with small Gaussian-integer amplitudes.
+def random_exact_state(r: int, rng: np.random.Generator) -> StateVector:
+    """Unnormalized exact state with Gaussian-integer amplitudes, each
+    part in -2..2.
 
     Separability and simplification classification are scale invariant,
     so the exact suites use these without normalizing (flagged)."""
@@ -657,7 +657,7 @@ def random_exact_state(r: int, rng: np.random.Generator,
     while True:
         # scalar draws in amplitude order, real part then imaginary: a
         # vector draw would consume the stream differently
-        parts = [int(rng.integers(-span, span + 1)) for _ in range(2 << r)]
+        parts = [int(rng.integers(-2, 3)) for _ in range(2 << r)]
         if any(parts):
             break
     num = np.zeros((4, 1 << r), dtype=np.int64)

@@ -36,7 +36,6 @@ from qaclab.multilinear import (
     sv_partition_test,
     var,
     variable_partition,
-    variables_of,
 )
 from qaclab.numerics import (
     DEFAULT_TOL,
@@ -145,10 +144,10 @@ def test_restrict_is_linear():
 
 def test_variables_of():
     f = poly({(X0, X1): Exact.ONE, (X1,): Exact.ONE})
-    assert variables_of(f) == frozenset({X0, X1})
+    assert f.variables() == frozenset({X0, X1})
     cancel = poly({(X0,): Exact.ONE}) + poly({(X1,): Exact.ONE}) \
         + poly({(X1,): Exact.MINUS_ONE})
-    assert variables_of(cancel) == frozenset({X0})
+    assert cancel.variables() == frozenset({X0})
 
 
 def test_variables_of_matches_dependence_oracle():
@@ -157,7 +156,7 @@ def test_variables_of_matches_dependence_oracle():
         f = random_multilinear_poly(rng, 5, 5)
         probes = [{v: Exact(int(rng.integers(-3, 4))) for v in f.variables()}
                   for _ in range(12)]
-        reported = variables_of(f)
+        reported = f.variables()
         for v in reported:
             assert depends_on(f, v, probes), f"{v} reported but not observed"
 
@@ -1051,8 +1050,7 @@ def test_sweep_splits_a_nearly_rank_1_float_product():
 @settings(max_examples=300, deadline=None)
 def test_sweep_float_bounds_agree_with_singular_values(seed, scale, noise):
     """On a sparse near-rank-1 complex matrix, a pivot minor above the
-    no-split bound means ``sv_rank_le_1`` rejects, and the split bound
-    that it accepts."""
+    no-split bound means ``sv_rank_le_1`` rejects."""
     rng = np.random.default_rng(seed)
     rows_n, cols_n = rng.integers(1, 7, size=2)
     def gaussian(*shape):
@@ -1065,13 +1063,9 @@ def test_sweep_float_bounds_agree_with_singular_values(seed, scale, noise):
     if not rows:
         return
     entries = [abs(x) for row in rows for x in row.values()]
-    norm, tol = math.hypot(*entries), DEFAULT_TOL
-    rho, no_split = ml._float_bounds(norm, len(entries), tol)
-    rule = sv_rank_le_1(np.linalg.svd(mat, compute_uv=False), tol)
+    no_split = ml._no_split_bound(math.hypot(*entries), len(entries), DEFAULT_TOL)
     if any(abs(x) > no_split for x in ml._pivot_minors(rows)):
-        assert not rule
-    if ml._split_bound(rows, norm, rho, tol):
-        assert rule
+        assert not sv_rank_le_1(np.linalg.svd(mat, compute_uv=False), DEFAULT_TOL)
 
 
 # ---- text format --------------------------------------------------------------
